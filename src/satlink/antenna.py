@@ -9,8 +9,6 @@ All arrays are untapered (uniformly weighted).
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 
@@ -198,7 +196,9 @@ def sidelobe_level(spec: ArraySpec, scan_samples: int = 20001) -> float:
     if scan_samples < 10_000:
         raise DomainError(f"scan needs at least 10^4 samples, got {scan_samples}")
     null1 = 2.0 * math.pi / n
-    psi = np.linspace(null1, 2.0 * math.pi - null1, scan_samples)[1:-1]
+    # grid and |AF| are both symmetric about psi = pi: scan the lower half
+    # and one sample past its middle, so a peak at pi keeps its bracket
+    psi = np.linspace(null1, 2.0 * math.pi - null1, scan_samples)[1:(scan_samples + 1) // 2 + 1]
     vals = _normalized_af_vec(n, psi)
     i = int(np.argmax(vals))
     lo = psi[max(0, i - 1)]
@@ -245,11 +245,9 @@ class RadiationSample:
             raise DomainError(f"normalized amplitude must lie in [0, 1], got {self.amplitude!r}")
 
 
-def pattern_samples(spec: ArraySpec, resolution_deg: float = 0.1) -> list[RadiationSample]:
-    """Pattern cut of a linear array for theta in [0, 180] degrees.
-
-    power_db is the field level 20*log10(amplitude); exact nulls map to -inf.
-    """
+def _pattern_cut(spec: ArraySpec, resolution_deg: float):
+    """Columns (theta_rad, psi_rad, amplitude, power_db) of a linear array's
+    pattern cut for theta in [0, 180] degrees, as arrays."""
     if spec.topology != LINEAR:
         raise DomainError("pattern cuts are defined for linear arrays only")
     if not (math.isfinite(resolution_deg) and 0.0 < resolution_deg <= 90.0):
@@ -260,27 +258,28 @@ def pattern_samples(spec: ArraySpec, resolution_deg: float = 0.1) -> list[Radiat
     amps = _normalized_af_vec(spec.elements, psis)
     with np.errstate(divide="ignore"):
         power_db = 20.0 * np.log10(amps)
-    return [
-        RadiationSample(float(t), float(p), float(a), float(pdb))
-        for t, p, a, pdb in zip(thetas, psis, amps, power_db)
-    ]
+    return thetas, psis, amps, power_db
+
+
+def pattern_samples(spec: ArraySpec, resolution_deg: float = 0.1) -> list[RadiationSample]:
+    """Pattern cut of a linear array for theta in [0, 180] degrees.
+
+    power_db is the field level 20*log10(amplitude); exact nulls map to -inf.
+    """
+    columns = (c.tolist() for c in _pattern_cut(spec, resolution_deg))
+    return [RadiationSample(*row) for row in zip(*columns)]
+
+
+_PATTERN_HEADER = "theta_deg,psi_rad,amplitude,power_db\n"
+_PATTERN_ROW = "%.4f,%.9g,%.9g,%.6g\n"  # '%.6g' renders an exact null as -inf
 
 
 def pattern_csv(spec: ArraySpec, resolution_deg: float = 0.1) -> str:
     """Pattern cut as CSV (theta_deg, psi_rad, amplitude, power_db)."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["theta_deg", "psi_rad", "amplitude", "power_db"])
-    for s in pattern_samples(spec, resolution_deg):
-        writer.writerow(
-            [
-                f"{math.degrees(s.theta_rad):.4f}",
-                f"{s.psi_rad:.9g}",
-                f"{s.amplitude:.9g}",
-                f"{s.power_db:.6g}" if math.isfinite(s.power_db) else "-inf",
-            ]
-        )
-    return out.getvalue()
+    thetas, psis, amps, power_db = _pattern_cut(spec, resolution_deg)
+    # one format operation over the row-major flattening of the four columns
+    cells = np.column_stack((np.degrees(thetas), psis, amps, power_db)).ravel().tolist()
+    return _PATTERN_HEADER + (_PATTERN_ROW * len(thetas)) % tuple(cells)
 
 
 # Reference catalog of untapered array configurations.

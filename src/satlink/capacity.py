@@ -8,10 +8,9 @@ import io
 import math
 import warnings
 from dataclasses import dataclass
-from pathlib import Path
 
 from .errors import DomainError, NoFeasibleModcodError, ParseError, ValidationError
-from .quantities import linear_from_db
+from .quantities import linear_from_db, read_document
 
 _LN2 = math.log(2.0)
 
@@ -137,11 +136,7 @@ def load_modcod_catalog(source) -> tuple[ModCod, ...]:
     Expected columns: name, se_bps_hz, snr_qef_db. The catalog is validated
     before being returned.
     """
-    if isinstance(source, Path) or (isinstance(source, str) and Path(source).is_file()):
-        text = Path(source).read_text()
-    else:
-        text = str(source)
-    reader = csv.DictReader(io.StringIO(text))
+    reader = csv.DictReader(io.StringIO(read_document(source)))
     required = {"name", "se_bps_hz", "snr_qef_db"}
     if reader.fieldnames is None or not required.issubset(reader.fieldnames):
         raise ParseError(f"MODCOD CSV must have columns {sorted(required)}, got {reader.fieldnames}")

@@ -331,6 +331,9 @@ def _load_budget_config(path: str) -> dict:
     unknown = set(doc) - _CONFIG_KEYS
     if unknown:
         raise ValidationError(sorted(unknown)[0], f"unknown config keys: {sorted(unknown)}")
+    for key, value in doc.items():
+        if key != "terminal":
+            doc[key] = scenario._checked_number(key, value, "finite")
     return doc
 
 
@@ -342,45 +345,45 @@ def _cmd_linkbudget(args, constants) -> int:
             cfg[key] = v
 
     if "distance_km" in cfg:
-        distance_m = float(cfg["distance_km"]) * 1e3
+        distance_m = cfg["distance_km"] * 1e3
     elif "altitude_km" in cfg and "elevation_deg" in cfg:
         distance_m = 1e3 * geometry.slant_range_exact(
-            float(cfg["altitude_km"]), math.radians(float(cfg["elevation_deg"])), constants
+            cfg["altitude_km"], math.radians(cfg["elevation_deg"]), constants
         )
     else:
         raise _UsageError("distance_km (or altitude_km + elevation_deg)")
 
     if "freq_ghz" in cfg:
-        freq_hz = float(cfg["freq_ghz"]) * 1e9
+        freq_hz = cfg["freq_ghz"] * 1e9
     elif "freq_mhz" in cfg:
-        freq_hz = float(cfg["freq_mhz"]) * 1e6
+        freq_hz = cfg["freq_mhz"] * 1e6
     else:
         raise _UsageError("freq_ghz")
 
     bw_hz = _bw_hz(args) or next(
-        (float(cfg[k]) * s for k, s in (("bw_hz", 1.0), ("bw_khz", 1e3), ("bw_mhz", 1e6), ("bw_ghz", 1e9)) if k in cfg),
+        (cfg[k] * s for k, s in (("bw_hz", 1.0), ("bw_khz", 1e3), ("bw_mhz", 1e6), ("bw_ghz", 1e9)) if k in cfg),
         None,
     )
     if bw_hz is None:
         raise _UsageError("bw_khz (or --bw-hz / --bw-mhz / --bw-ghz)")
 
-    atm = float(cfg.get("atm_loss_db", 0.0))
-    ad = float(cfg.get("ad_loss_db", 0.0))
-    margin = float(cfg.get("margin_db", 0.0))
+    atm = cfg.get("atm_loss_db", 0.0)
+    ad = cfg.get("ad_loss_db", 0.0)
+    margin = cfg.get("margin_db", 0.0)
 
     if "eirp_dbw" in cfg:
         tx = linkbudget.Transmitter(
-            power_w=quantities.linear_from_db(float(cfg["eirp_dbw"])), gain_dbi=0.0
+            power_w=quantities.linear_from_db(cfg["eirp_dbw"]), gain_dbi=0.0
         )
     elif "power_w" in cfg and "gain_dbi" in cfg:
-        tx = linkbudget.Transmitter(power_w=float(cfg["power_w"]), gain_dbi=float(cfg["gain_dbi"]))
+        tx = linkbudget.Transmitter(power_w=cfg["power_w"], gain_dbi=cfg["gain_dbi"])
     else:
         raise _UsageError("eirp_dbw (or power_w + gain_dbi)")
 
     if "g_over_t_dbk" in cfg:
         result = linkbudget.snr_db(
             tx.eirp_dbw,
-            float(cfg["g_over_t_dbk"]),
+            cfg["g_over_t_dbk"],
             linkbudget.fspl(distance_m, freq_hz, constants),
             atm,
             ad,
@@ -399,9 +402,9 @@ def _cmd_linkbudget(args, constants) -> int:
             )
         elif "rx_gain_dbi" in cfg and ("nf_db" in cfg or "noise_temp_k" in cfg):
             rx = linkbudget.Receiver(
-                gain_dbi=float(cfg["rx_gain_dbi"]),
-                nf_db=float(cfg["nf_db"]) if "nf_db" in cfg else None,
-                noise_temp_k=float(cfg["noise_temp_k"]) if "noise_temp_k" in cfg else None,
+                gain_dbi=cfg["rx_gain_dbi"],
+                nf_db=cfg.get("nf_db"),
+                noise_temp_k=cfg.get("noise_temp_k"),
                 t_ref_k=constants.t_ref_k,
             )
         else:

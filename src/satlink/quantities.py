@@ -148,6 +148,23 @@ class PhysicalConstants:
         return cls.from_mapping(doc)
 
 
+def read_document(source) -> str:
+    """The text of a document given as a Path, a file path string or the
+    text itself.
+
+    A string is read as a path only when it names an existing file; one that
+    holds a newline, or is too long to be a file name, is the text.
+    """
+    if isinstance(source, Path):
+        return source.read_text()
+    text = str(source)
+    try:
+        is_file = "\n" not in text and Path(text).is_file()
+    except OSError:  # e.g. ENAMETOOLONG
+        is_file = False
+    return Path(text).read_text() if is_file else text
+
+
 DEFAULT_CONSTANTS = PhysicalConstants()
 
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 from .errors import NotFoundError, OutOfBandError, ParseError, ValidationError
 from .capacity import effective_bitrate, max_spectral_efficiency
@@ -30,6 +29,7 @@ from .quantities import (
     UPLINK,
     band_lookup,
     linear_from_db,
+    read_document,
 )
 
 DL = "dl"
@@ -64,6 +64,12 @@ class TerminalProfile:
         if len(given) != 1:
             raise ValidationError(
                 "nf_db/noise_temp_k", "terminal needs exactly one of noise figure or noise temperature"
+            )
+        if self.nf_db is not None and not (math.isfinite(self.nf_db) and self.nf_db >= 0):
+            raise ValidationError("nf_db", f"terminal noise figure must be >= 0 dB, got {self.nf_db!r}")
+        if self.noise_temp_k is not None and not (math.isfinite(self.noise_temp_k) and self.noise_temp_k > 0):
+            raise ValidationError(
+                "noise_temp_k", f"terminal noise temperature must be > 0 K, got {self.noise_temp_k!r}"
             )
 
     def to_doc(self) -> dict:
@@ -118,7 +124,8 @@ def terminal_profile(spec) -> TerminalProfile:
             raise ValidationError(f"terminal.{sorted(unknown)[0]}", f"unknown terminal keys: {sorted(unknown)}")
         if "gain_dbi" not in merged:
             raise ValidationError("terminal.gain_dbi", "terminal mapping needs gain_dbi")
-        return TerminalProfile(name, **{k: float(v) for k, v in merged.items()})
+        values = {k: _checked_number(f"terminal.{k}", v, "finite") for k, v in merged.items()}
+        return TerminalProfile(name, **values)
     raise ValidationError("terminal", f"terminal must be a preset name or mapping, got {type(spec).__name__}")
 
 
@@ -349,10 +356,7 @@ def load_scenario(source) -> Scenario:
     """
     if isinstance(source, dict):
         return _scenario_from_doc(source)
-    if isinstance(source, Path) or (isinstance(source, str) and "\n" not in source and Path(source).is_file()):
-        text = Path(source).read_text()
-    else:
-        text = str(source)
+    text = read_document(source)
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:

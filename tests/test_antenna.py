@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from pytest import approx
-from scipy.optimize import brentq
+from scipy.optimize import brentq, minimize_scalar
 
 from satlink import antenna as ant
 from satlink.errors import DomainError, NoSidelobeError
@@ -190,6 +191,22 @@ class TestSidelobeLevel:
         with pytest.raises(DomainError):
             ant.sidelobe_level(ant.ArraySpec.linear(5), scan_samples=100)
 
+    def test_matches_full_grid_scan(self):
+        # brute force over the whole (null1, 2*pi - null1) grid, then polish
+        for n in range(3, 65):
+            null1 = 2 * math.pi / n
+            psi = np.linspace(null1, 2 * math.pi - null1, 20001)[1:-1]
+            vals = np.abs(np.sin(n * psi / 2) / (n * np.sin(psi / 2)))
+            i = int(np.argmax(vals))
+            res = minimize_scalar(
+                lambda p: -ant.normalized_array_factor(n, float(p)),
+                bounds=(psi[i - 1], psi[i + 1]),
+                method="bounded",
+                options={"xatol": 1e-12},
+            )
+            expected = max(float(vals[i]), -res.fun)
+            assert ant.sidelobe_level(ant.ArraySpec.linear(n)) == approx(expected, abs=1e-10), n
+
 
 class TestSelectArray:
     def test_beamwidth_requirement_from_cell(self):
@@ -259,6 +276,25 @@ class TestPatternExport:
         endfire = samples[0]
         assert math.degrees(endfire.theta_rad) == approx(0.0, abs=1e-9)
         assert endfire.power_db < -300.0
+
+    # digests of the CSV text as first released, before it was rendered
+    # from column arrays
+    @pytest.mark.parametrize(
+        "n,resolution,digest",
+        [
+            (2, 0.1, "d1edb5ba2100a0c779c8d9f4a52f5b161af1f288e57f39d83dab03ea23aa9397"),
+            (2, 0.5, "f31c4a7616fa8ab65935b76c5caa27916c7c6aaa0a4ecfbb3c47e87d97d483b5"),
+            (5, 0.1, "e1c13b895d1525b75802ddd4a0a66bccd24c00426767910ee63beb66bd62c063"),
+            (5, 0.5, "f2116ed62e83104a2a61d354503f5d9dc1f099028d12a150f74cf4c2ee5deb5f"),
+            (16, 0.1, "ac5d1216128a48c95a6254e518a8003b0966e9d56de108229a9e383654c621f7"),
+            (16, 0.5, "0cdb394f8b017e8929688b18649c73d4f9e55b214734d549507d5d8176640f53"),
+            (256, 0.1, "d7766a07a6731091e1c8fc52fe9d7c50608b227d09ec57e653bee4e79ed8fc50"),
+            (256, 0.5, "8ec75d6ee4ee3dc39cc64353e260b0884076db946278decb5e3be4cb004f6606"),
+        ],
+    )
+    def test_csv_bytes_pinned(self, n, resolution, digest):
+        text = ant.pattern_csv(ant.ArraySpec.linear(n), resolution_deg=resolution)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_sample_invariant(self):
         with pytest.raises(DomainError):

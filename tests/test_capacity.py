@@ -73,6 +73,18 @@ class TestModcodCatalog:
         path.write_text(cap.modcod_catalog_csv())
         assert cap.load_modcod_catalog(path) == cap.MODCOD_TABLE
 
+    def test_csv_from_str_path(self, tmp_path):
+        path = tmp_path / "catalog.csv"
+        path.write_text(cap.modcod_catalog_csv())
+        assert cap.load_modcod_catalog(str(path)) == cap.MODCOD_TABLE
+
+    def test_long_csv_text_without_slash(self):
+        # one path component longer than a file name may be (255 bytes)
+        rows = [cap.ModCod(f"mc{i:02d}", (20 + 10 * i) / 100, (-30 + 6 * i) / 10) for i in range(30)]
+        text = cap.modcod_catalog_csv(rows)
+        assert "/" not in text and len(text) > 255
+        assert cap.load_modcod_catalog(text) == tuple(rows)
+
     def test_csv_missing_columns(self):
         with pytest.raises(ParseError):
             cap.load_modcod_catalog("name,se\nfoo,1\n")

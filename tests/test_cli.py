@@ -161,6 +161,26 @@ class TestLinkBudget:
         code, _, err = run(capsys, "linkbudget", "--config", str(cfg))
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("distance_km", "far"),
+            ("eirp_dbw", None),
+            ("bw_khz", True),
+            ("freq_ghz", [2.0]),
+            ("terminal", {"name": "car", "gain_dbi": "abc", "nf_db": 3.0}),
+        ],
+    )
+    def test_non_numeric_config_value_is_validation_error(self, capsys, tmp_path, key, value):
+        doc = {"distance_km": 1000.0, "freq_ghz": 2.0, "eirp_dbw": 40.0, "terminal": "vsat", "bw_khz": 1.0}
+        doc[key] = value
+        cfg = tmp_path / "budget.json"
+        cfg.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "linkbudget", "--config", str(cfg))
+        assert code == 1
+        assert err.startswith("error:") and key in err
+        assert "Traceback" not in err
+
     def test_json_and_table_agree_at_six_digits(self, capsys):
         doc = run_json(capsys, *self.ARGS)
         code, out, _ = run(capsys, *self.ARGS, "--precise")

@@ -56,6 +56,30 @@ class TestTerminalProfiles:
         with pytest.raises(ValidationError):
             sc.terminal_profile({"name": "x", "gain_dbi": 1.0, "nf_db": 3.0, "color": "red"})
 
+    @pytest.mark.parametrize(
+        "noise,field",
+        [
+            ({"nf_db": -3.0}, "nf_db"),
+            ({"nf_db": math.nan}, "nf_db"),
+            ({"nf_db": math.inf}, "nf_db"),
+            ({"noise_temp_k": 0.0}, "noise_temp_k"),
+            ({"noise_temp_k": -10.0}, "noise_temp_k"),
+            ({"noise_temp_k": math.inf}, "noise_temp_k"),
+        ],
+    )
+    def test_rejects_unphysical_noise(self, noise, field):
+        with pytest.raises(ValidationError) as err:
+            sc.TerminalProfile("x", gain_dbi=0.0, **noise)
+        assert err.value.field == field
+
+    def test_noiseless_figure_allowed(self):
+        assert sc.TerminalProfile("x", gain_dbi=0.0, nf_db=0.0).nf_db == 0.0
+
+    def test_non_numeric_mapping_value(self):
+        with pytest.raises(ValidationError) as err:
+            sc.terminal_profile({"name": "car", "gain_dbi": "abc", "nf_db": 3.0})
+        assert err.value.field == "terminal.gain_dbi"
+
 
 class TestLoadScenario:
     def test_minimal_document(self):
@@ -118,6 +142,21 @@ class TestLoadScenario:
     def test_json_text(self):
         s = sc.load_scenario('{"name": "inline", "orbit": "LEO"}\n')
         assert s.name == "inline"
+
+    def test_from_str_path(self, tmp_path):
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps({"name": "filed", "orbit": "GEO"}))
+        assert sc.load_scenario(str(path)).name == "filed"
+
+    @pytest.mark.parametrize("name", [doc["name"] for doc in sc._FIXTURE_DOCS])
+    def test_one_line_fixture_text(self, name):
+        # most fixtures are longer than a file name may be (255 bytes)
+        s = sc.fixture(name)
+        assert sc.load_scenario(json.dumps(sc.scenario_to_doc(s))) == s
+
+    def test_long_one_line_text_is_not_a_path(self):
+        with pytest.raises(ParseError):
+            sc.load_scenario("x" * 1000)
 
 
 class TestFixtures:
