@@ -69,20 +69,6 @@ class ModCod:
             )
 
 
-# Reference catalog for a theoretical DVB-class modem.
-MODCOD_TABLE: tuple[ModCod, ...] = (
-    ModCod("APSK 1/2", 0.4, -2.0),
-    ModCod("CPSK 1/4", 0.5, 0.0),
-    ModCod("CPSK 1/2", 0.6, 1.0),
-    ModCod("CPSK 3/4", 0.65, 2.0),
-    ModCod("DPSK 1/4", 0.75, 3.0),
-    ModCod("DPSK 1/2", 0.9, 4.0),
-    ModCod("DPSK 3/4", 1.05, 6.0),
-    ModCod("DPSK 5/6", 1.25, 7.0),
-    ModCod("DPSK 7/8", 1.5, 9.0),
-)
-
-
 def validate_catalog(catalog) -> tuple[ModCod, ...]:
     """Check a MODCOD catalog: non-empty, and increasing spectral efficiency
     must never come with a decreasing SNR requirement."""
@@ -99,6 +85,20 @@ def validate_catalog(catalog) -> tuple[ModCod, ...]:
     return entries
 
 
+# Reference catalog for a theoretical DVB-class modem, checked once here.
+MODCOD_TABLE: tuple[ModCod, ...] = validate_catalog((
+    ModCod("APSK 1/2", 0.4, -2.0),
+    ModCod("CPSK 1/4", 0.5, 0.0),
+    ModCod("CPSK 1/2", 0.6, 1.0),
+    ModCod("CPSK 3/4", 0.65, 2.0),
+    ModCod("DPSK 1/4", 0.75, 3.0),
+    ModCod("DPSK 1/2", 0.9, 4.0),
+    ModCod("DPSK 3/4", 1.05, 6.0),
+    ModCod("DPSK 5/6", 1.25, 7.0),
+    ModCod("DPSK 7/8", 1.5, 9.0),
+))
+
+
 def select_modcod(snr_db: float, catalog=MODCOD_TABLE) -> tuple[ModCod, float]:
     """Pick the highest-rate scheme the SNR supports.
 
@@ -108,7 +108,7 @@ def select_modcod(snr_db: float, catalog=MODCOD_TABLE) -> tuple[ModCod, float]:
     """
     if not math.isfinite(snr_db):
         raise DomainError(f"snr must be finite dB, got {snr_db!r}")
-    entries = validate_catalog(catalog)
+    entries = catalog if catalog is MODCOD_TABLE else validate_catalog(catalog)
     eligible = [m for m in entries if m.snr_qef_db <= snr_db]
     if not eligible:
         floor = min(entries, key=lambda m: m.snr_qef_db)

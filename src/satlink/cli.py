@@ -333,7 +333,7 @@ def _load_budget_config(path: str) -> dict:
         raise ValidationError(sorted(unknown)[0], f"unknown config keys: {sorted(unknown)}")
     for key, value in doc.items():
         if key != "terminal":
-            doc[key] = scenario._checked_number(key, value, "finite")
+            doc[key] = quantities._checked_number(key, value, "finite")
     return doc
 
 

@@ -10,13 +10,12 @@ from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import DomainError, ValidationError
 from .quantities import (
     DEFAULT_CONSTANTS,
     PhysicalConstants,
-    Power,
     PowerRatio,
     db_from_linear,
     linear_from_db,
@@ -41,37 +40,45 @@ def friis_received_power(
     Returns:
         p_t * g_t * g_r * wavelength^2 / ((4*pi)^2 * distance^2)
     """
-    for name, v in (
-        ("p_t_w", p_t_w),
-        ("g_t", g_t),
-        ("g_r", g_r),
-        ("wavelength_m", wavelength_m),
-        ("distance_m", distance_m),
-    ):
+    _check_positive(
+        ("p_t_w", p_t_w), ("g_t", g_t), ("g_r", g_r), ("wavelength_m", wavelength_m), ("distance_m", distance_m)
+    )
+    return _friis(p_t_w, g_t, g_r, wavelength_m, distance_m)
+
+
+def _check_positive(*named_values) -> None:
+    for name, v in named_values:
         if not (math.isfinite(v) and v > 0):
             raise DomainError(f"{name} must be finite and > 0, got {v!r}")
+
+
+def _friis(p_t_w, g_t, g_r, wavelength_m, distance_m) -> float:
     return p_t_w * g_t * g_r * wavelength_m**2 / ((4.0 * math.pi) ** 2 * distance_m**2)
 
 
-def noise_power(
-    t_k: float, bw_hz: float, constants: PhysicalConstants = DEFAULT_CONSTANTS
-) -> float:
+def noise_power(t_k: float, bw_hz: float, constants: PhysicalConstants = DEFAULT_CONSTANTS) -> float:
     """Thermal noise power in watts collected over a bandwidth: N = k*T*B."""
     if not (math.isfinite(t_k) and t_k >= 0):
         raise DomainError(f"noise temperature must be >= 0 K, got {t_k!r}")
     if not (math.isfinite(bw_hz) and bw_hz > 0):
         raise DomainError(f"bandwidth must be > 0 Hz, got {bw_hz!r}")
+    return _noise_power(t_k, bw_hz, constants)
+
+
+def _noise_power(t_k, bw_hz, constants) -> float:
     return constants.boltzmann_j_per_k * t_k * bw_hz
 
 
-def fspl(
-    distance_m: float, freq_hz: float, constants: PhysicalConstants = DEFAULT_CONSTANTS
-) -> float:
+def fspl(distance_m: float, freq_hz: float, constants: PhysicalConstants = DEFAULT_CONSTANTS) -> float:
     """Free-space path loss in dB: 20*log10(4*pi*d*f/c)."""
     if not (math.isfinite(distance_m) and distance_m > 0):
         raise DomainError(f"distance must be > 0 m, got {distance_m!r}")
     if not (math.isfinite(freq_hz) and freq_hz > 0):
         raise DomainError(f"frequency must be > 0 Hz, got {freq_hz!r}")
+    return _fspl(distance_m, freq_hz, constants)
+
+
+def _fspl(distance_m, freq_hz, constants) -> float:
     return 20.0 * math.log10(4.0 * math.pi * distance_m * freq_hz / constants.c_m_per_s)
 
 
@@ -81,6 +88,10 @@ def g_over_t(g_r_dbi: float, t_k: float) -> float:
         raise DomainError(f"system noise temperature must be > 0 K, got {t_k!r}")
     if not math.isfinite(g_r_dbi):
         raise DomainError(f"receive gain must be finite dBi, got {g_r_dbi!r}")
+    return _g_over_t(g_r_dbi, t_k)
+
+
+def _g_over_t(g_r_dbi, t_k) -> float:
     return g_r_dbi - 10.0 * math.log10(t_k)
 
 
@@ -120,7 +131,7 @@ class Transmitter:
 
     @property
     def eirp_dbw(self) -> float:
-        return Power(self.power_w).dbw + self.gain_dbi
+        return db_from_linear(self.power_w) + self.gain_dbi
 
     @property
     def eirp_w(self) -> float:
@@ -140,17 +151,11 @@ class Receiver:
     def __post_init__(self):
         if not math.isfinite(self.gain_dbi):
             raise DomainError(f"receive gain must be finite dBi, got {self.gain_dbi!r}")
-        given = [v for v in (self.nf_db, self.noise_temp_k) if v is not None]
-        if len(given) != 1:
-            raise ValidationError(
-                "nf_db/noise_temp_k",
-                "specify exactly one of noise figure or noise temperature",
-            )
+        if (self.nf_db is None) == (self.noise_temp_k is None):
+            raise ValidationError("nf_db/noise_temp_k", "specify exactly one of noise figure or noise temperature")
         if self.nf_db is not None and not (math.isfinite(self.nf_db) and self.nf_db >= 0):
             raise DomainError(f"noise figure must be >= 0 dB, got {self.nf_db!r}")
-        if self.noise_temp_k is not None and not (
-            math.isfinite(self.noise_temp_k) and self.noise_temp_k >= 0
-        ):
+        if self.noise_temp_k is not None and not (math.isfinite(self.noise_temp_k) and self.noise_temp_k >= 0):
             raise DomainError(f"noise temperature must be >= 0 K, got {self.noise_temp_k!r}")
 
     @property
@@ -174,6 +179,15 @@ class Receiver:
         return g_over_t(self.gain_dbi, self.noise_temperature_k)
 
 
+_LOSS_KEYS = ("fspl_db", "atm_loss_db", "ad_loss_db", "margin_db")
+
+
+def _check_losses(*losses_db) -> None:
+    for name, v in zip(_LOSS_KEYS, losses_db):
+        if not (math.isfinite(v) and v >= 0):
+            raise DomainError(f"{name} must be >= 0 dB, got {v!r}")
+
+
 @dataclass(frozen=True)
 class LossLedger:
     """Loss lines of a link budget, all in dB.
@@ -188,10 +202,7 @@ class LossLedger:
     margin_db: float = 0.0
 
     def __post_init__(self):
-        for name in ("fspl_db", "atm_loss_db", "ad_loss_db", "margin_db"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v >= 0):
-                raise DomainError(f"{name} must be >= 0 dB, got {v!r}")
+        _check_losses(self.fspl_db, self.atm_loss_db, self.ad_loss_db, self.margin_db)
 
     @property
     def total_db(self) -> float:
@@ -284,33 +295,20 @@ def snr_db(
     with EIRP in dBW, G/T in dB/K, losses in dB, bandwidth in dBHz and the
     Boltzmann constant in dBW/K/Hz. Returns the full itemized ledger.
     """
-    for name, v in (
-        ("eirp_dbw", eirp_dbw),
-        ("g_over_t_dbk", g_over_t_dbk),
-        ("bw_dbhz", bw_dbhz),
-    ):
+    for name, v in (("eirp_dbw", eirp_dbw), ("g_over_t_dbk", g_over_t_dbk), ("bw_dbhz", bw_dbhz)):
         if not math.isfinite(v):
             raise DomainError(f"{name} must be finite, got {v!r}")
-    for name, v in (
-        ("fspl_db", fspl_db),
-        ("atm_loss_db", atm_loss_db),
-        ("ad_loss_db", ad_loss_db),
-        ("margin_db", margin_db),
-    ):
-        if not (math.isfinite(v) and v >= 0):
-            raise DomainError(f"{name} must be >= 0 dB, got {v!r}")
+    _check_losses(fspl_db, atm_loss_db, ad_loss_db, margin_db)
+    return _ledger(eirp_dbw, g_over_t_dbk, fspl_db, atm_loss_db, ad_loss_db, margin_db, bw_dbhz, constants)
+
+
+def _ledger(
+    eirp_dbw, g_over_t_dbk, fspl_db, atm_loss_db, ad_loss_db, margin_db, bw_dbhz, constants, rx_w=None, n_w=None
+) -> LinkBudgetResult:
     k_db = constants.boltzmann_dbw_per_k_hz
     snr = eirp_dbw + g_over_t_dbk - fspl_db - atm_loss_db - ad_loss_db - margin_db - bw_dbhz - k_db
     return LinkBudgetResult(
-        eirp_dbw=eirp_dbw,
-        g_over_t_dbk=g_over_t_dbk,
-        fspl_db=fspl_db,
-        atm_loss_db=atm_loss_db,
-        ad_loss_db=ad_loss_db,
-        margin_db=margin_db,
-        bw_dbhz=bw_dbhz,
-        boltzmann_dbw_per_k_hz=k_db,
-        snr_db=snr,
+        eirp_dbw, g_over_t_dbk, fspl_db, atm_loss_db, ad_loss_db, margin_db, bw_dbhz, k_db, snr, rx_w, n_w
     )
 
 
@@ -330,27 +328,27 @@ def link_budget(
     Computes FSPL from distance and frequency, aggregates the dB ledger and
     additionally fills the received/noise power in watts (signal attenuated
     by the linear equivalent of every loss line).
+
+    Every input is checked once, in the order the public functions above
+    would check it, so a bad input raises the same first error as they do.
     """
     if not (math.isfinite(bandwidth_hz) and bandwidth_hz > 0):
         raise DomainError(f"bandwidth must be > 0 Hz, got {bandwidth_hz!r}")
     lam = wavelength(freq_hz, constants)
-    path_db = fspl(distance_m, freq_hz, constants)
-    result = snr_db(
-        transmitter.eirp_dbw,
-        receiver.g_over_t_dbk,
-        path_db,
-        atm_loss_db,
-        ad_loss_db,
-        margin_db,
-        db_from_linear(bandwidth_hz),
-        constants,
-    )
+    if not (math.isfinite(distance_m) and distance_m > 0):
+        raise DomainError(f"distance must be > 0 m, got {distance_m!r}")
+    path_db = _fspl(distance_m, freq_hz, constants)
+    eirp_dbw = transmitter.eirp_dbw
+    t_sys = receiver.noise_temperature_k
+    if not (math.isfinite(t_sys) and t_sys > 0):
+        raise DomainError(f"system noise temperature must be > 0 K, got {t_sys!r}")
+    bw_dbhz = db_from_linear(bandwidth_hz)
+    _check_losses(path_db, atm_loss_db, ad_loss_db, margin_db)
     extra_loss = linear_from_db(atm_loss_db + ad_loss_db + margin_db)
-    rx_w = (
-        friis_received_power(
-            transmitter.power_w, transmitter.gain_linear, receiver.gain_linear, lam, distance_m
-        )
-        / extra_loss
-    )
-    n_w = noise_power(receiver.noise_temperature_k, bandwidth_hz, constants)
-    return replace(result, received_power_w=rx_w, noise_power_w=n_w)
+    g_t, g_r = transmitter.gain_linear, receiver.gain_linear
+    # an extreme gain underflows to 0, extreme constants push the wavelength to 0 or inf
+    _check_positive(("g_t", g_t), ("g_r", g_r), ("wavelength_m", lam))
+    gt_dbk = _g_over_t(receiver.gain_dbi, t_sys)
+    rx_w = _friis(transmitter.power_w, g_t, g_r, lam, distance_m) / extra_loss
+    n_w = _noise_power(t_sys, bandwidth_hz, constants)
+    return _ledger(eirp_dbw, gt_dbk, path_db, atm_loss_db, ad_loss_db, margin_db, bw_dbhz, constants, rx_w, n_w)

@@ -12,6 +12,7 @@ import io
 import json
 import math
 from dataclasses import dataclass, fields
+from functools import cached_property
 from pathlib import Path
 
 from .errors import DomainError, OutOfBandError, ParseError, ValidationError
@@ -31,6 +32,21 @@ def linear_from_db(x: float) -> float:
     if not (isinstance(x, (int, float)) and math.isfinite(x)):
         raise DomainError(f"dB value must be finite, got {x!r}")
     return 10.0 ** (x / 10.0)
+
+
+def _checked_number(key: str, value, kind: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValidationError(key, f"{key} must be a number, got {value!r}")
+    v = float(value)
+    if not math.isfinite(v):
+        raise ValidationError(key, f"{key} must be finite, got {value!r}")
+    if kind == "positive" and v <= 0:
+        raise ValidationError(key, f"{key} must be > 0, got {value!r}")
+    if kind == "nonnegative" and v < 0:
+        raise ValidationError(key, f"{key} must be >= 0, got {value!r}")
+    if kind == "elevation" and not 0.0 <= v <= 90.0:
+        raise ValidationError(key, f"{key} must lie in [0, 90] degrees, got {value!r}")
+    return v
 
 
 @dataclass(frozen=True)
@@ -124,7 +140,7 @@ class PhysicalConstants:
             if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
                 raise ValidationError(f.name, f"constant {f.name} must be finite and > 0, got {v!r}")
 
-    @property
+    @cached_property  # in the instance __dict__, not a field: eq, hash and repr ignore it
     def boltzmann_dbw_per_k_hz(self) -> float:
         return db_from_linear(self.boltzmann_j_per_k)
 
@@ -134,7 +150,7 @@ class PhysicalConstants:
         unknown = set(overrides) - known
         if unknown:
             raise ValidationError(sorted(unknown)[0], f"unknown constant keys: {sorted(unknown)}")
-        return cls(**{k: float(v) for k, v in overrides.items()})
+        return cls(**{k: _checked_number(k, v, "finite") for k, v in overrides.items()})
 
     @classmethod
     def from_file(cls, path) -> "PhysicalConstants":
@@ -276,16 +292,23 @@ def _check_query(freq_hz: float, direction: str, orbit: str) -> float:
     return freq_hz / 1e6
 
 
+# Allocations and their (low_MHz, high_MHz, band) rows per (direction, orbit) query, in
+# catalog order, so the first row containing a frequency is its first matching allocation.
+_QUERY_ALLOCATIONS = {
+    (d, o): tuple(a for a in BAND_CATALOG if a.direction == d and (o == ANY_ORBIT or a.orbit in (ANY_ORBIT, o)))
+    for d in _DIRECTIONS
+    for o in _ORBITS
+}
+_BAND_ROWS = {
+    query: tuple((lo, hi, a.band) for a in allocations for lo, hi in a.intervals_mhz)
+    for query, allocations in _QUERY_ALLOCATIONS.items()
+}
+
+
 def matching_allocations(freq_hz: float, direction: str, orbit: str = ANY_ORBIT) -> list[BandAllocation]:
     """All catalog rows containing the frequency for the direction/orbit."""
     freq_mhz = _check_query(freq_hz, direction, orbit)
-    return [
-        a
-        for a in BAND_CATALOG
-        if a.direction == direction
-        and (orbit == ANY_ORBIT or a.orbit == ANY_ORBIT or a.orbit == orbit)
-        and a.contains(freq_mhz)
-    ]
+    return [a for a in _QUERY_ALLOCATIONS[direction, orbit] if a.contains(freq_mhz)]
 
 
 def band_lookup(freq_hz: float, direction: str, orbit: str = ANY_ORBIT) -> str:
@@ -294,19 +317,11 @@ def band_lookup(freq_hz: float, direction: str, orbit: str = ANY_ORBIT) -> str:
     Raises OutOfBandError (naming the nearest allocation) when no interval
     for the given direction/orbit contains the frequency.
     """
-    matches = matching_allocations(freq_hz, direction, orbit)
-    if matches:
-        names = {a.band for a in matches}
-        # the chart never maps one frequency to two band names for a fixed query
-        assert len(names) == 1, f"ambiguous band chart at {freq_hz} Hz: {sorted(names)}"
-        return matches[0].band
-    freq_mhz = freq_hz / 1e6
-    candidates = [
-        a
-        for a in BAND_CATALOG
-        if a.direction == direction and (orbit == ANY_ORBIT or a.orbit == ANY_ORBIT or a.orbit == orbit)
-    ]
-    nearest = min(candidates, key=lambda a: a.distance_mhz(freq_mhz))
+    freq_mhz = _check_query(freq_hz, direction, orbit)
+    for lo, hi, band in _BAND_ROWS[direction, orbit]:
+        if lo <= freq_mhz <= hi:
+            return band
+    nearest = min(_QUERY_ALLOCATIONS[direction, orbit], key=lambda a: a.distance_mhz(freq_mhz))
     raise OutOfBandError(
         f"{freq_mhz:g} MHz ({direction}, orbit={orbit}) is outside every allocation; "
         f"nearest is {nearest.band} band ({nearest.orbit}) at {nearest.intervals_mhz} MHz",

@@ -27,6 +27,7 @@ from .quantities import (
     GEO,
     NON_GEO,
     UPLINK,
+    _checked_number,
     band_lookup,
     linear_from_db,
     read_document,
@@ -251,21 +252,6 @@ _TOP_LEVEL_KEYS = (
 )
 
 _CASE_KEYS = {"direction", "label", "sinr_db", "se_bps_hz", "bitrate_mbps", "bitrate_bps", "bw_mhz", "bw_hz"}
-
-
-def _checked_number(key: str, value, kind: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValidationError(key, f"{key} must be a number, got {value!r}")
-    v = float(value)
-    if not math.isfinite(v):
-        raise ValidationError(key, f"{key} must be finite, got {value!r}")
-    if kind == "positive" and v <= 0:
-        raise ValidationError(key, f"{key} must be > 0, got {value!r}")
-    if kind == "nonnegative" and v < 0:
-        raise ValidationError(key, f"{key} must be >= 0, got {value!r}")
-    if kind == "elevation" and not 0.0 <= v <= 90.0:
-        raise ValidationError(key, f"{key} must lie in [0, 90] degrees, got {value!r}")
-    return v
 
 
 def _parse_case(doc: dict, index: int) -> LinkCase:

@@ -395,6 +395,15 @@ class TestConstantsOverride:
         code, _, err = run(capsys, "convert", "wavelength", "--freq-ghz", "2")
         assert code == 1
 
+    @pytest.mark.parametrize("value", ["abc", None, "3e8", True])
+    def test_non_numeric_constant_names_the_key(self, capsys, tmp_path, monkeypatch, value):
+        path = tmp_path / "constants.json"
+        path.write_text(json.dumps({"c_m_per_s": value}))
+        monkeypatch.setenv("SATLINK_CONSTANTS", str(path))
+        code, out, err = run(capsys, *TestLinkBudget.ARGS)
+        assert (code, out) == (1, "")
+        assert err == f"error: c_m_per_s must be a number, got {value!r}\n"
+
 
 class TestUsage:
     def test_no_command_prints_help(self, capsys):

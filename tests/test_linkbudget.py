@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -8,7 +9,13 @@ from pytest import approx
 
 from satlink import linkbudget as lb
 from satlink.errors import DomainError, ValidationError
-from satlink.quantities import DEFAULT_CONSTANTS, db_from_linear, linear_from_db
+from satlink.quantities import (
+    DEFAULT_CONSTANTS,
+    PhysicalConstants,
+    db_from_linear,
+    linear_from_db,
+    wavelength,
+)
 
 
 class TestFriis:
@@ -251,3 +258,76 @@ class TestEndToEndBudget:
         rx = lb.Receiver(gain_dbi=12.0, nf_db=5.0)
         doc = lb.link_budget(tx, rx, 5.5e5, 11.7e9, 1e6).to_dict()
         assert "received_power_w" in doc and "noise_power_w" in doc
+
+
+_TX = lb.Transmitter(power_w=2.0, gain_dbi=12.0)
+_RX = lb.Receiver(gain_dbi=12.0, nf_db=5.0)
+_KU = (5.5e5, 11.7e9, 1e6)  # distance_m, freq_hz, bandwidth_hz
+
+
+class TestLinkBudgetErrorContract:
+    """The first error link_budget raises for each invalid input: exception
+    type and message, including which fault wins when there are two."""
+
+    @pytest.mark.parametrize(
+        "args,message",
+        [
+            ((_TX, lb.Receiver(0.0, noise_temp_k=0.0), *_KU), "system noise temperature must be > 0 K, got 0.0"),
+            ((_TX, lb.Receiver(0.0, nf_db=0.0), *_KU), "system noise temperature must be > 0 K, got 0.0"),
+            ((_TX, _RX, 1.0, 1e6, 1e3), "fspl_db must be >= 0 dB, got -27.558227813951323"),
+            ((_TX, _RX, *_KU, -1.0), "atm_loss_db must be >= 0 dB, got -1.0"),
+            ((_TX, _RX, *_KU, 0.0, -1.0), "ad_loss_db must be >= 0 dB, got -1.0"),
+            ((_TX, _RX, *_KU, 0.0, 0.0, -1.0), "margin_db must be >= 0 dB, got -1.0"),
+            ((_TX, _RX, 5.5e5, math.nan, 1e6), "frequency must be finite and > 0 Hz, got nan"),
+            ((_TX, _RX, math.nan, 11.7e9, 1e6), "distance must be > 0 m, got nan"),
+            ((_TX, _RX, 5.5e5, 11.7e9, math.nan), "bandwidth must be > 0 Hz, got nan"),
+            ((_TX, _RX, 0.0, 11.7e9, 1e6), "distance must be > 0 m, got 0.0"),
+            ((_TX, _RX, 5.5e5, math.inf, 1e6), "frequency must be finite and > 0 Hz, got inf"),
+            # two faults in one call: the earlier check wins
+            ((_TX, _RX, -1.0, 11.7e9, 0.0), "bandwidth must be > 0 Hz, got 0.0"),
+            ((_TX, lb.Receiver(0.0, noise_temp_k=0.0), *_KU, -2.0), "system noise temperature must be > 0 K, got 0.0"),
+            ((_TX, _RX, 1.0, 1e6, 1e3, math.nan), "fspl_db must be >= 0 dB, got -27.558227813951323"),
+            # faults that only show in derived values
+            ((_TX, lb.Receiver(0.0, nf_db=3.0, t_ref_k=-1.0), *_KU), "reference temperature must be > 0 K, got -1.0"),
+            ((lb.Transmitter(2.0, -4000.0), _RX, *_KU), "g_t must be finite and > 0, got 0.0"),
+        ],
+    )
+    def test_first_error(self, args, message):
+        with pytest.raises(DomainError) as err:
+            lb.link_budget(*args)
+        assert type(err.value) is DomainError
+        assert str(err.value) == message
+
+    def test_loss_overflow(self):
+        with pytest.raises(OverflowError):
+            lb.link_budget(_TX, _RX, *_KU, 5000.0)
+
+
+def _budget_corpus(seed, n):
+    rng = random.Random(seed)
+    codata = PhysicalConstants(c_m_per_s=299792458.0, earth_radius_km=6378.137)
+    for i in range(n):
+        tx = lb.Transmitter(10.0 ** rng.uniform(-1, 3), rng.uniform(-5, 45))
+        t_ref = rng.choice((290.0, rng.uniform(100.0, 400.0)))
+        if i % 2:
+            rx = lb.Receiver(rng.uniform(-5, 45), nf_db=rng.uniform(0.01, 12.0), t_ref_k=t_ref)
+        else:
+            rx = lb.Receiver(rng.uniform(-5, 45), noise_temp_k=rng.uniform(20.0, 3000.0), t_ref_k=t_ref)
+        d = 10.0 ** rng.uniform(3, 7.7)
+        f = 10.0 ** rng.uniform(8, 11)
+        bw = 10.0 ** rng.uniform(3, 9)
+        losses = [rng.choice((0.0, rng.uniform(0, 20))) for _ in range(3)]
+        yield tx, rx, d, f, bw, losses, (DEFAULT_CONSTANTS if i % 3 else codata)
+
+
+def test_link_budget_is_bit_identical_to_public_helpers():
+    for tx, rx, d, f, bw, (atm, ad, margin), k in _budget_corpus(11, 3000):
+        ledger = lb.snr_db(
+            tx.eirp_dbw, rx.g_over_t_dbk, lb.fspl(d, f, k), atm, ad, margin, db_from_linear(bw), k
+        )
+        rx_w = lb.friis_received_power(
+            tx.power_w, tx.gain_linear, rx.gain_linear, wavelength(f, k), d
+        ) / linear_from_db(atm + ad + margin)
+        n_w = lb.noise_power(rx.noise_temperature_k, bw, k)
+        expected = {**ledger.to_dict(), "received_power_w": rx_w, "noise_power_w": n_w}
+        assert lb.link_budget(tx, rx, d, f, bw, atm, ad, margin, k).to_dict() == expected

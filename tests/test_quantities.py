@@ -99,6 +99,13 @@ class TestConstants:
     def test_boltzmann_db_view(self):
         assert q.DEFAULT_CONSTANTS.boltzmann_dbw_per_k_hz == approx(-228.6, abs=0.05)
 
+    def test_cached_boltzmann_is_not_a_field(self):
+        a, b = q.PhysicalConstants(boltzmann_j_per_k=1.4e-23), q.PhysicalConstants(boltzmann_j_per_k=1.4e-23)
+        before = repr(a)
+        assert a.boltzmann_dbw_per_k_hz == q.db_from_linear(1.4e-23)
+        assert repr(a) == before
+        assert a == b and hash(a) == hash(b)
+
     def test_rejects_nonpositive(self):
         with pytest.raises(ValidationError):
             q.PhysicalConstants(c_m_per_s=0.0)
@@ -229,6 +236,35 @@ class TestBandLookup:
             q.band_lookup(2e9, "sideways")
         with pytest.raises(DomainError):
             q.band_lookup(2e9, q.UPLINK, "polar")
+
+
+_QUERIES = [(d, o) for d in (q.DOWNLINK, q.UPLINK) for o in (q.GEO, q.NON_GEO, q.ANY_ORBIT)]
+
+
+class TestBandChart:
+    @pytest.mark.parametrize("direction,orbit", _QUERIES)
+    def test_lookup_agrees_with_matching_allocations_at_every_endpoint(self, direction, orbit):
+        for alloc in q.BAND_CATALOG:
+            for edge_mhz in (bound for interval in alloc.intervals_mhz for bound in interval):
+                for freq_hz in (edge_mhz * 1e6 - 1.0, edge_mhz * 1e6, edge_mhz * 1e6 + 1.0):
+                    matches = q.matching_allocations(freq_hz, direction, orbit)
+                    if matches:
+                        assert q.band_lookup(freq_hz, direction, orbit) == matches[0].band
+                    else:
+                        with pytest.raises(OutOfBandError):
+                            q.band_lookup(freq_hz, direction, orbit)
+
+    @pytest.mark.parametrize("direction", [q.DOWNLINK, q.UPLINK])
+    def test_no_frequency_maps_to_two_band_names(self, direction):
+        # the "any" orbit query sees every row of a direction, so this covers
+        # the geo and non-geo queries too
+        rows = [
+            (lo, hi, a.band) for a in q.BAND_CATALOG if a.direction == direction for lo, hi in a.intervals_mhz
+        ]
+        for i, (alo, ahi, aband) in enumerate(rows):
+            for blo, bhi, bband in rows[i + 1 :]:
+                if aband != bband:
+                    assert ahi < blo or bhi < alo, f"{aband} and {bband} share [{max(alo, blo)}, {min(ahi, bhi)}] MHz"
 
 
 class TestBandAllocationInvariants:
