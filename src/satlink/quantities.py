@@ -31,7 +31,10 @@ def linear_from_db(x: float) -> float:
     """Convert decibels to a linear ratio (10**(x/10))."""
     if not (isinstance(x, (int, float)) and math.isfinite(x)):
         raise DomainError(f"dB value must be finite, got {x!r}")
-    return 10.0 ** (x / 10.0)
+    try:
+        return 10.0 ** (x / 10.0)
+    except OverflowError:  # above about 3083 dB
+        raise DomainError(f"dB value {x!r} is too large for a linear ratio") from None
 
 
 def _checked_number(key: str, value, kind: str) -> float:
@@ -154,7 +157,7 @@ class PhysicalConstants:
 
     @classmethod
     def from_file(cls, path) -> "PhysicalConstants":
-        text = Path(path).read_text()
+        text = _read_file(path)
         try:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:
@@ -164,21 +167,29 @@ class PhysicalConstants:
         return cls.from_mapping(doc)
 
 
+def _read_file(path) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+
+
 def read_document(source) -> str:
     """The text of a document given as a Path, a file path string or the
     text itself.
 
     A string is read as a path only when it names an existing file; one that
-    holds a newline, or is too long to be a file name, is the text.
+    holds a newline, or is too long to be a file name, is the text. A file
+    that is not UTF-8 raises ParseError naming it.
     """
     if isinstance(source, Path):
-        return source.read_text()
+        return _read_file(source)
     text = str(source)
     try:
         is_file = "\n" not in text and Path(text).is_file()
     except OSError:  # e.g. ENAMETOOLONG
         is_file = False
-    return Path(text).read_text() if is_file else text
+    return _read_file(text) if is_file else text
 
 
 DEFAULT_CONSTANTS = PhysicalConstants()

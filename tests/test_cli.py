@@ -181,6 +181,12 @@ class TestLinkBudget:
         assert err.startswith("error:") and key in err
         assert "Traceback" not in err
 
+    def test_huge_loss_is_domain_error(self, capsys):
+        code, out, err = run(capsys, *self.ARGS[:-1], "5000")
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and "5000" in err
+        assert "Traceback" not in err
+
     def test_json_and_table_agree_at_six_digits(self, capsys):
         doc = run_json(capsys, *self.ARGS)
         code, out, _ = run(capsys, *self.ARGS, "--precise")
@@ -403,6 +409,31 @@ class TestConstantsOverride:
         code, out, err = run(capsys, *TestLinkBudget.ARGS)
         assert (code, out) == (1, "")
         assert err == f"error: c_m_per_s must be a number, got {value!r}\n"
+
+
+class TestNonUtf8File:
+    @pytest.fixture
+    def bad(self, tmp_path):
+        path = tmp_path / "bad.bin"
+        path.write_bytes(b"\xff\xfe\x00")
+        return path
+
+    @staticmethod
+    def assert_names_file(result, path):
+        code, out, err = result
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and str(path) in err
+        assert "Traceback" not in err
+
+    def test_scenario_file(self, capsys, bad):
+        self.assert_names_file(run(capsys, "scenario", "run", str(bad)), bad)
+
+    def test_modcod_catalog(self, capsys, bad):
+        self.assert_names_file(run(capsys, "modcod", "--snr-db", "3", "--catalog", str(bad)), bad)
+
+    def test_constants_file(self, capsys, bad, monkeypatch):
+        monkeypatch.setenv("SATLINK_CONSTANTS", str(bad))
+        self.assert_names_file(run(capsys, "convert", "wavelength", "--freq-ghz", "2"), bad)
 
 
 class TestUsage:

@@ -299,7 +299,7 @@ class TestLinkBudgetErrorContract:
         assert str(err.value) == message
 
     def test_loss_overflow(self):
-        with pytest.raises(OverflowError):
+        with pytest.raises(DomainError):
             lb.link_budget(_TX, _RX, *_KU, 5000.0)
 
 

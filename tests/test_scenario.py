@@ -148,6 +148,13 @@ class TestLoadScenario:
         path.write_text(json.dumps({"name": "filed", "orbit": "GEO"}))
         assert sc.load_scenario(str(path)).name == "filed"
 
+    @pytest.mark.parametrize("as_source", [lambda p: p, str], ids=["Path", "str"])
+    def test_non_utf8_file_is_parse_error(self, tmp_path, as_source):
+        path = tmp_path / "bad.bin"
+        path.write_bytes(b"\xff\xfe\x00")
+        with pytest.raises(ParseError, match="bad.bin: not UTF-8"):
+            sc.load_scenario(as_source(path))
+
     @pytest.mark.parametrize("name", [doc["name"] for doc in sc._FIXTURE_DOCS])
     def test_one_line_fixture_text(self, name):
         # most fixtures are longer than a file name may be (255 bytes)
