@@ -16,7 +16,7 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from .errors import DomainError, NoSidelobeError
-from .quantities import AntennaGain
+from .quantities import AntennaGain, require
 
 LINEAR = "linear"
 PLANAR = "planar"
@@ -50,10 +50,8 @@ class ArraySpec:
                 raise DomainError(
                     f"rows*cols ({self.rows}x{self.cols}) must equal element count {self.elements}"
                 )
-        if not (math.isfinite(self.spacing_wavelengths) and self.spacing_wavelengths > 0):
-            raise DomainError(f"spacing must be > 0 wavelengths, got {self.spacing_wavelengths!r}")
-        if not (math.isfinite(self.efficiency) and 0.0 < self.efficiency <= 1.0):
-            raise DomainError(f"efficiency must lie in (0, 1], got {self.efficiency!r}")
+        require("spacing", self.spacing_wavelengths, "must be > 0 wavelengths")
+        require("efficiency", self.efficiency, "must lie in (0, 1]")
 
     @classmethod
     def linear(cls, n: int, spacing_wavelengths: float = 0.5, efficiency: float = 1.0) -> "ArraySpec":
@@ -80,8 +78,7 @@ def array_factor_magnitude(n: int, psi_rad: float) -> float:
     """
     if not (isinstance(n, int) and n >= 1):
         raise DomainError(f"element count must be an integer >= 1, got {n!r}")
-    if not math.isfinite(psi_rad):
-        raise DomainError(f"psi must be finite, got {psi_rad!r}")
+    require("psi", psi_rad, "must be finite")
     den = math.sin(psi_rad / 2.0)
     if den == 0.0:
         return float(n)
@@ -103,10 +100,8 @@ def _normalized_af_vec(n: int, psi: np.ndarray) -> np.ndarray:
 def psi_from_incidence(spacing_wavelengths: float, theta_rad: float) -> float:
     """Inter-element phase for a plane wave at incidence angle theta to the
     array axis: psi = 2*pi*spacing*cos(theta)."""
-    if not (math.isfinite(spacing_wavelengths) and spacing_wavelengths > 0):
-        raise DomainError(f"spacing must be > 0 wavelengths, got {spacing_wavelengths!r}")
-    if not math.isfinite(theta_rad):
-        raise DomainError(f"theta must be finite, got {theta_rad!r}")
+    require("spacing", spacing_wavelengths, "must be > 0 wavelengths")
+    require("theta", theta_rad, "must be finite")
     return 2.0 * math.pi * spacing_wavelengths * math.cos(theta_rad)
 
 
@@ -119,28 +114,22 @@ def directivity(spec: ArraySpec) -> AntennaGain:
 
 def gain_from_directivity(directivity_linear: float, efficiency: float) -> AntennaGain:
     """Realized gain: directivity scaled by the radiation efficiency."""
-    if not (math.isfinite(directivity_linear) and directivity_linear > 0):
-        raise DomainError(f"directivity must be > 0, got {directivity_linear!r}")
-    if not (math.isfinite(efficiency) and 0.0 < efficiency <= 1.0):
-        raise DomainError(f"efficiency must lie in (0, 1], got {efficiency!r}")
+    require("directivity", directivity_linear, "must be > 0")
+    require("efficiency", efficiency, "must lie in (0, 1]")
     return AntennaGain(efficiency * directivity_linear)
 
 
 def effective_aperture(wavelength_m: float, gain_linear: float) -> float:
     """Effective capture area in m^2: wavelength^2 * gain / (4*pi)."""
-    if not (math.isfinite(wavelength_m) and wavelength_m > 0):
-        raise DomainError(f"wavelength must be > 0 m, got {wavelength_m!r}")
-    if not (math.isfinite(gain_linear) and gain_linear > 0):
-        raise DomainError(f"gain must be > 0, got {gain_linear!r}")
+    require("wavelength", wavelength_m, "must be > 0 m")
+    require("gain", gain_linear, "must be > 0")
     return wavelength_m**2 * gain_linear / (4.0 * math.pi)
 
 
 def hpbw_from_directivity(directivity_linear: float) -> float:
     """Half-power beamwidth in degrees under the symmetric-beam approximation
     D = 32400 / hpbw^2, i.e. hpbw = sqrt(32400 / D)."""
-    if not (math.isfinite(directivity_linear) and directivity_linear > 0):
-        raise DomainError(f"directivity must be > 0, got {directivity_linear!r}")
-    return math.sqrt(HPBW_APPROX_COEFFICIENT / directivity_linear)
+    return math.sqrt(HPBW_APPROX_COEFFICIENT / require("directivity", directivity_linear, "must be > 0"))
 
 
 def hpbw_numeric(spec: ArraySpec, tol_rad: float = 1e-9) -> float:
@@ -214,9 +203,7 @@ def sidelobe_level(spec: ArraySpec, scan_samples: int = 20001) -> float:
 
 def amplitude_db_field(amplitude: float) -> float:
     """Amplitude ratio in dB under the field convention, 20*log10."""
-    if not (math.isfinite(amplitude) and amplitude > 0):
-        raise DomainError(f"amplitude must be > 0, got {amplitude!r}")
-    return 20.0 * math.log10(amplitude)
+    return 20.0 * math.log10(require("amplitude", amplitude, "must be > 0"))
 
 
 def amplitude_db_power(amplitude: float) -> float:
@@ -226,9 +213,7 @@ def amplitude_db_power(amplitude: float) -> float:
     exactly this of the amplitude ratio; exposed so both readings are
     available, neither endorsed.
     """
-    if not (math.isfinite(amplitude) and amplitude > 0):
-        raise DomainError(f"amplitude must be > 0, got {amplitude!r}")
-    return 10.0 * math.log10(amplitude)
+    return 10.0 * math.log10(require("amplitude", amplitude, "must be > 0"))
 
 
 @dataclass(frozen=True)
@@ -241,8 +226,14 @@ class RadiationSample:
     power_db: float
 
     def __post_init__(self):
-        if not 0.0 <= self.amplitude <= 1.0:
-            raise DomainError(f"normalized amplitude must lie in [0, 1], got {self.amplitude!r}")
+        require("normalized amplitude", self.amplitude, "must lie in [0, 1]")
+
+
+# The most rows a pattern cut may have: one per millidegree, 100 times finer
+# than the default resolution. A finer cut is refused before anything is
+# allocated.
+MAX_PATTERN_ROWS = 180_001
+_RESOLUTION = ("must lie in (0, 90] degrees", f"must be >= {180.0 / (MAX_PATTERN_ROWS - 1)} degrees")
 
 
 def _pattern_cut(spec: ArraySpec, resolution_deg: float):
@@ -250,9 +241,7 @@ def _pattern_cut(spec: ArraySpec, resolution_deg: float):
     pattern cut for theta in [0, 180] degrees, as arrays."""
     if spec.topology != LINEAR:
         raise DomainError("pattern cuts are defined for linear arrays only")
-    if not (math.isfinite(resolution_deg) and 0.0 < resolution_deg <= 90.0):
-        raise DomainError(f"resolution must lie in (0, 90] degrees, got {resolution_deg!r}")
-    steps = int(round(180.0 / resolution_deg))
+    steps = int(round(180.0 / require("resolution", resolution_deg, _RESOLUTION)))
     thetas = np.linspace(0.0, math.pi, steps + 1)
     psis = 2.0 * math.pi * spec.spacing_wavelengths * np.cos(thetas)
     amps = _normalized_af_vec(spec.elements, psis)
@@ -306,8 +295,7 @@ def select_array(
     cell sits at the half-power contour, 3 dB below the peak. Isotropic
     radiators (single elements) have no beam and are skipped.
     """
-    if not (math.isfinite(required_hpbw_deg) and required_hpbw_deg > 0):
-        raise DomainError(f"required beamwidth must be > 0 degrees, got {required_hpbw_deg!r}")
+    require("required beamwidth", required_hpbw_deg, "must be > 0 degrees")
     candidates = [s for s in catalog if not (s.topology == LINEAR and s.elements == 1)]
     if not candidates:
         raise DomainError("array catalog has no directive entries")

@@ -10,23 +10,19 @@ import warnings
 from dataclasses import dataclass
 
 from .errors import DomainError, NoFeasibleModcodError, ParseError, ValidationError
-from .quantities import linear_from_db, read_document
+from .quantities import linear_from_db, read_document, require
 
 _LN2 = math.log(2.0)
 
 
 def shannon_capacity(bw_hz: float, snr_linear: float) -> float:
     """Maximum achievable bitrate in bps: B * log2(1 + snr)."""
-    if not (math.isfinite(bw_hz) and bw_hz > 0):
-        raise DomainError(f"bandwidth must be > 0 Hz, got {bw_hz!r}")
-    return bw_hz * max_spectral_efficiency(snr_linear)
+    return require("bandwidth", bw_hz, "must be > 0 Hz") * max_spectral_efficiency(snr_linear)
 
 
 def max_spectral_efficiency(snr_linear: float) -> float:
     """Shannon bound on spectral efficiency in bps/Hz: log2(1 + snr)."""
-    if not (math.isfinite(snr_linear) and snr_linear >= 0):
-        raise DomainError(f"snr must be a finite ratio >= 0, got {snr_linear!r}")
-    return math.log1p(snr_linear) / _LN2
+    return math.log1p(require("snr", snr_linear, "must be a finite ratio >= 0")) / _LN2
 
 
 def required_snr(se_bps_hz: float) -> float:
@@ -34,17 +30,12 @@ def required_snr(se_bps_hz: float) -> float:
 
     Exact inverse of max_spectral_efficiency.
     """
-    if not (math.isfinite(se_bps_hz) and se_bps_hz >= 0):
-        raise DomainError(f"spectral efficiency must be >= 0, got {se_bps_hz!r}")
-    return math.expm1(se_bps_hz * _LN2)
+    return math.expm1(require("spectral efficiency", se_bps_hz, "must be >= 0") * _LN2)
 
 
 def effective_bitrate(se_bps_hz: float, bw_hz: float) -> float:
     """Delivered bitrate in bps for a spectral efficiency over a bandwidth."""
-    for name, v in (("se_bps_hz", se_bps_hz), ("bw_hz", bw_hz)):
-        if not (math.isfinite(v) and v >= 0):
-            raise DomainError(f"{name} must be >= 0, got {v!r}")
-    return se_bps_hz * bw_hz
+    return require("se_bps_hz", se_bps_hz, "must be >= 0") * require("bw_hz", bw_hz, "must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -57,10 +48,8 @@ class ModCod:
     snr_qef_db: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.se_bps_hz) and self.se_bps_hz > 0):
-            raise DomainError(f"{self.name}: spectral efficiency must be > 0, got {self.se_bps_hz!r}")
-        if not math.isfinite(self.snr_qef_db):
-            raise DomainError(f"{self.name}: required SNR must be finite dB, got {self.snr_qef_db!r}")
+        require(f"{self.name}: spectral efficiency", self.se_bps_hz, "must be > 0")
+        require(f"{self.name}: required SNR", self.snr_qef_db, "must be finite dB")
         shannon = max_spectral_efficiency(linear_from_db(self.snr_qef_db))
         if not self.se_bps_hz < shannon:
             raise DomainError(
@@ -106,8 +95,7 @@ def select_modcod(snr_db: float, catalog=MODCOD_TABLE) -> tuple[ModCod, float]:
     Ties on spectral efficiency resolve toward the lower SNR requirement.
     Raises NoFeasibleModcodError when the SNR is below every entry.
     """
-    if not math.isfinite(snr_db):
-        raise DomainError(f"snr must be finite dB, got {snr_db!r}")
+    require("snr", snr_db, "must be finite dB")
     entries = catalog if catalog is MODCOD_TABLE else validate_catalog(catalog)
     eligible = [m for m in entries if m.snr_qef_db <= snr_db]
     if not eligible:
@@ -170,12 +158,9 @@ class MultiBeamConfig:
             raise DomainError(f"beams must be an integer >= 1, got {self.beams!r}")
         if not (isinstance(self.colors, int) and self.colors >= 1):
             raise DomainError(f"colors must be an integer >= 1, got {self.colors!r}")
-        if not (math.isfinite(self.guard_fraction) and 0.0 <= self.guard_fraction <= 1.0):
-            raise DomainError(f"guard fraction must lie in [0, 1], got {self.guard_fraction!r}")
-        if not (math.isfinite(self.se_bps_hz) and self.se_bps_hz >= 0):
-            raise DomainError(f"spectral efficiency must be >= 0, got {self.se_bps_hz!r}")
-        if not (math.isfinite(self.bandwidth_hz) and self.bandwidth_hz > 0):
-            raise DomainError(f"bandwidth must be > 0 Hz, got {self.bandwidth_hz!r}")
+        require("guard fraction", self.guard_fraction, "must lie in [0, 1]")
+        require("spectral efficiency", self.se_bps_hz, "must be >= 0")
+        require("bandwidth", self.bandwidth_hz, "must be > 0 Hz")
 
 
 def multibeam_capacity(cfg: MultiBeamConfig) -> float:
@@ -199,9 +184,7 @@ COST_EXPONENT = -0.886
 def satellite_cost_per_gbps(r_tot_gbps: float) -> float:
     """Empirical cost per Gb/s of capacity; drops as a power law with total
     throughput, which is what makes very-high-throughput payloads pay off."""
-    if not (math.isfinite(r_tot_gbps) and r_tot_gbps > 0):
-        raise DomainError(f"total rate must be > 0 Gb/s, got {r_tot_gbps!r}")
-    return COST_COEFFICIENT * r_tot_gbps**COST_EXPONENT
+    return COST_COEFFICIENT * require("total rate", r_tot_gbps, "must be > 0 Gb/s") ** COST_EXPONENT
 
 
 @dataclass(frozen=True)
@@ -214,17 +197,13 @@ class TcpLinkModel:
     c_constant: float = 1.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.mss_bytes) and self.mss_bytes > 0):
-            raise DomainError(f"MSS must be > 0 bytes, got {self.mss_bytes!r}")
-        if not (math.isfinite(self.rtt_s) and self.rtt_s > 0):
-            raise DomainError(f"RTT must be > 0 s, got {self.rtt_s!r}")
-        if not (math.isfinite(self.loss_probability) and 0.0 < self.loss_probability <= 1.0):
-            raise DomainError(
-                f"loss probability must lie in (0, 1]; the bound diverges at 0 "
-                f"(supply a loss floor), got {self.loss_probability!r}"
-            )
-        if not (math.isfinite(self.c_constant) and 0.0 < self.c_constant <= 2.0):
-            raise DomainError(f"C must lie in (0, 2], got {self.c_constant!r}")
+        require("MSS", self.mss_bytes, "must be > 0 bytes")
+        require("RTT", self.rtt_s, "must be > 0 s")
+        require(
+            "loss probability", self.loss_probability,
+            "must lie in (0, 1]; the bound diverges at 0 (supply a loss floor)",
+        )
+        require("C", self.c_constant, "must lie in (0, 2]")
         if not 1.0 <= self.c_constant <= 1.5:
             warnings.warn(
                 f"C={self.c_constant:g} is outside the typical 1-1.5 range",

@@ -4,12 +4,11 @@ from __future__ import annotations
 
 import csv
 import io
-import math
 from dataclasses import dataclass
 
 from .errors import DomainError, NotFoundError
 from .geometry import earth_coverage_fraction, footprint_area, footprint_diameter
-from .quantities import DEFAULT_CONSTANTS, PhysicalConstants
+from .quantities import DEFAULT_CONSTANTS, PhysicalConstants, require
 
 
 @dataclass(frozen=True)
@@ -24,14 +23,12 @@ class Shell:
     inclination_deg: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.altitude_km) and self.altitude_km > 0):
-            raise DomainError(f"altitude must be > 0 km, got {self.altitude_km!r}")
+        require("altitude", self.altitude_km, "must be > 0 km")
         if not (isinstance(self.orbits, int) and self.orbits >= 1):
             raise DomainError(f"orbit count must be >= 1, got {self.orbits!r}")
         if not (isinstance(self.sats_per_orbit, int) and self.sats_per_orbit >= 1):
             raise DomainError(f"satellites per orbit must be >= 1, got {self.sats_per_orbit!r}")
-        if not (math.isfinite(self.inclination_deg) and 0.0 < self.inclination_deg <= 180.0):
-            raise DomainError(f"inclination must lie in (0, 180] degrees, got {self.inclination_deg!r}")
+        require("inclination", self.inclination_deg, "must lie in (0, 180] degrees")
 
     @property
     def total_satellites(self) -> int:

@@ -6,7 +6,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .quantities import DEFAULT_CONSTANTS, PhysicalConstants
+from .quantities import DEFAULT_CONSTANTS, PhysicalConstants, require
 
 
 def slant_range_exact(
@@ -21,10 +21,8 @@ def slant_range_exact(
     It collapses to the altitude at zenith (a = 90 deg) and to the horizon
     radical at a = 0.
     """
-    if not (math.isfinite(altitude_km) and altitude_km > 0):
-        raise DomainError(f"altitude must be > 0 km, got {altitude_km!r}")
-    if not (math.isfinite(elevation_rad) and 0.0 <= elevation_rad <= math.pi / 2):
-        raise DomainError(f"elevation must lie in [0, pi/2] rad, got {elevation_rad!r}")
+    require("altitude", altitude_km, "must be > 0 km")
+    require("elevation", elevation_rad, "must lie in [0, pi/2] rad")
     re = constants.earth_radius_km
     s = math.sin(elevation_rad)
     return -re * s + math.sqrt(re * re * s * s + altitude_km * (altitude_km + 2.0 * re))
@@ -38,10 +36,8 @@ def slant_range_altitude_approx(altitude_km: float, elevation_rad: float) -> flo
     inverted relative to the exact formula; it is kept verbatim for
     compatibility with the worked examples that use it at small angles.
     """
-    if not (math.isfinite(altitude_km) and altitude_km > 0):
-        raise DomainError(f"altitude must be > 0 km, got {altitude_km!r}")
-    if not (math.isfinite(elevation_rad) and 0.0 <= elevation_rad < math.pi / 2):
-        raise DomainError(f"elevation must lie in [0, pi/2) rad, got {elevation_rad!r}")
+    require("altitude", altitude_km, "must be > 0 km")
+    require("elevation", elevation_rad, "must lie in [0, pi/2) rad")
     t = math.tan(elevation_rad)
     return altitude_km * math.sqrt(1.0 + t * t)
 
@@ -73,15 +69,12 @@ def footprint_diameter(
     sats_per_orbit: float, constants: PhysicalConstants = DEFAULT_CONSTANTS
 ) -> float:
     """Per-satellite footprint diameter (km): Earth perimeter split across one orbit."""
-    if not (math.isfinite(sats_per_orbit) and sats_per_orbit >= 1):
-        raise DomainError(f"satellites per orbit must be >= 1, got {sats_per_orbit!r}")
-    return constants.earth_perimeter_km / sats_per_orbit
+    return constants.earth_perimeter_km / require("satellites per orbit", sats_per_orbit, "must be >= 1")
 
 
 def footprint_area(diameter_km: float) -> float:
     """Disk area (km^2) of a footprint diameter."""
-    if not (math.isfinite(diameter_km) and diameter_km > 0):
-        raise DomainError(f"diameter must be > 0 km, got {diameter_km!r}")
+    require("diameter", diameter_km, "must be > 0 km")
     return math.pi * (diameter_km / 2.0) ** 2
 
 
@@ -93,10 +86,8 @@ def earth_coverage_fraction(
     Overlap and polar geometry are deliberately ignored; this is the flat
     first-order estimate, capped at 1.
     """
-    if not (math.isfinite(sats) and sats >= 1):
-        raise DomainError(f"satellite count must be >= 1, got {sats!r}")
-    if not (math.isfinite(area_per_sat_km2) and area_per_sat_km2 > 0):
-        raise DomainError(f"area must be > 0 km^2, got {area_per_sat_km2!r}")
+    require("satellite count", sats, "must be >= 1")
+    require("area", area_per_sat_km2, "must be > 0 km^2")
     return min(1.0, sats * area_per_sat_km2 / constants.earth_surface_km2)
 
 
@@ -112,8 +103,7 @@ class Footprint:
         expected = footprint_area(self.diameter_km)
         if abs(self.area_km2 - expected) > 1e-9 * expected:
             raise DomainError(f"area {self.area_km2} km^2 does not match diameter {self.diameter_km} km")
-        if not (0.0 < self.coverage_fraction <= 1.0):
-            raise DomainError(f"coverage fraction must lie in (0, 1], got {self.coverage_fraction!r}")
+        require("coverage fraction", self.coverage_fraction, "must lie in (0, 1]")
 
 
 def satellite_footprint(
@@ -137,10 +127,8 @@ def cell_radius_from_split(parent_radius_km: float, n_beams: float) -> float:
 
     Area-conserving: n * area(child) == area(parent).
     """
-    if not (math.isfinite(parent_radius_km) and parent_radius_km > 0):
-        raise DomainError(f"parent radius must be > 0 km, got {parent_radius_km!r}")
-    if not (math.isfinite(n_beams) and n_beams >= 1):
-        raise DomainError(f"beam count must be >= 1, got {n_beams!r}")
+    require("parent radius", parent_radius_km, "must be > 0 km")
+    require("beam count", n_beams, "must be >= 1")
     return parent_radius_km / math.sqrt(n_beams)
 
 
@@ -149,8 +137,6 @@ def required_hpbw(cell_radius_km: float, altitude_km: float) -> float:
 
     Full opening angle of the cone subtending the cell: 2*atan(R/h).
     """
-    if not (math.isfinite(cell_radius_km) and cell_radius_km >= 0):
-        raise DomainError(f"cell radius must be >= 0 km, got {cell_radius_km!r}")
-    if not (math.isfinite(altitude_km) and altitude_km > 0):
-        raise DomainError(f"altitude must be > 0 km, got {altitude_km!r}")
+    require("cell radius", cell_radius_km, "must be >= 0 km")
+    require("altitude", altitude_km, "must be > 0 km")
     return 2.0 * math.atan(cell_radius_km / altitude_km)

@@ -12,15 +12,15 @@ import io
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, ValidationError
+from .errors import ValidationError
 from .quantities import (
     DEFAULT_CONSTANTS,
     PhysicalConstants,
     PowerRatio,
-    db_from_linear,
     linear_from_db,
     noise_figure_from_temperature,
     noise_temperature_from_nf,
+    require,
     wavelength,
 )
 
@@ -40,16 +40,12 @@ def friis_received_power(
     Returns:
         p_t * g_t * g_r * wavelength^2 / ((4*pi)^2 * distance^2)
     """
-    _check_positive(
-        ("p_t_w", p_t_w), ("g_t", g_t), ("g_r", g_r), ("wavelength_m", wavelength_m), ("distance_m", distance_m)
-    )
+    require("p_t_w", p_t_w, "must be finite and > 0")
+    require("g_t", g_t, "must be finite and > 0")
+    require("g_r", g_r, "must be finite and > 0")
+    require("wavelength_m", wavelength_m, "must be finite and > 0")
+    require("distance_m", distance_m, "must be finite and > 0")
     return _friis(p_t_w, g_t, g_r, wavelength_m, distance_m)
-
-
-def _check_positive(*named_values) -> None:
-    for name, v in named_values:
-        if not (math.isfinite(v) and v > 0):
-            raise DomainError(f"{name} must be finite and > 0, got {v!r}")
 
 
 def _friis(p_t_w, g_t, g_r, wavelength_m, distance_m) -> float:
@@ -58,10 +54,8 @@ def _friis(p_t_w, g_t, g_r, wavelength_m, distance_m) -> float:
 
 def noise_power(t_k: float, bw_hz: float, constants: PhysicalConstants = DEFAULT_CONSTANTS) -> float:
     """Thermal noise power in watts collected over a bandwidth: N = k*T*B."""
-    if not (math.isfinite(t_k) and t_k >= 0):
-        raise DomainError(f"noise temperature must be >= 0 K, got {t_k!r}")
-    if not (math.isfinite(bw_hz) and bw_hz > 0):
-        raise DomainError(f"bandwidth must be > 0 Hz, got {bw_hz!r}")
+    require("noise temperature", t_k, "must be >= 0 K")
+    require("bandwidth", bw_hz, "must be > 0 Hz")
     return _noise_power(t_k, bw_hz, constants)
 
 
@@ -71,10 +65,8 @@ def _noise_power(t_k, bw_hz, constants) -> float:
 
 def fspl(distance_m: float, freq_hz: float, constants: PhysicalConstants = DEFAULT_CONSTANTS) -> float:
     """Free-space path loss in dB: 20*log10(4*pi*d*f/c)."""
-    if not (math.isfinite(distance_m) and distance_m > 0):
-        raise DomainError(f"distance must be > 0 m, got {distance_m!r}")
-    if not (math.isfinite(freq_hz) and freq_hz > 0):
-        raise DomainError(f"frequency must be > 0 Hz, got {freq_hz!r}")
+    require("distance", distance_m, "must be > 0 m")
+    require("frequency", freq_hz, "must be > 0 Hz")
     return _fspl(distance_m, freq_hz, constants)
 
 
@@ -84,10 +76,8 @@ def _fspl(distance_m, freq_hz, constants) -> float:
 
 def g_over_t(g_r_dbi: float, t_k: float) -> float:
     """Receiver figure of merit in dB/K: antenna gain minus 10*log10(T)."""
-    if not (math.isfinite(t_k) and t_k > 0):
-        raise DomainError(f"system noise temperature must be > 0 K, got {t_k!r}")
-    if not math.isfinite(g_r_dbi):
-        raise DomainError(f"receive gain must be finite dBi, got {g_r_dbi!r}")
+    require("system noise temperature", t_k, "must be > 0 K")
+    require("receive gain", g_r_dbi, "must be finite dBi")
     return _g_over_t(g_r_dbi, t_k)
 
 
@@ -101,9 +91,8 @@ def combine_snr_sir(snr: float, sir: float) -> float:
     Both inputs are linear ratios; an infinite SIR denotes an
     interference-free link. SINR = 1 / (1/SNR + 1/SIR).
     """
-    for name, v in (("snr", snr), ("sir", sir)):
-        if math.isnan(v) or v <= 0:
-            raise DomainError(f"{name} must be a positive linear ratio, got {v!r}")
+    require("snr", snr, "must be a positive linear ratio")
+    require("sir", sir, "must be a positive linear ratio")
     # an infinite term drops out of the sum exactly
     if math.isinf(sir):
         return snr
@@ -120,10 +109,8 @@ class Transmitter:
     gain_dbi: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.power_w) and self.power_w > 0):
-            raise DomainError(f"transmit power must be > 0 W, got {self.power_w!r}")
-        if not math.isfinite(self.gain_dbi):
-            raise DomainError(f"transmit gain must be finite dBi, got {self.gain_dbi!r}")
+        require("transmit power", self.power_w, "must be > 0 W")
+        require("transmit gain", self.gain_dbi, "must be finite dBi")
 
     @property
     def gain_linear(self) -> float:
@@ -131,7 +118,7 @@ class Transmitter:
 
     @property
     def eirp_dbw(self) -> float:
-        return db_from_linear(self.power_w) + self.gain_dbi
+        return 10.0 * math.log10(self.power_w) + self.gain_dbi  # power_w is checked at construction
 
     @property
     def eirp_w(self) -> float:
@@ -149,14 +136,13 @@ class Receiver:
     t_ref_k: float = DEFAULT_CONSTANTS.t_ref_k
 
     def __post_init__(self):
-        if not math.isfinite(self.gain_dbi):
-            raise DomainError(f"receive gain must be finite dBi, got {self.gain_dbi!r}")
+        require("receive gain", self.gain_dbi, "must be finite dBi")
         if (self.nf_db is None) == (self.noise_temp_k is None):
             raise ValidationError("nf_db/noise_temp_k", "specify exactly one of noise figure or noise temperature")
-        if self.nf_db is not None and not (math.isfinite(self.nf_db) and self.nf_db >= 0):
-            raise DomainError(f"noise figure must be >= 0 dB, got {self.nf_db!r}")
-        if self.noise_temp_k is not None and not (math.isfinite(self.noise_temp_k) and self.noise_temp_k >= 0):
-            raise DomainError(f"noise temperature must be >= 0 K, got {self.noise_temp_k!r}")
+        if self.nf_db is not None:
+            require("noise figure", self.nf_db, "must be >= 0 dB")
+        if self.noise_temp_k is not None:
+            require("noise temperature", self.noise_temp_k, "must be >= 0 K")
 
     @property
     def gain_linear(self) -> float:
@@ -179,15 +165,6 @@ class Receiver:
         return g_over_t(self.gain_dbi, self.noise_temperature_k)
 
 
-_LOSS_KEYS = ("fspl_db", "atm_loss_db", "ad_loss_db", "margin_db")
-
-
-def _check_losses(*losses_db) -> None:
-    for name, v in zip(_LOSS_KEYS, losses_db):
-        if not (math.isfinite(v) and v >= 0):
-            raise DomainError(f"{name} must be >= 0 dB, got {v!r}")
-
-
 @dataclass(frozen=True)
 class LossLedger:
     """Loss lines of a link budget, all in dB.
@@ -202,7 +179,10 @@ class LossLedger:
     margin_db: float = 0.0
 
     def __post_init__(self):
-        _check_losses(self.fspl_db, self.atm_loss_db, self.ad_loss_db, self.margin_db)
+        require("fspl_db", self.fspl_db, "must be >= 0 dB")
+        require("atm_loss_db", self.atm_loss_db, "must be >= 0 dB")
+        require("ad_loss_db", self.ad_loss_db, "must be >= 0 dB")
+        require("margin_db", self.margin_db, "must be >= 0 dB")
 
     @property
     def total_db(self) -> float:
@@ -295,10 +275,13 @@ def snr_db(
     with EIRP in dBW, G/T in dB/K, losses in dB, bandwidth in dBHz and the
     Boltzmann constant in dBW/K/Hz. Returns the full itemized ledger.
     """
-    for name, v in (("eirp_dbw", eirp_dbw), ("g_over_t_dbk", g_over_t_dbk), ("bw_dbhz", bw_dbhz)):
-        if not math.isfinite(v):
-            raise DomainError(f"{name} must be finite, got {v!r}")
-    _check_losses(fspl_db, atm_loss_db, ad_loss_db, margin_db)
+    require("eirp_dbw", eirp_dbw, "must be finite")
+    require("g_over_t_dbk", g_over_t_dbk, "must be finite")
+    require("bw_dbhz", bw_dbhz, "must be finite")
+    require("fspl_db", fspl_db, "must be >= 0 dB")
+    require("atm_loss_db", atm_loss_db, "must be >= 0 dB")
+    require("ad_loss_db", ad_loss_db, "must be >= 0 dB")
+    require("margin_db", margin_db, "must be >= 0 dB")
     return _ledger(eirp_dbw, g_over_t_dbk, fspl_db, atm_loss_db, ad_loss_db, margin_db, bw_dbhz, constants)
 
 
@@ -332,22 +315,23 @@ def link_budget(
     Every input is checked once, in the order the public functions above
     would check it, so a bad input raises the same first error as they do.
     """
-    if not (math.isfinite(bandwidth_hz) and bandwidth_hz > 0):
-        raise DomainError(f"bandwidth must be > 0 Hz, got {bandwidth_hz!r}")
+    require("bandwidth", bandwidth_hz, "must be > 0 Hz")
     lam = wavelength(freq_hz, constants)
-    if not (math.isfinite(distance_m) and distance_m > 0):
-        raise DomainError(f"distance must be > 0 m, got {distance_m!r}")
+    require("distance", distance_m, "must be > 0 m")
     path_db = _fspl(distance_m, freq_hz, constants)
     eirp_dbw = transmitter.eirp_dbw
-    t_sys = receiver.noise_temperature_k
-    if not (math.isfinite(t_sys) and t_sys > 0):
-        raise DomainError(f"system noise temperature must be > 0 K, got {t_sys!r}")
-    bw_dbhz = db_from_linear(bandwidth_hz)
-    _check_losses(path_db, atm_loss_db, ad_loss_db, margin_db)
+    t_sys = require("system noise temperature", receiver.noise_temperature_k, "must be > 0 K")
+    bw_dbhz = 10.0 * math.log10(bandwidth_hz)  # bandwidth_hz is checked above
+    require("fspl_db", path_db, "must be >= 0 dB")
+    require("atm_loss_db", atm_loss_db, "must be >= 0 dB")
+    require("ad_loss_db", ad_loss_db, "must be >= 0 dB")
+    require("margin_db", margin_db, "must be >= 0 dB")
     extra_loss = linear_from_db(atm_loss_db + ad_loss_db + margin_db)
     g_t, g_r = transmitter.gain_linear, receiver.gain_linear
     # an extreme gain underflows to 0, extreme constants push the wavelength to 0 or inf
-    _check_positive(("g_t", g_t), ("g_r", g_r), ("wavelength_m", lam))
+    require("g_t", g_t, "must be finite and > 0")
+    require("g_r", g_r, "must be finite and > 0")
+    require("wavelength_m", lam, "must be finite and > 0")
     gt_dbk = _g_over_t(receiver.gain_dbi, t_sys)
     rx_w = _friis(transmitter.power_w, g_t, g_r, lam, distance_m) / extra_loss
     n_w = _noise_power(t_sys, bandwidth_hz, constants)

@@ -11,6 +11,8 @@ from __future__ import annotations
 import io
 import json
 import math
+import re
+import sys
 from dataclasses import dataclass, fields
 from functools import cached_property
 from pathlib import Path
@@ -18,38 +20,89 @@ from pathlib import Path
 from .errors import DomainError, OutOfBandError, ParseError, ValidationError
 
 _LN10 = math.log(10.0)
+_MAX = sys.float_info.max
+_RANGE = re.compile(r"(>=?) (\S+)|in ([\[(])(\S+), (\S+?)([\])])")
+_BOUNDS: dict = {}  # rule -> (lo, hi), filled on first use
+
+
+def require(name: str, value, rule, field: str | None = None):
+    """Return `value` if it satisfies `rule`, else raise DomainError (or
+    ValidationError naming `field`) reading "<name> <rule>, got <value!r>".
+
+    A rule is the phrase of that message, and its range is read from the
+    phrase: "> a", ">= a" and intervals such as "in [0, pi/2)" admit only
+    finite values, "finite" excludes nan and +-inf, and "positive" excludes
+    values <= 0 (but admits +inf unless the phrase also says "finite"). A
+    tuple of phrases is checked in order; the first one the value fails
+    names the fault. A value that is not a real number fails every rule.
+    """
+    try:
+        lo, hi = _BOUNDS[rule]
+    except KeyError:
+        lo, hi = _BOUNDS[rule] = _bounds(rule)
+    try:
+        if lo <= value <= hi:  # False for nan
+            return value
+    except TypeError:
+        pass
+    if not isinstance(rule, str):
+        for phrase in rule:
+            require(name, value, phrase, field)
+    message = f"{name} {rule}, got {value!r}"
+    raise DomainError(message) if field is None else ValidationError(field, message)
+
+
+def _bounds(rule) -> tuple[float, float]:
+    """The closed float range (lo, hi) that a rule states."""
+    if not isinstance(rule, str):
+        los, his = zip(*map(_bounds, rule))
+        return max(los), min(his)
+    lo, hi = (-_MAX, _MAX) if "finite" in rule else (-math.inf, math.inf)
+    if "positive" in rule:
+        lo = math.ulp(0.0)
+    m = _RANGE.search(rule)
+    if m and m[1]:
+        a = _number(m[2])
+        lo, hi = (a if m[1] == ">=" else math.nextafter(a, math.inf)), _MAX
+    elif m:
+        lo = _number(m[4]) if m[3] == "[" else math.nextafter(_number(m[4]), math.inf)
+        hi = _number(m[5]) if m[6] == "]" else math.nextafter(_number(m[5]), -math.inf)
+    elif (lo, hi) == (-math.inf, math.inf):
+        raise ValueError(f"rule {rule!r} states no range")
+    return lo, hi
+
+
+def _number(text: str) -> float:
+    return math.pi / 2 if text == "pi/2" else float(text)
 
 
 def db_from_linear(x: float) -> float:
     """Convert a positive linear ratio to decibels (10*log10)."""
-    if not (isinstance(x, (int, float)) and math.isfinite(x) and x > 0):
-        raise DomainError(f"dB conversion needs a finite positive ratio, got {x!r}")
-    return 10.0 * math.log10(x)
+    return 10.0 * math.log10(require("dB conversion", x, "needs a finite positive ratio"))
 
 
 def linear_from_db(x: float) -> float:
     """Convert decibels to a linear ratio (10**(x/10))."""
-    if not (isinstance(x, (int, float)) and math.isfinite(x)):
-        raise DomainError(f"dB value must be finite, got {x!r}")
+    require("dB value", x, "must be finite")
     try:
         return 10.0 ** (x / 10.0)
     except OverflowError:  # above about 3083 dB
         raise DomainError(f"dB value {x!r} is too large for a linear ratio") from None
 
 
+# the range kinds of document values; a value beyond +-float max is not finite
+_KINDS = {
+    "finite": "must be finite",
+    "positive": ("must be finite", "must be > 0"),
+    "nonnegative": ("must be finite", "must be >= 0"),
+    "elevation": ("must be finite", "must lie in [0, 90] degrees"),
+}
+
+
 def _checked_number(key: str, value, kind: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValidationError(key, f"{key} must be a number, got {value!r}")
-    v = float(value)
-    if not math.isfinite(v):
-        raise ValidationError(key, f"{key} must be finite, got {value!r}")
-    if kind == "positive" and v <= 0:
-        raise ValidationError(key, f"{key} must be > 0, got {value!r}")
-    if kind == "nonnegative" and v < 0:
-        raise ValidationError(key, f"{key} must be >= 0, got {value!r}")
-    if kind == "elevation" and not 0.0 <= v <= 90.0:
-        raise ValidationError(key, f"{key} must lie in [0, 90] degrees, got {value!r}")
-    return v
+    return float(require(key, value, _KINDS[kind], key))
 
 
 @dataclass(frozen=True)
@@ -59,8 +112,7 @@ class PowerRatio:
     linear: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.linear) and self.linear >= 0):
-            raise DomainError(f"power ratio must be finite and >= 0, got {self.linear!r}")
+        require("power ratio", self.linear, "must be finite and >= 0")
 
     @classmethod
     def from_db(cls, value_db: float) -> "PowerRatio":
@@ -78,8 +130,7 @@ class Power:
     watts: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.watts) and self.watts >= 0):
-            raise DomainError(f"power must be finite and >= 0 W, got {self.watts!r}")
+        require("power", self.watts, "must be finite and >= 0 W")
 
     @classmethod
     def from_dbw(cls, dbw: float) -> "Power":
@@ -106,8 +157,7 @@ class AntennaGain:
     linear: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.linear) and self.linear > 0):
-            raise DomainError(f"antenna gain must be finite and > 0, got {self.linear!r}")
+        require("antenna gain", self.linear, "must be finite and > 0")
 
     @classmethod
     def from_dbi(cls, dbi: float) -> "AntennaGain":
@@ -139,9 +189,7 @@ class PhysicalConstants:
 
     def __post_init__(self):
         for f in fields(self):
-            v = getattr(self, f.name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
-                raise ValidationError(f.name, f"constant {f.name} must be finite and > 0, got {v!r}")
+            require(f"constant {f.name}", getattr(self, f.name), "must be finite and > 0", f.name)
 
     @cached_property  # in the instance __dict__, not a field: eq, hash and repr ignore it
     def boltzmann_dbw_per_k_hz(self) -> float:
@@ -197,27 +245,24 @@ DEFAULT_CONSTANTS = PhysicalConstants()
 
 def noise_temperature_from_nf(nf_db: float, t_ref_k: float = DEFAULT_CONSTANTS.t_ref_k) -> float:
     """Noise temperature in K implied by a noise figure: T = Tref*(10^(NF/10) - 1)."""
-    if not (math.isfinite(nf_db) and nf_db >= 0):
-        raise DomainError(f"noise figure must be >= 0 dB, got {nf_db!r}")
-    if not (math.isfinite(t_ref_k) and t_ref_k > 0):
-        raise DomainError(f"reference temperature must be > 0 K, got {t_ref_k!r}")
-    return t_ref_k * math.expm1(nf_db / 10.0 * _LN10)
+    require("noise figure", nf_db, "must be >= 0 dB")
+    require("reference temperature", t_ref_k, "must be > 0 K")
+    try:
+        return t_ref_k * math.expm1(nf_db / 10.0 * _LN10)
+    except OverflowError:  # above about 3083 dB
+        raise DomainError(f"noise figure {nf_db!r} dB is too large for a noise temperature") from None
 
 
 def noise_figure_from_temperature(t_k: float, t_ref_k: float = DEFAULT_CONSTANTS.t_ref_k) -> float:
     """Inverse of noise_temperature_from_nf: NF = 10*log10(1 + T/Tref)."""
-    if not (math.isfinite(t_k) and t_k >= 0):
-        raise DomainError(f"noise temperature must be >= 0 K, got {t_k!r}")
-    if not (math.isfinite(t_ref_k) and t_ref_k > 0):
-        raise DomainError(f"reference temperature must be > 0 K, got {t_ref_k!r}")
+    require("noise temperature", t_k, "must be >= 0 K")
+    require("reference temperature", t_ref_k, "must be > 0 K")
     return 10.0 * math.log1p(t_k / t_ref_k) / _LN10
 
 
 def wavelength(freq_hz: float, constants: PhysicalConstants = DEFAULT_CONSTANTS) -> float:
     """Free-space wavelength in meters for a carrier frequency in Hz."""
-    if not (math.isfinite(freq_hz) and freq_hz > 0):
-        raise DomainError(f"frequency must be finite and > 0 Hz, got {freq_hz!r}")
-    return constants.c_m_per_s / freq_hz
+    return constants.c_m_per_s / require("frequency", freq_hz, "must be finite and > 0 Hz")
 
 
 # --- ITU band allocations -------------------------------------------------
@@ -294,8 +339,7 @@ BAND_CATALOG: tuple[BandAllocation, ...] = (
 
 
 def _check_query(freq_hz: float, direction: str, orbit: str) -> float:
-    if not (math.isfinite(freq_hz) and freq_hz > 0):
-        raise DomainError(f"frequency must be finite and > 0 Hz, got {freq_hz!r}")
+    require("frequency", freq_hz, "must be finite and > 0 Hz")
     if direction not in _DIRECTIONS:
         raise DomainError(f"direction must be one of {_DIRECTIONS}, got {direction!r}")
     if orbit not in _ORBITS:

@@ -31,6 +31,7 @@ from .quantities import (
     band_lookup,
     linear_from_db,
     read_document,
+    require,
 )
 
 DL = "dl"
@@ -59,19 +60,15 @@ class TerminalProfile:
     eirp_dbm: float | None = None
 
     def __post_init__(self):
-        if not math.isfinite(self.gain_dbi):
-            raise ValidationError("gain_dbi", f"terminal gain must be finite dBi, got {self.gain_dbi!r}")
-        given = [v for v in (self.nf_db, self.noise_temp_k) if v is not None]
-        if len(given) != 1:
+        require("terminal gain", self.gain_dbi, "must be finite dBi", "gain_dbi")
+        if (self.nf_db is None) == (self.noise_temp_k is None):
             raise ValidationError(
                 "nf_db/noise_temp_k", "terminal needs exactly one of noise figure or noise temperature"
             )
-        if self.nf_db is not None and not (math.isfinite(self.nf_db) and self.nf_db >= 0):
-            raise ValidationError("nf_db", f"terminal noise figure must be >= 0 dB, got {self.nf_db!r}")
-        if self.noise_temp_k is not None and not (math.isfinite(self.noise_temp_k) and self.noise_temp_k > 0):
-            raise ValidationError(
-                "noise_temp_k", f"terminal noise temperature must be > 0 K, got {self.noise_temp_k!r}"
-            )
+        if self.nf_db is not None:
+            require("terminal noise figure", self.nf_db, "must be >= 0 dB", "nf_db")
+        if self.noise_temp_k is not None:
+            require("terminal noise temperature", self.noise_temp_k, "must be > 0 K", "noise_temp_k")
 
     def to_doc(self) -> dict:
         doc = {"name": self.name, "gain_dbi": self.gain_dbi}

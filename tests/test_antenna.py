@@ -299,3 +299,11 @@ class TestPatternExport:
     def test_sample_invariant(self):
         with pytest.raises(DomainError):
             ant.RadiationSample(0.0, 0.0, 1.5, 3.5)
+
+
+def test_pattern_row_limit():
+    finest = 180.0 / (ant.MAX_PATTERN_ROWS - 1)
+    thetas = ant._pattern_cut(ant.ArraySpec.linear(4), finest)[0]
+    assert len(thetas) == ant.MAX_PATTERN_ROWS
+    with pytest.raises(DomainError, match="resolution must be >= 0.001 degrees"):
+        ant._pattern_cut(ant.ArraySpec.linear(4), math.nextafter(finest, 0.0))

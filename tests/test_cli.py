@@ -444,3 +444,44 @@ class TestUsage:
     def test_subcommand_without_action(self, capsys):
         code, _, _ = run(capsys, "antenna")
         assert code == 2
+
+
+class TestRefusedExtremes:
+    """Inputs that used to end in an OverflowError traceback."""
+
+    HUGE = "1" + "0" * 400  # a JSON integer too large for a float
+
+    @staticmethod
+    def assert_refused(result, message):
+        code, out, err = result
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {message}") and "Traceback" not in err
+
+    def test_huge_integer_in_scenario_file(self, capsys, tmp_path):
+        path = tmp_path / "big.json"
+        path.write_text(f'{{"name": "x", "orbit": "LEO", "altitude_km": {self.HUGE}}}')
+        self.assert_refused(run(capsys, "scenario", "run", str(path)), "altitude_km must be finite, got 1000")
+
+    def test_huge_integer_in_constants_file(self, capsys, tmp_path, monkeypatch):
+        path = tmp_path / "constants.json"
+        path.write_text(f'{{"c_m_per_s": {self.HUGE}}}')
+        monkeypatch.setenv("SATLINK_CONSTANTS", str(path))
+        self.assert_refused(run(capsys, "convert", "wavelength", "--freq-ghz", "2"), "c_m_per_s must be finite")
+
+    def test_huge_integer_in_budget_config(self, capsys, tmp_path):
+        path = tmp_path / "budget.json"
+        path.write_text(f'{{"distance_km": {self.HUGE}, "freq_ghz": 2}}')
+        self.assert_refused(run(capsys, "linkbudget", "--config", str(path)), "distance_km must be finite")
+
+    @pytest.mark.parametrize("nf_db", ["5000", "1e308"])
+    def test_huge_noise_figure(self, capsys, nf_db):
+        message = f"noise figure {float(nf_db)!r} dB is too large for a noise temperature"
+        self.assert_refused(run(capsys, "convert", "noise-temp", "--nf-db", nf_db), message)
+        budget = ("linkbudget", "--distance-km", "1000", "--freq-ghz", "2", "--eirp-dbw", "40",
+                  "--rx-gain-dbi", "0", "--nf-db", nf_db, "--bw-mhz", "1")
+        self.assert_refused(run(capsys, *budget), message)
+
+    @pytest.mark.parametrize("resolution", ["1e-320", "1e-6", "0.000999"])
+    def test_pattern_finer_than_the_row_limit(self, capsys, resolution):
+        argv = ("antenna", "pattern", "--elements", "8", "--resolution-deg", resolution)
+        self.assert_refused(run(capsys, *argv), f"resolution must be >= 0.001 degrees, got {float(resolution)!r}")

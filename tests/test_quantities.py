@@ -285,3 +285,44 @@ class TestBandCatalogCsv:
         assert len(lines) == 1 + intervals
         assert "S,any,uplink,1980,2025" in lines
         assert "Ka,non-geo,downlink,17700,20200" in lines
+
+
+class TestRequire:
+    """The one range check: bounds are read from the rule's phrase."""
+
+    @pytest.mark.parametrize(
+        "rule,inside,outside",
+        [
+            ("must be > 0 Hz", [5e-324, 1e308], [0.0, -0.0, math.inf, math.nan]),
+            ("must be >= 0 dB", [0.0, -0.0, 1e308], [-5e-324, math.inf]),
+            ("must be finite dBi", [-1e308, 1e308], [math.inf, -math.inf, math.nan, 10**400]),
+            ("must lie in [0, pi/2) rad", [0.0, math.nextafter(math.pi / 2, 0.0)], [math.pi / 2, -5e-324]),
+            ("must lie in (0, 1]", [5e-324, 1.0, 1], [0, 1.0000000000000002]),
+            ("must be a positive linear ratio", [5e-324, math.inf], [0.0, -math.inf, math.nan]),
+            ("must be >= 1", [1, 1.0], [0.9999999999999999, math.inf]),
+        ],
+    )
+    def test_bounds_come_from_the_phrase(self, rule, inside, outside):
+        for v in inside:
+            assert q.require("x", v, rule) is v
+        for v in outside:
+            with pytest.raises(DomainError) as err:
+                q.require("x", v, rule)
+            assert str(err.value) == f"x {rule}, got {v!r}"
+
+    def test_a_tuple_names_the_first_failed_phrase(self):
+        rule = ("must be finite", "must be > 0")
+        assert q.require("k", 2, rule, "k") == 2
+        for v, phrase in ((math.nan, "must be finite"), (10**400, "must be finite"), (-1, "must be > 0")):
+            with pytest.raises(ValidationError) as err:
+                q.require("k", v, rule, "k")
+            assert (err.value.field, str(err.value)) == ("k", f"k {phrase}, got {v!r}")
+
+    @pytest.mark.parametrize("value", ["3", None, 1j])
+    def test_a_non_number_fails(self, value):
+        with pytest.raises(DomainError, match="must be > 0 Hz"):
+            q.require("bandwidth", value, "must be > 0 Hz")
+
+    def test_a_rule_without_a_range_is_refused(self):
+        with pytest.raises(ValueError, match="states no range"):
+            q.require("x", 1.0, "must be nice")
