@@ -142,28 +142,23 @@ def _add_output_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--precise", action="store_true", help="full 6-significant-digit tables")
 
 
+_BW_SCALES = {"bw_hz": 1.0, "bw_khz": 1e3, "bw_mhz": 1e6, "bw_ghz": 1e9}
+_FREQ_SCALES = {"freq_hz": 1.0, "freq_mhz": 1e6, "freq_ghz": 1e9}
+
+
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
+
+
 def _add_bw_flags(p: argparse.ArgumentParser) -> None:
     g = p.add_mutually_exclusive_group()
-    g.add_argument("--bw-hz", type=float)
-    g.add_argument("--bw-khz", type=float)
-    g.add_argument("--bw-mhz", type=float)
-    g.add_argument("--bw-ghz", type=float)
+    for key in _BW_SCALES:
+        g.add_argument(_flag(key), type=float)
 
 
-def _bw_hz(ns) -> float | None:
-    for attr, scale in (("bw_hz", 1.0), ("bw_khz", 1e3), ("bw_mhz", 1e6), ("bw_ghz", 1e9)):
-        v = getattr(ns, attr, None)
-        if v is not None:
-            return v * scale
-    return None
-
-
-def _freq_hz(ns) -> float | None:
-    for attr, scale in (("freq_hz", 1.0), ("freq_mhz", 1e6), ("freq_ghz", 1e9)):
-        v = getattr(ns, attr, None)
-        if v is not None:
-            return v * scale
-    return None
+def _scaled(values: dict, scales: dict) -> float | None:
+    """The value of the first key of `scales` set in `values`, times its scale."""
+    return next((values[k] * scale for k, scale in scales.items() if values.get(k) is not None), None)
 
 
 def _constants_from_env() -> quantities.PhysicalConstants:
@@ -208,7 +203,7 @@ def _cmd_convert_noise_temp(args, constants) -> int:
 
 
 def _cmd_convert_wavelength(args, constants) -> int:
-    f = _freq_hz(args)
+    f = _scaled(vars(args), _FREQ_SCALES)
     if f is None:
         raise _UsageError("freq_ghz (or --freq-mhz / --freq-hz)")
     _emit_record(args, {"freq_hz": f, "wavelength_m": quantities.wavelength(f, constants)})
@@ -216,7 +211,7 @@ def _cmd_convert_wavelength(args, constants) -> int:
 
 
 def _cmd_convert_band(args, constants) -> int:
-    f = _freq_hz(args)
+    f = _scaled(vars(args), _FREQ_SCALES)
     if f is None:
         raise _UsageError("freq_mhz (or --freq-ghz / --freq-hz)")
     band = quantities.band_lookup(f, args.direction, args.orbit)
@@ -295,28 +290,12 @@ def _cmd_geometry_cell(args, constants) -> int:
 # --- linkbudget -------------------------------------------------------------------
 
 
-_CONFIG_KEYS = {
-    "distance_km",
-    "altitude_km",
-    "elevation_deg",
-    "freq_ghz",
-    "freq_mhz",
-    "eirp_dbw",
-    "power_w",
-    "gain_dbi",
-    "terminal",
-    "rx_gain_dbi",
-    "nf_db",
-    "noise_temp_k",
-    "g_over_t_dbk",
-    "bw_hz",
-    "bw_khz",
-    "bw_mhz",
-    "bw_ghz",
-    "atm_loss_db",
-    "ad_loss_db",
+# The linkbudget flags in --help order; a --config document takes the same keys.
+_BUDGET_KEYS = (
+    "distance_km", "altitude_km", "elevation_deg", "freq_ghz", "freq_mhz", "eirp_dbw", "power_w", "gain_dbi",
+    "terminal", "rx_gain_dbi", "nf_db", "noise_temp_k", "g_over_t_dbk", *_BW_SCALES, "atm_loss_db", "ad_loss_db",
     "margin_db",
-}
+)
 
 
 def _load_budget_config(path: str) -> dict:
@@ -328,7 +307,7 @@ def _load_budget_config(path: str) -> dict:
         raise ParseError(f"{path}: {exc.msg}", line=exc.lineno, column=exc.colno)
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: link budget config must be a JSON object")
-    unknown = set(doc) - _CONFIG_KEYS
+    unknown = set(doc) - set(_BUDGET_KEYS)
     if unknown:
         raise ValidationError(sorted(unknown)[0], f"unknown config keys: {sorted(unknown)}")
     for key, value in doc.items():
@@ -339,8 +318,8 @@ def _load_budget_config(path: str) -> dict:
 
 def _cmd_linkbudget(args, constants) -> int:
     cfg = _load_budget_config(args.config) if args.config else {}
-    for key in _CONFIG_KEYS:
-        v = getattr(args, key, None)
+    for key in _BUDGET_KEYS:
+        v = getattr(args, key)
         if v is not None:
             cfg[key] = v
 
@@ -353,17 +332,11 @@ def _cmd_linkbudget(args, constants) -> int:
     else:
         raise _UsageError("distance_km (or altitude_km + elevation_deg)")
 
-    if "freq_ghz" in cfg:
-        freq_hz = cfg["freq_ghz"] * 1e9
-    elif "freq_mhz" in cfg:
-        freq_hz = cfg["freq_mhz"] * 1e6
-    else:
+    freq_hz = _scaled(cfg, {"freq_ghz": 1e9, "freq_mhz": 1e6})
+    if freq_hz is None:
         raise _UsageError("freq_ghz")
 
-    bw_hz = _bw_hz(args) or next(
-        (cfg[k] * s for k, s in (("bw_hz", 1.0), ("bw_khz", 1e3), ("bw_mhz", 1e6), ("bw_ghz", 1e9)) if k in cfg),
-        None,
-    )
+    bw_hz = _scaled(vars(args), _BW_SCALES) or _scaled(cfg, _BW_SCALES)
     if bw_hz is None:
         raise _UsageError("bw_khz (or --bw-hz / --bw-mhz / --bw-ghz)")
 
@@ -420,7 +393,7 @@ def _cmd_linkbudget(args, constants) -> int:
 
 
 def _cmd_capacity(args, constants) -> int:
-    bw = _bw_hz(args)
+    bw = _scaled(vars(args), _BW_SCALES)
     if bw is None:
         raise _UsageError("bw_khz (or --bw-hz / --bw-mhz / --bw-ghz)")
     if (args.snr_db is None) == (args.snr_linear is None):
@@ -449,7 +422,7 @@ def _cmd_modcod(args, constants) -> int:
         "snr_qef_db": chosen.snr_qef_db,
         "margin_db": margin,
     }
-    bw = _bw_hz(args)
+    bw = _scaled(vars(args), _BW_SCALES)
     if bw is not None:
         record["bitrate_bps"] = capacity.effective_bitrate(chosen.se_bps_hz, bw)
     _emit_record(args, record)
@@ -627,15 +600,13 @@ def _cmd_scenario_run(args, constants) -> int:
     name = args.scenario
     try:
         s = scenario.fixture(name)
-    except NotFoundError as exc:
+    except NotFoundError:
         if Path(name).is_file():
             s = scenario.load_scenario(Path(name))
         elif name.endswith(".json"):
-            print(f"error: scenario file {name!r} not found", file=sys.stderr)
-            return EXIT_USAGE
+            raise NotFoundError(f"scenario file {name!r} not found") from None
         else:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
+            raise
     report = scenario.run_scenario(s)
     if args.format == "json":
         print(json.dumps(_json_ready(report.to_doc()), indent=2))
@@ -742,23 +713,13 @@ def _build_parser() -> argparse.ArgumentParser:
     # linkbudget
     p = sub.add_parser("linkbudget", help="itemized dB ledger and SNR")
     p.add_argument("--config", help="JSON file with the same keys as the flags")
-    p.add_argument("--distance-km", type=float)
-    p.add_argument("--altitude-km", type=float)
-    p.add_argument("--elevation-deg", type=float)
-    p.add_argument("--freq-ghz", type=float)
-    p.add_argument("--freq-mhz", type=float)
-    p.add_argument("--eirp-dbw", type=float)
-    p.add_argument("--power-w", type=float)
-    p.add_argument("--gain-dbi", type=float)
-    p.add_argument("--terminal", help="receiver terminal preset (class3-ue, vsat, iot)")
-    p.add_argument("--rx-gain-dbi", type=float)
-    p.add_argument("--nf-db", type=float)
-    p.add_argument("--noise-temp-k", type=float)
-    p.add_argument("--g-over-t-dbk", type=float)
-    _add_bw_flags(p)
-    p.add_argument("--atm-loss-db", type=float)
-    p.add_argument("--ad-loss-db", type=float)
-    p.add_argument("--margin-db", type=float)
+    for key in _BUDGET_KEYS:
+        if key == "terminal":
+            p.add_argument("--terminal", help="receiver terminal preset (class3-ue, vsat, iot)")
+        elif key == "bw_hz":
+            _add_bw_flags(p)
+        elif key not in _BW_SCALES:
+            p.add_argument(_flag(key), type=float)
     _add_output_flags(p)
     p.set_defaults(func=_cmd_linkbudget)
 
