@@ -1,7 +1,7 @@
 """Phased-array radiation math.
 
 Linear equally-spaced arrays get a full pattern treatment (array factor,
-numeric half-power beamwidth, sidelobe scan); planar rectangular arrays are
+numeric half-power beamwidth, sidelobe search); planar rectangular arrays are
 characterized by their maximum directivity N*pi and the symmetric-beam
 HPBW approximation, which is how the reference catalog below is generated.
 All arrays are untapered (uniformly weighted).
@@ -71,14 +71,18 @@ class ArraySpec:
         return f"planar-{self.rows}x{self.cols}"
 
 
+def _check_af(n, psi_rad) -> None:
+    if not (isinstance(n, int) and n >= 1):
+        raise DomainError(f"element count must be an integer >= 1, got {n!r}")
+    require("psi", psi_rad, "must be finite")
+
+
 def array_factor_magnitude(n: int, psi_rad: float) -> float:
     """Un-normalized array-factor magnitude |sin(N*psi/2) / sin(psi/2)|.
 
     The removable singularity at psi = 0 (mod 2*pi) evaluates to N.
     """
-    if not (isinstance(n, int) and n >= 1):
-        raise DomainError(f"element count must be an integer >= 1, got {n!r}")
-    require("psi", psi_rad, "must be finite")
+    _check_af(n, psi_rad)
     den = math.sin(psi_rad / 2.0)
     if den == 0.0:
         return float(n)
@@ -87,7 +91,17 @@ def array_factor_magnitude(n: int, psi_rad: float) -> float:
 
 def normalized_array_factor(n: int, psi_rad: float) -> float:
     """Pattern amplitude |sin(N*psi/2) / (N*sin(psi/2))|, peak 1 at psi = 0."""
-    return min(1.0, array_factor_magnitude(n, psi_rad) / n)
+    _check_af(n, psi_rad)
+    return _af(n, psi_rad)
+
+
+def _af(n: int, psi: float) -> float:
+    """normalized_array_factor without its checks, for the searches over an
+    ArraySpec, whose element count is checked and whose psi is finite."""
+    den = math.sin(psi / 2.0)
+    if den == 0.0:
+        return 1.0
+    return min(1.0, abs(math.sin(n * psi / 2.0) / den) / n)
 
 
 def _normalized_af_vec(n: int, psi: np.ndarray) -> np.ndarray:
@@ -145,9 +159,11 @@ def hpbw_numeric(spec: ArraySpec, tol_rad: float = 1e-9) -> float:
     if n < 2:
         raise DomainError("a single element forms no beam")
     sp = spec.spacing_wavelengths
+    # psi = 2*pi*spacing*cos(theta) with cos(theta) in (0, 1]: finite if this is
+    two_pi_sp = require("psi", 2.0 * math.pi * sp, "must be finite")
 
     def power(theta: float) -> float:
-        a = normalized_array_factor(n, psi_from_incidence(sp, theta))
+        a = _af(n, two_pi_sp * math.cos(theta))
         return a * a
 
     # theta of the first pattern null (psi = 2*pi/N), if visible
@@ -173,9 +189,11 @@ def hpbw_numeric(spec: ArraySpec, tol_rad: float = 1e-9) -> float:
 def sidelobe_level(spec: ArraySpec, scan_samples: int = 20001) -> float:
     """Peak pattern amplitude outside the main lobe of a linear array.
 
-    Scans psi over (first null, 2*pi - first null), excluding the grating
-    lobe at psi = 2*pi, then polishes the best sample with a bounded local
-    search. Returns the amplitude ratio (1.0 = main-lobe peak).
+    The largest sidelobe of an untapered linear array is its first one, the
+    single peak of |AF| between the nulls at psi = 2*pi/N and 4*pi/N; a
+    bounded search over that bracket finds it. Returns the amplitude ratio
+    (1.0 = main-lobe peak). `scan_samples` no longer shapes the search; it
+    is kept, and still must be at least 10^4, for existing callers.
     """
     if spec.topology != LINEAR:
         raise DomainError("sidelobe scan is defined for linear arrays only")
@@ -184,21 +202,13 @@ def sidelobe_level(spec: ArraySpec, scan_samples: int = 20001) -> float:
         raise NoSidelobeError(f"an N={n} array has no sidelobe between its null and the grating lobe")
     if scan_samples < 10_000:
         raise DomainError(f"scan needs at least 10^4 samples, got {scan_samples}")
-    null1 = 2.0 * math.pi / n
-    # grid and |AF| are both symmetric about psi = pi: scan the lower half
-    # and one sample past its middle, so a peak at pi keeps its bracket
-    psi = np.linspace(null1, 2.0 * math.pi - null1, scan_samples)[1:(scan_samples + 1) // 2 + 1]
-    vals = _normalized_af_vec(n, psi)
-    i = int(np.argmax(vals))
-    lo = psi[max(0, i - 1)]
-    hi = psi[min(len(psi) - 1, i + 1)]
     res = minimize_scalar(
-        lambda p: -normalized_array_factor(n, float(p)),
-        bounds=(lo, hi),
+        lambda p: -_af(n, p),
+        bounds=(2.0 * math.pi / n, 4.0 * math.pi / n),
         method="bounded",
         options={"xatol": 1e-12},
     )
-    return max(float(vals[i]), float(-res.fun))
+    return float(-res.fun)
 
 
 def amplitude_db_field(amplitude: float) -> float:
@@ -242,8 +252,11 @@ def _pattern_cut(spec: ArraySpec, resolution_deg: float):
     if spec.topology != LINEAR:
         raise DomainError("pattern cuts are defined for linear arrays only")
     steps = int(round(180.0 / require("resolution", resolution_deg, _RESOLUTION)))
+    two_pi_sp = 2.0 * math.pi * spec.spacing_wavelengths
+    if two_pi_sp == math.inf:
+        raise DomainError(f"spacing {spec.spacing_wavelengths!r} wavelengths is too large for a pattern cut")
     thetas = np.linspace(0.0, math.pi, steps + 1)
-    psis = 2.0 * math.pi * spec.spacing_wavelengths * np.cos(thetas)
+    psis = two_pi_sp * np.cos(thetas)
     amps = _normalized_af_vec(spec.elements, psis)
     with np.errstate(divide="ignore"):
         power_db = 20.0 * np.log10(amps)

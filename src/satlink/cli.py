@@ -300,11 +300,10 @@ _BUDGET_KEYS = (
 
 def _load_budget_config(path: str) -> dict:
     try:
-        doc = json.loads(Path(path).read_text())
+        text = quantities._read_file(path)
     except FileNotFoundError:
         raise _UsageError(f"config file {path!r} not found")
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: {exc.msg}", line=exc.lineno, column=exc.colno)
+    doc = quantities.parse_json(text, path)
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: link budget config must be a JSON object")
     unknown = set(doc) - set(_BUDGET_KEYS)

@@ -12,7 +12,7 @@ import io
 import math
 from dataclasses import dataclass
 
-from .errors import ValidationError
+from .errors import DomainError, ValidationError
 from .quantities import (
     DEFAULT_CONSTANTS,
     PhysicalConstants,
@@ -71,7 +71,12 @@ def fspl(distance_m: float, freq_hz: float, constants: PhysicalConstants = DEFAU
 
 
 def _fspl(distance_m, freq_hz, constants) -> float:
-    return 20.0 * math.log10(4.0 * math.pi * distance_m * freq_hz / constants.c_m_per_s)
+    try:
+        return 20.0 * math.log10(4.0 * math.pi * distance_m * freq_hz / constants.c_m_per_s)
+    except ValueError:  # the ratio underflows to 0
+        raise DomainError(
+            f"path loss 4*pi*d*f/c underflows to 0 for distance {distance_m!r} m and frequency {freq_hz!r} Hz"
+        ) from None
 
 
 def g_over_t(g_r_dbi: float, t_k: float) -> float:

@@ -205,11 +205,7 @@ class PhysicalConstants:
 
     @classmethod
     def from_file(cls, path) -> "PhysicalConstants":
-        text = _read_file(path)
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}: {exc.msg}", line=exc.lineno, column=exc.colno) from exc
+        doc = parse_json(_read_file(path), path)
         if not isinstance(doc, dict):
             raise ParseError(f"{path}: constants document must be a JSON object")
         return cls.from_mapping(doc)
@@ -220,6 +216,19 @@ def _read_file(path) -> str:
         return Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+
+
+def parse_json(text: str, name, located: bool = False):
+    """The JSON document in `text`. Any failure raises ParseError "<name>:
+    <reason>"; a syntax error carries its line and column, which `located`
+    also appends to the message."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        where = f" (line {exc.lineno}, column {exc.colno})" if located else ""
+        raise ParseError(f"{name}: {exc.msg}{where}", line=exc.lineno, column=exc.colno) from exc
+    except ValueError as exc:  # an integer longer than sys.get_int_max_str_digits()
+        raise ParseError(f"{name}: {str(exc).partition(';')[0]}") from None
 
 
 def read_document(source) -> str:

@@ -30,6 +30,7 @@ from .quantities import (
     _checked_number,
     band_lookup,
     linear_from_db,
+    parse_json,
     read_document,
     require,
 )
@@ -339,13 +340,7 @@ def load_scenario(source) -> Scenario:
     """
     if isinstance(source, dict):
         return _scenario_from_doc(source)
-    text = read_document(source)
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"scenario document: {exc.msg} (line {exc.lineno}, column {exc.colno})",
-                         line=exc.lineno, column=exc.colno) from exc
-    return _scenario_from_doc(doc)
+    return _scenario_from_doc(parse_json(read_document(source), "scenario document", located=True))
 
 
 def scenario_to_doc(s: Scenario) -> dict:
@@ -478,11 +473,7 @@ class ScenarioReport:
 
     @classmethod
     def from_json(cls, text: str) -> "ScenarioReport":
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"report document: {exc.msg}", line=exc.lineno, column=exc.colno) from exc
-        return cls.from_doc(doc)
+        return cls.from_doc(parse_json(text, "report document"))
 
     def finding(self, quantity: str, direction: str | None = None, label: str | None = None) -> Finding:
         for f in self.findings:

@@ -485,3 +485,42 @@ class TestRefusedExtremes:
     def test_pattern_finer_than_the_row_limit(self, capsys, resolution):
         argv = ("antenna", "pattern", "--elements", "8", "--resolution-deg", resolution)
         self.assert_refused(run(capsys, *argv), f"resolution must be >= 0.001 degrees, got {float(resolution)!r}")
+
+
+class TestRefusedDocumentsAndExtremes:
+    """Inputs that used to end in a traceback or in nan rows."""
+
+    LONG = "1" + "0" * 5000  # more digits than int() converts from a string
+    DIGITS = "Exceeds the limit (4300 digits) for integer string conversion: value has 5001 digits\n"
+
+    def test_pattern_spacing_too_large(self, capsys):
+        argv = ("antenna", "pattern", "--elements", "4", "--spacing", "1e308", "--resolution-deg", "45")
+        assert run(capsys, *argv) == (1, "", "error: spacing 1e+308 wavelengths is too large for a pattern cut\n")
+
+    def test_long_integer_in_scenario_file(self, capsys, tmp_path):
+        path = tmp_path / "long.json"
+        path.write_text(f'{{"name": "x", "orbit": "LEO", "altitude_km": {self.LONG}}}')
+        assert run(capsys, "scenario", "run", str(path)) == (1, "", f"error: scenario document: {self.DIGITS}")
+
+    def test_long_integer_in_constants_file(self, capsys, tmp_path, monkeypatch):
+        path = tmp_path / "constants.json"
+        path.write_text(f'{{"c_m_per_s": {self.LONG}}}')
+        monkeypatch.setenv("SATLINK_CONSTANTS", str(path))
+        assert run(capsys, "convert", "db", "--linear", "2") == (1, "", f"error: {path}: {self.DIGITS}")
+
+    def test_long_integer_in_budget_config(self, capsys, tmp_path):
+        path = tmp_path / "budget.json"
+        path.write_text(f'{{"distance_km": {self.LONG}, "freq_ghz": 2}}')
+        assert run(capsys, "linkbudget", "--config", str(path)) == (1, "", f"error: {path}: {self.DIGITS}")
+
+    def test_budget_config_not_utf8(self, capsys, tmp_path):
+        path = tmp_path / "bad.bin"
+        path.write_bytes(b'{"distance_km": "\xff\xfe"}')
+        expected = f"error: {path}: not UTF-8 text (invalid start byte at byte 17)\n"
+        assert run(capsys, "linkbudget", "--config", str(path)) == (1, "", expected)
+
+    def test_path_loss_underflow(self, capsys):
+        argv = ("linkbudget", "--distance-km", "1e-300", "--freq-ghz", "1e-300", "--eirp-dbw", "40",
+                "--g-over-t-dbk", "1", "--bw-mhz", "1")
+        expected = "error: path loss 4*pi*d*f/c underflows to 0 for distance 1e-297 m and frequency 1e-291 Hz\n"
+        assert run(capsys, *argv) == (1, "", expected)

@@ -76,6 +76,12 @@ class TestFspl:
         assert lb.fspl(d, f * k) > lb.fspl(d, f)
 
 
+    def test_underflowing_product_is_domain_error(self):
+        # each input passes its own check, but 4*pi*d*f/c underflows to 0
+        with pytest.raises(DomainError, match="underflows to 0 for distance 1000000.0 m and frequency 5e-324 Hz"):
+            lb.fspl(1e6, 5e-324)
+
+
 class TestGOverT:
     def test_goldens(self):
         assert lb.g_over_t(12.0, 627.06) == approx(-15.97, abs=0.01)

@@ -346,6 +346,11 @@ class TestReportSerialization:
         with pytest.raises(ParseError):
             sc.ScenarioReport.from_json("{nope")
 
+    def test_report_with_long_integer(self):
+        text = '{"slant_range_km": 1' + "0" * 5000 + "}"
+        with pytest.raises(ParseError, match=r"^report document: Exceeds the limit \(4300 digits\)"):
+            sc.ScenarioReport.from_json(text)
+
     def test_finding_lookup_missing(self):
         report = sc.run_scenario(sc.fixture("thales"))
         with pytest.raises(NotFoundError):
