@@ -159,7 +159,7 @@ def hpbw_numeric(spec: ArraySpec, tol_rad: float = 1e-9) -> float:
     if n < 2:
         raise DomainError("a single element forms no beam")
     sp = spec.spacing_wavelengths
-    # psi = 2*pi*spacing*cos(theta) with cos(theta) in (0, 1]: finite if this is
+    # each psi below is this times cos(theta) in (0, 1], so finite when this is
     two_pi_sp = require("psi", 2.0 * math.pi * sp, "must be finite")
 
     def power(theta: float) -> float:
@@ -253,7 +253,7 @@ def _pattern_cut(spec: ArraySpec, resolution_deg: float):
         raise DomainError("pattern cuts are defined for linear arrays only")
     steps = int(round(180.0 / require("resolution", resolution_deg, _RESOLUTION)))
     two_pi_sp = 2.0 * math.pi * spec.spacing_wavelengths
-    if two_pi_sp == math.inf:
+    if spec.elements * two_pi_sp == math.inf:  # N*psi would overflow at endfire
         raise DomainError(f"spacing {spec.spacing_wavelengths!r} wavelengths is too large for a pattern cut")
     thetas = np.linspace(0.0, math.pi, steps + 1)
     psis = two_pi_sp * np.cos(thetas)

@@ -227,7 +227,7 @@ def parse_json(text: str, name, located: bool = False):
     except json.JSONDecodeError as exc:
         where = f" (line {exc.lineno}, column {exc.colno})" if located else ""
         raise ParseError(f"{name}: {exc.msg}{where}", line=exc.lineno, column=exc.colno) from exc
-    except ValueError as exc:  # an integer longer than sys.get_int_max_str_digits()
+    except (ValueError, RecursionError) as exc:  # an integer past the digit limit, or deep nesting
         raise ParseError(f"{name}: {str(exc).partition(';')[0]}") from None
 
 

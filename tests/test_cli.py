@@ -493,9 +493,11 @@ class TestRefusedDocumentsAndExtremes:
     LONG = "1" + "0" * 5000  # more digits than int() converts from a string
     DIGITS = "Exceeds the limit (4300 digits) for integer string conversion: value has 5001 digits\n"
 
-    def test_pattern_spacing_too_large(self, capsys):
-        argv = ("antenna", "pattern", "--elements", "4", "--spacing", "1e308", "--resolution-deg", "45")
-        assert run(capsys, *argv) == (1, "", "error: spacing 1e+308 wavelengths is too large for a pattern cut\n")
+    @pytest.mark.parametrize("spacing", ["1e308", "1e307"])  # 2*pi*spacing overflows; N*psi overflows
+    def test_pattern_spacing_too_large(self, capsys, spacing):
+        argv = ("antenna", "pattern", "--elements", "4", "--spacing", spacing, "--resolution-deg", "45")
+        expected = f"error: spacing {float(spacing)!r} wavelengths is too large for a pattern cut\n"
+        assert run(capsys, *argv) == (1, "", expected)
 
     def test_long_integer_in_scenario_file(self, capsys, tmp_path):
         path = tmp_path / "long.json"
@@ -512,6 +514,12 @@ class TestRefusedDocumentsAndExtremes:
         path = tmp_path / "budget.json"
         path.write_text(f'{{"distance_km": {self.LONG}, "freq_ghz": 2}}')
         assert run(capsys, "linkbudget", "--config", str(path)) == (1, "", f"error: {path}: {self.DIGITS}")
+
+    def test_deeply_nested_budget_config(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        code, out, err = run(capsys, "linkbudget", "--config", str(path))
+        assert (code, out) == (1, "") and err.startswith(f"error: {path}: maximum recursion depth exceeded")
 
     def test_budget_config_not_utf8(self, capsys, tmp_path):
         path = tmp_path / "bad.bin"
