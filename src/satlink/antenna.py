@@ -75,6 +75,11 @@ def _check_af(n, psi_rad) -> None:
     if not (isinstance(n, int) and n >= 1):
         raise DomainError(f"element count must be an integer >= 1, got {n!r}")
     require("psi", psi_rad, "must be finite")
+    try:
+        n_psi = n * psi_rad
+    except OverflowError:  # an N beyond the float range
+        n_psi = math.inf
+    require("N*psi", n_psi, "must be finite")
 
 
 def array_factor_magnitude(n: int, psi_rad: float) -> float:
@@ -206,7 +211,8 @@ def sidelobe_level(spec: ArraySpec, scan_samples: int = 20001) -> float:
         lambda p: -_af(n, p),
         bounds=(2.0 * math.pi / n, 4.0 * math.pi / n),
         method="bounded",
-        options={"xatol": 1e-12},
+        # the bracket shrinks as 1/N, so the tolerance must too beyond N = 1000
+        options={"xatol": min(1e-12, 1e-9 / n)},
     )
     return float(-res.fun)
 

@@ -207,7 +207,7 @@ class TcpLinkModel:
         if not 1.0 <= self.c_constant <= 1.5:
             warnings.warn(
                 f"C={self.c_constant:g} is outside the typical 1-1.5 range",
-                stacklevel=2,
+                stacklevel=3,
             )
 
 

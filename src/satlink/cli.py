@@ -13,7 +13,6 @@ boltzmann_j_per_k, earth_radius_km).
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -98,7 +97,7 @@ def _fmt_precise(value) -> str:
 def _emit_record(args, record: dict) -> None:
     fmt = getattr(args, "format", "table")
     if fmt == "json":
-        print(json.dumps(_json_ready(record), indent=2))
+        print(quantities.dump_json(_json_ready(record)))
         return
     if fmt == "csv":
         keys = list(record)
@@ -115,7 +114,7 @@ def _emit_record(args, record: dict) -> None:
 def _emit_rows(args, rows: list[dict]) -> None:
     fmt = getattr(args, "format", "table")
     if fmt == "json":
-        print(json.dumps(_json_ready(rows), indent=2))
+        print(quantities.dump_json(_json_ready(rows)))
         return
     keys = list(rows[0]) if rows else []
     if fmt == "csv":
@@ -608,7 +607,7 @@ def _cmd_scenario_run(args, constants) -> int:
             raise
     report = scenario.run_scenario(s)
     if args.format == "json":
-        print(json.dumps(_json_ready(report.to_doc()), indent=2))
+        print(quantities.dump_json(_json_ready(report.to_doc())))
         return EXIT_OK
     if args.format == "table":
         print(f"scenario  {s.name} ({s.orbit})")

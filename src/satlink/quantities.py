@@ -15,6 +15,7 @@ import re
 import sys
 from dataclasses import dataclass, fields
 from functools import cached_property
+from json.encoder import encode_basestring_ascii as _json_str
 from pathlib import Path
 
 from .errors import DomainError, OutOfBandError, ParseError, ValidationError
@@ -229,6 +230,58 @@ def parse_json(text: str, name, located: bool = False):
         raise ParseError(f"{name}: {exc.msg}{where}", line=exc.lineno, column=exc.colno) from exc
     except (ValueError, RecursionError) as exc:  # an integer past the digit limit, or deep nesting
         raise ParseError(f"{name}: {str(exc).partition(';')[0]}") from None
+
+
+_NONFINITE_JSON = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def dump_json(obj, indent: int | None = 2) -> str:
+    """`json.dumps(obj, indent=indent)`, byte for byte.
+
+    json writes an indented document through its pure-Python encoder; this
+    builds the same text directly, with json's C string escaper. Dict keys
+    must be strings.
+    """
+    if indent is None:
+        return json.dumps(obj)
+    return _dump_indented(obj, "\n", " " * indent)
+
+
+def _dump_indented(obj, newline: str, step: str) -> str:
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = newline + step
+        items = []
+        for key, value in obj.items():
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            if isinstance(value, str):
+                text = _json_str(value)
+            elif isinstance(value, float):
+                text = _NONFINITE_JSON.get(text := float.__repr__(value), text)
+            else:
+                text = _dump_indented(value, inner, step)
+            items.append(f"{_json_str(key)}: {text}")
+        return f"{{{inner}{(',' + inner).join(items)}{newline}}}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        inner = newline + step
+        return f"[{inner}{(',' + inner).join([_dump_indented(v, inner, step) for v in obj])}{newline}]"
+    if isinstance(obj, str):
+        return _json_str(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        return _NONFINITE_JSON.get(text := float.__repr__(obj), text)
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def read_document(source) -> str:

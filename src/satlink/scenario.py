@@ -14,7 +14,6 @@ conversion to SI happens only inside the computations.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -29,6 +28,7 @@ from .quantities import (
     UPLINK,
     _checked_number,
     band_lookup,
+    dump_json,
     linear_from_db,
     parse_json,
     read_document,
@@ -461,15 +461,22 @@ class ScenarioReport:
         return doc
 
     def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.to_doc(), indent=indent)
+        return dump_json(self.to_doc(), indent)
 
     @classmethod
     def from_doc(cls, doc: dict) -> "ScenarioReport":
-        return cls(
-            scenario=load_scenario(doc["scenario"]),
-            slant_range_km=doc.get("slant_range_km"),
-            findings=tuple(Finding.from_doc(f) for f in doc.get("findings", [])),
-        )
+        """The report a `to_doc` mapping describes; a mapping of another
+        shape raises ParseError "report document: …"."""
+        try:
+            return cls(
+                scenario=load_scenario(doc["scenario"]),
+                slant_range_km=doc.get("slant_range_km"),
+                findings=tuple(Finding.from_doc(f) for f in doc.get("findings", [])),
+            )
+        except KeyError as exc:
+            raise ParseError(f"report document: missing key {exc.args[0]!r}") from None
+        except TypeError as exc:  # a list or scalar where a mapping belongs
+            raise ParseError(f"report document: wrong shape ({exc})") from None
 
     @classmethod
     def from_json(cls, text: str) -> "ScenarioReport":

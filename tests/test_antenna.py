@@ -37,6 +37,18 @@ class TestArrayFactor:
         with pytest.raises(DomainError):
             ant.normalized_array_factor(0, 1.0)
 
+    @pytest.mark.parametrize("f", [ant.normalized_array_factor, ant.array_factor_magnitude])
+    @pytest.mark.parametrize(
+        "n,psi", [(4, 1e308), (4, -1e308), (2, 1.7e308), (10**309, 1.0)], ids=["inf", "-inf", "pair", "huge-n"]
+    )
+    def test_rejects_overflowing_n_psi(self, f, n, psi):
+        with pytest.raises(DomainError, match=r"^N\*psi must be finite, got -?inf$"):
+            f(n, psi)
+
+    @pytest.mark.parametrize("f", [ant.normalized_array_factor, ant.array_factor_magnitude])
+    def test_single_element_at_huge_psi(self, f):
+        assert f(1, 1e308) == 1.0
+
 
 class TestPsiFromIncidence:
     def test_broadside_is_zero(self):

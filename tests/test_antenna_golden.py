@@ -96,6 +96,12 @@ def test_sidelobe_level_matches_derivative_bisection():
     assert not diffs, "\n".join(f"N={n}: reference {want!r}, got {got!r}" for n, want, got in diffs[:10])
 
 
+@pytest.mark.parametrize("n", [10**k for k in range(4, 11)])
+def test_sidelobe_level_matches_derivative_bisection_for_large_arrays(n):
+    got = antenna.sidelobe_level(antenna.ArraySpec.linear(n))
+    assert abs(got - first_sidelobe_reference(n)) <= 1e-15
+
+
 def _capture() -> None:
     """Write golden/antenna.json from the imported satlink."""
     hpbw = [

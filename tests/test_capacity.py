@@ -234,6 +234,11 @@ class TestTcpBound:
         with pytest.warns(UserWarning):
             cap.TcpLinkModel(1500, 0.2, 1e-6, c_constant=1.8)
 
+    def test_typical_range_warning_names_the_caller(self):
+        with pytest.warns(UserWarning) as caught:
+            cap.TcpLinkModel(1500, 0.2, 1e-6, c_constant=1.8)
+        assert [w.filename for w in caught] == [__file__]
+
     def test_rejects_bad_inputs(self):
         with pytest.raises(DomainError):
             cap.TcpLinkModel(0, 0.2, 1e-6)

@@ -2,7 +2,7 @@ import json
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from pytest import approx
 
@@ -326,3 +326,63 @@ class TestRequire:
     def test_a_rule_without_a_range_is_refused(self):
         with pytest.raises(ValueError, match="states no range"):
             q.require("x", 1.0, "must be nice")
+
+
+class _Dict(dict):
+    pass
+
+
+class _List(list):
+    pass
+
+
+_SPECIAL_LEAVES = [
+    math.nan, math.inf, -math.inf, -0.0, 10**40, -(2**70), 1e16, 5e-324, True, False, None,
+    "é ☃ 𝄞", "\x00\x01\x1f\x7f", "tab\tnew\nline", '"quoted" \\slash/', "",
+]
+_JSON_LEAVES = st.one_of(
+    st.sampled_from(_SPECIAL_LEAVES),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.integers(),
+    st.text(),
+)
+_JSON_VALUES = st.recursive(
+    _JSON_LEAVES,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.lists(inner, max_size=3).map(_List),
+        st.dictionaries(st.text(), inner, max_size=4),
+        st.dictionaries(st.text(), inner, max_size=3).map(_Dict),
+    ),
+    max_leaves=24,
+)
+
+
+class TestDumpJson:
+    """The one indented writer is json.dumps, byte for byte."""
+
+    @given(_JSON_VALUES)
+    @example({"list": _SPECIAL_LEAVES, "tuple": tuple(_SPECIAL_LEAVES), "dicts": [{"v": v} for v in _SPECIAL_LEAVES]})
+    def test_matches_json_dumps(self, value):
+        for indent in (None, 0, 1, 2, 4):
+            assert q.dump_json(value, indent) == json.dumps(value, indent=indent)
+
+    @pytest.mark.parametrize("value", [{}, [], (), _Dict(), _List(), {"a": {}, "b": [], "c": [{}]}])
+    @pytest.mark.parametrize("indent", [None, 0, 2])
+    def test_empty_containers(self, value, indent):
+        assert q.dump_json(value, indent) == json.dumps(value, indent=indent)
+
+    def test_default_indent_is_two(self):
+        doc = {"a": [1.5, "x", None, True], "b": {"c": -math.inf}}
+        assert q.dump_json(doc) == json.dumps(doc, indent=2)
+
+    @pytest.mark.parametrize("value", [{1: "a"}, {"a": {None: 1}}, [{("k",): 0}]])
+    def test_rejects_keys_that_are_not_strings(self, value):
+        with pytest.raises(TypeError, match="keys must be str"):
+            q.dump_json(value)
+
+    @pytest.mark.parametrize("value", [object(), {"a": {1, 2}}, [b"bytes"]])
+    def test_rejects_values_json_cannot_write(self, value):
+        with pytest.raises(TypeError, match="is not JSON serializable"):
+            q.dump_json(value)

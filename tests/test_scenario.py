@@ -342,9 +342,39 @@ class TestReportSerialization:
         for s in sc.builtin_fixtures():
             assert sc.load_scenario(sc.scenario_to_doc(s)) == s
 
+    @pytest.mark.parametrize("name", [d["name"] for d in sc._FIXTURE_DOCS])
+    def test_to_json_is_json_dumps(self, name):
+        report = sc.run_scenario(sc.fixture(name))
+        assert report.to_json() == json.dumps(report.to_doc(), indent=2)
+        assert report.to_json(None) == json.dumps(report.to_doc())
+
     def test_bad_report_json(self):
         with pytest.raises(ParseError):
             sc.ScenarioReport.from_json("{nope")
+
+    def _report_text(self, **fields):
+        doc = {"scenario": sc.scenario_to_doc(sc.fixture("thales")), **fields}
+        return json.dumps(doc)
+
+    def test_report_that_is_a_list(self):
+        with pytest.raises(ParseError, match=r"^report document: wrong shape"):
+            sc.ScenarioReport.from_json("[]")
+
+    def test_report_without_scenario(self):
+        with pytest.raises(ParseError, match=r"^report document: missing key 'scenario'$"):
+            sc.ScenarioReport.from_json("{}")
+
+    def test_report_findings_not_a_list(self):
+        with pytest.raises(ParseError, match=r"^report document: wrong shape"):
+            sc.ScenarioReport.from_json(self._report_text(findings=3))
+
+    def test_report_finding_not_a_mapping(self):
+        with pytest.raises(ParseError, match=r"^report document: wrong shape"):
+            sc.ScenarioReport.from_json(self._report_text(findings=[1]))
+
+    def test_report_finding_without_quantity(self):
+        with pytest.raises(ParseError, match=r"^report document: missing key 'quantity'$"):
+            sc.ScenarioReport.from_json(self._report_text(findings=[{}]))
 
     def test_report_with_long_integer(self):
         text = '{"slant_range_km": 1' + "0" * 5000 + "}"
