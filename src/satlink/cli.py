@@ -5,6 +5,12 @@ json and csv (both at 6 significant digits). Exit codes are a stable
 contract: 0 success, 1 domain error, 2 usage/missing input, 3 infeasible
 MODCOD selection, 4 file I/O failure.
 
+Each `_cmd_*` handler returns its result and prints nothing (bar the
+preamble lines of `convert band` and `scenario run` tables): a record
+(dict), rows (list of dicts) or finished text (str). `main` passes it to
+`_emit`, which renders the chosen format and writes it to `--out` or
+stdout. A reader that closes stdout early ends the run quietly with exit 0.
+
 The environment variable SATLINK_CONSTANTS may point to a JSON document
 overriding physical constants (keys of PhysicalConstants, e.g. c_m_per_s,
 boltzmann_j_per_k, earth_radius_km).
@@ -42,18 +48,15 @@ class _UsageError(SatlinkError):
 # --- value formatting -------------------------------------------------------
 
 
-def _sig6(value):
-    if isinstance(value, float) and math.isfinite(value):
-        return float(f"{value:.6g}")
-    return value
-
-
 def _json_ready(obj):
+    """`obj` with every finite float rounded to 6 significant digits."""
     if isinstance(obj, dict):
         return {k: _json_ready(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_json_ready(v) for v in obj]
-    return _sig6(obj)
+    if isinstance(obj, float) and math.isfinite(obj):
+        return float(f"{obj:.6g}")
+    return obj
 
 
 def _fmt_rate(bps: float) -> str:
@@ -66,71 +69,54 @@ def _fmt_rate(bps: float) -> str:
 _DB_SUFFIXES = ("_db", "_dbw", "_dbk", "_dbi", "_dbm", "_dbhz", "_dbw_per_k_hz")
 
 
-def _fmt_human(key: str, value) -> str:
+def _fmt(key: str, value, precise: bool) -> str:
+    """One cell: 6 significant digits when precise, else rounded by the key's unit."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         return "" if value is None else str(value)
     if isinstance(value, int):
         return str(value)
-    if not math.isfinite(value):
-        return str(value)
-    if key.endswith(_DB_SUFFIXES):
+    if precise or not math.isfinite(value):
+        return f"{value:.6g}"
+    if key.endswith((*_DB_SUFFIXES, "_km", "_deg")):
         return f"{value:.1f}"
     if key.endswith("_bps"):
         return _fmt_rate(value)
-    if key.endswith("_w"):
-        return f"{value:.3g}"
-    if key.endswith(("_km", "_deg")):
-        return f"{value:.1f}"
-    if key.endswith("_fraction"):
+    if key.endswith(("_w", "_fraction")):
         return f"{value:.3g}"
     return f"{value:.6g}"
 
 
-def _fmt_precise(value) -> str:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return "" if value is None else str(value)
-    if isinstance(value, int):
-        return str(value)
-    return f"{value:.6g}"
+def _emit(args, result) -> None:
+    """Write a handler's result to --out or stdout.
 
-
-def _emit_record(args, record: dict) -> None:
-    fmt = getattr(args, "format", "table")
-    if fmt == "json":
-        print(quantities.dump_json(_json_ready(record)))
-        return
-    if fmt == "csv":
-        keys = list(record)
-        print(",".join(keys))
-        print(",".join(_fmt_precise(record[k]) for k in keys))
-        return
-    width = max(len(k) for k in record)
-    precise = getattr(args, "precise", False)
-    for k, v in record.items():
-        text = _fmt_precise(v) if precise else _fmt_human(k, v)
-        print(f"{k:<{width}}  {text}")
-
-
-def _emit_rows(args, rows: list[dict]) -> None:
-    fmt = getattr(args, "format", "table")
-    if fmt == "json":
-        print(quantities.dump_json(_json_ready(rows)))
-        return
-    keys = list(rows[0]) if rows else []
-    if fmt == "csv":
-        print(",".join(keys))
-        for row in rows:
-            print(",".join(_fmt_precise(row.get(k)) for k in keys))
-        return
-    precise = getattr(args, "precise", False)
-    rendered = [
-        {k: (_fmt_precise(r.get(k)) if precise else _fmt_human(k, r.get(k))) for k in keys}
-        for r in rows
-    ]
-    widths = {k: max(len(k), *(len(r[k]) for r in rendered)) if rendered else len(k) for k in keys}
-    print("  ".join(f"{k:<{widths[k]}}" for k in keys))
-    for r in rendered:
-        print("  ".join(f"{r[k]:<{widths[k]}}" for k in keys))
+    Text goes out as it is. A record (dict) or rows (list of dicts) is
+    rendered as --format asks: JSON at 6 significant digits, CSV (a record
+    is one row), or a table, key/value for a record and columns for rows.
+    """
+    if isinstance(result, str):
+        text = result
+    elif args.format == "json":
+        text = quantities.dump_json(_json_ready(result)) + "\n"
+    else:
+        rows = [result] if isinstance(result, dict) else result
+        keys = list(rows[0]) if rows else []
+        precise = args.format == "csv" or args.precise
+        cells = [[_fmt(k, row.get(k), precise) for k in keys] for row in rows]
+        if args.format == "csv":
+            lines = [",".join(line) for line in (keys, *cells)]
+        elif isinstance(result, dict):
+            width = max(map(len, keys))
+            lines = [f"{k:<{width}}  {cell}" for k, cell in zip(keys, cells[0])]
+        else:
+            table = [keys, *cells]
+            widths = [max(len(line[i]) for line in table) for i in range(len(keys))]
+            lines = ["  ".join(f"{cell:<{w}}" for cell, w in zip(line, widths)) for line in table]
+        text = "\n".join(lines) + "\n"
+    if getattr(args, "out", None):
+        Path(args.out).write_text(text)  # an OSError maps to the I/O exit code in main
+    else:
+        sys.stdout.write(text)
+        sys.stdout.flush()  # a closed pipe fails here, inside main, not at exit
 
 
 # --- shared flag helpers ------------------------------------------------------
@@ -170,17 +156,15 @@ def _constants_from_env() -> quantities.PhysicalConstants:
 # --- convert ------------------------------------------------------------------
 
 
-def _cmd_convert_db(args, constants) -> int:
-    _emit_record(args, {"linear": args.linear, "db": quantities.db_from_linear(args.linear)})
-    return EXIT_OK
+def _cmd_convert_db(args, constants) -> dict:
+    return {"linear": args.linear, "db": quantities.db_from_linear(args.linear)}
 
 
-def _cmd_convert_linear(args, constants) -> int:
-    _emit_record(args, {"db": args.db, "linear": quantities.linear_from_db(args.db)})
-    return EXIT_OK
+def _cmd_convert_linear(args, constants) -> dict:
+    return {"db": args.db, "linear": quantities.linear_from_db(args.db)}
 
 
-def _cmd_convert_power(args, constants) -> int:
+def _cmd_convert_power(args, constants) -> dict:
     given = [v for v in (args.watts, args.dbw, args.dbm) if v is not None]
     if len(given) != 1:
         raise _UsageError("exactly one of --watts, --dbw, --dbm")
@@ -190,26 +174,23 @@ def _cmd_convert_power(args, constants) -> int:
         p = quantities.Power.from_dbw(args.dbw)
     else:
         p = quantities.Power.from_dbm(args.dbm)
-    _emit_record(args, {"watts": p.watts, "power_dbw": p.dbw, "power_dbm": p.dbm})
-    return EXIT_OK
+    return {"watts": p.watts, "power_dbw": p.dbw, "power_dbm": p.dbm}
 
 
-def _cmd_convert_noise_temp(args, constants) -> int:
+def _cmd_convert_noise_temp(args, constants) -> dict:
     t_ref = args.t_ref_k if args.t_ref_k is not None else constants.t_ref_k
     t = quantities.noise_temperature_from_nf(args.nf_db, t_ref)
-    _emit_record(args, {"nf_db": args.nf_db, "t_ref_k": t_ref, "noise_temp_k": t})
-    return EXIT_OK
+    return {"nf_db": args.nf_db, "t_ref_k": t_ref, "noise_temp_k": t}
 
 
-def _cmd_convert_wavelength(args, constants) -> int:
+def _cmd_convert_wavelength(args, constants) -> dict:
     f = _scaled(vars(args), _FREQ_SCALES)
     if f is None:
         raise _UsageError("freq_ghz (or --freq-mhz / --freq-hz)")
-    _emit_record(args, {"freq_hz": f, "wavelength_m": quantities.wavelength(f, constants)})
-    return EXIT_OK
+    return {"freq_hz": f, "wavelength_m": quantities.wavelength(f, constants)}
 
 
-def _cmd_convert_band(args, constants) -> int:
+def _cmd_convert_band(args, constants) -> list[dict]:
     f = _scaled(vars(args), _FREQ_SCALES)
     if f is None:
         raise _UsageError("freq_mhz (or --freq-ghz / --freq-hz)")
@@ -225,23 +206,17 @@ def _cmd_convert_band(args, constants) -> int:
     ]
     if args.format == "table":
         print(f"band  {band}")
-    _emit_rows(args, rows)
-    return EXIT_OK
+    return rows
 
 
-def _cmd_convert_bands(args, constants) -> int:
-    text = quantities.band_catalog_csv()
-    if args.out:
-        _write_file(args.out, text)
-    else:
-        print(text, end="")
-    return EXIT_OK
+def _cmd_convert_bands(args, constants) -> str:
+    return quantities.band_catalog_csv()
 
 
 # --- geometry -------------------------------------------------------------------
 
 
-def _cmd_geometry_slant(args, constants) -> int:
+def _cmd_geometry_slant(args, constants) -> dict:
     elev_rad = math.radians(args.elevation_deg)
     record = {
         "altitude_km": args.altitude_km,
@@ -252,26 +227,21 @@ def _cmd_geometry_slant(args, constants) -> int:
         record["slant_range_altitude_approx_km"] = geometry.slant_range_altitude_approx(
             args.altitude_km, elev_rad
         )
-    _emit_record(args, record)
-    return EXIT_OK
+    return record
 
 
-def _cmd_geometry_footprint(args, constants) -> int:
+def _cmd_geometry_footprint(args, constants) -> dict:
     fp = geometry.satellite_footprint(args.sats_per_orbit, args.coverage_sats, constants)
-    _emit_record(
-        args,
-        {
-            "sats_per_orbit": args.sats_per_orbit,
-            "coverage_sats": args.coverage_sats or args.sats_per_orbit,
-            "footprint_diameter_km": fp.diameter_km,
-            "footprint_area_km2": fp.area_km2,
-            "coverage_fraction": fp.coverage_fraction,
-        },
-    )
-    return EXIT_OK
+    return {
+        "sats_per_orbit": args.sats_per_orbit,
+        "coverage_sats": args.coverage_sats or args.sats_per_orbit,
+        "footprint_diameter_km": fp.diameter_km,
+        "footprint_area_km2": fp.area_km2,
+        "coverage_fraction": fp.coverage_fraction,
+    }
 
 
-def _cmd_geometry_cell(args, constants) -> int:
+def _cmd_geometry_cell(args, constants) -> dict:
     r = geometry.cell_radius_from_split(args.parent_radius_km, args.beams)
     record = {
         "parent_radius_km": args.parent_radius_km,
@@ -282,8 +252,7 @@ def _cmd_geometry_cell(args, constants) -> int:
         hpbw = geometry.required_hpbw(r, args.altitude_km)
         record["required_hpbw_rad"] = hpbw
         record["required_hpbw_deg"] = math.degrees(hpbw)
-    _emit_record(args, record)
-    return EXIT_OK
+    return record
 
 
 # --- linkbudget -------------------------------------------------------------------
@@ -294,6 +263,18 @@ _BUDGET_KEYS = (
     "distance_km", "altitude_km", "elevation_deg", "freq_ghz", "freq_mhz", "eirp_dbw", "power_w", "gain_dbi",
     "terminal", "rx_gain_dbi", "nf_db", "noise_temp_k", "g_over_t_dbk", *_BW_SCALES, "atm_loss_db", "ad_loss_db",
     "margin_db",
+)
+
+
+# The forms each linkbudget quantity can take. A flag that sets a key of one
+# form drops the --config keys of the quantity's other forms.
+_BUDGET_FORMS = (
+    ({"distance_km"}, {"altitude_km", "elevation_deg"}),
+    ({"freq_ghz"}, {"freq_mhz"}),
+    tuple({key} for key in _BW_SCALES),
+    ({"eirp_dbw"}, {"power_w", "gain_dbi"}),
+    ({"g_over_t_dbk"}, {"terminal"}, {"rx_gain_dbi", "nf_db", "noise_temp_k"}),
+    ({"nf_db"}, {"noise_temp_k"}),
 )
 
 
@@ -314,19 +295,19 @@ def _load_budget_config(path: str) -> dict:
     return doc
 
 
-def _cmd_linkbudget(args, constants) -> int:
+def _cmd_linkbudget(args, constants) -> dict:
     cfg = _load_budget_config(args.config) if args.config else {}
-    for key in _BUDGET_KEYS:
-        v = getattr(args, key)
-        if v is not None:
-            cfg[key] = v
+    flags = {key: v for key in _BUDGET_KEYS if (v := getattr(args, key)) is not None}
+    for forms in _BUDGET_FORMS:
+        unflagged = [form for form in forms if not form & flags.keys()]
+        if len(unflagged) < len(forms):
+            cfg = {k: v for k, v in cfg.items() if not any(k in form for form in unflagged)}
+    cfg.update(flags)
 
     if "distance_km" in cfg:
         distance_m = cfg["distance_km"] * 1e3
     elif "altitude_km" in cfg and "elevation_deg" in cfg:
-        distance_m = 1e3 * geometry.slant_range_exact(
-            cfg["altitude_km"], math.radians(cfg["elevation_deg"]), constants
-        )
+        distance_m = 1e3 * geometry.slant_range_exact(cfg["altitude_km"], math.radians(cfg["elevation_deg"]), constants)
     else:
         raise _UsageError("distance_km (or altitude_km + elevation_deg)")
 
@@ -334,7 +315,7 @@ def _cmd_linkbudget(args, constants) -> int:
     if freq_hz is None:
         raise _UsageError("freq_ghz")
 
-    bw_hz = _scaled(vars(args), _BW_SCALES) or _scaled(cfg, _BW_SCALES)
+    bw_hz = _scaled(cfg, _BW_SCALES)
     if bw_hz is None:
         raise _UsageError("bw_khz (or --bw-hz / --bw-mhz / --bw-ghz)")
 
@@ -343,74 +324,48 @@ def _cmd_linkbudget(args, constants) -> int:
     margin = cfg.get("margin_db", 0.0)
 
     if "eirp_dbw" in cfg:
-        tx = linkbudget.Transmitter(
-            power_w=quantities.linear_from_db(cfg["eirp_dbw"]), gain_dbi=0.0
-        )
+        tx = linkbudget.Transmitter(power_w=quantities.linear_from_db(cfg["eirp_dbw"]), gain_dbi=0.0)
     elif "power_w" in cfg and "gain_dbi" in cfg:
         tx = linkbudget.Transmitter(power_w=cfg["power_w"], gain_dbi=cfg["gain_dbi"])
     else:
         raise _UsageError("eirp_dbw (or power_w + gain_dbi)")
 
     if "g_over_t_dbk" in cfg:
-        result = linkbudget.snr_db(
-            tx.eirp_dbw,
-            cfg["g_over_t_dbk"],
-            linkbudget.fspl(distance_m, freq_hz, constants),
-            atm,
-            ad,
-            margin,
-            quantities.db_from_linear(bw_hz),
-            constants,
-        )
+        fspl_db = linkbudget.fspl(distance_m, freq_hz, constants)
+        bw_dbhz = quantities.db_from_linear(bw_hz)
+        result = linkbudget.snr_db(tx.eirp_dbw, cfg["g_over_t_dbk"], fspl_db, atm, ad, margin, bw_dbhz, constants)
+        return result.to_dict()
+    if "terminal" in cfg:
+        profile = scenario.terminal_profile(cfg["terminal"])
+        gain_dbi, nf_db, noise_temp_k = profile.gain_dbi, profile.nf_db, profile.noise_temp_k
+    elif "rx_gain_dbi" in cfg and ("nf_db" in cfg or "noise_temp_k" in cfg):
+        gain_dbi, nf_db, noise_temp_k = cfg["rx_gain_dbi"], cfg.get("nf_db"), cfg.get("noise_temp_k")
     else:
-        if "terminal" in cfg:
-            profile = scenario.terminal_profile(cfg["terminal"])
-            rx = linkbudget.Receiver(
-                gain_dbi=profile.gain_dbi,
-                nf_db=profile.nf_db,
-                noise_temp_k=profile.noise_temp_k,
-                t_ref_k=constants.t_ref_k,
-            )
-        elif "rx_gain_dbi" in cfg and ("nf_db" in cfg or "noise_temp_k" in cfg):
-            rx = linkbudget.Receiver(
-                gain_dbi=cfg["rx_gain_dbi"],
-                nf_db=cfg.get("nf_db"),
-                noise_temp_k=cfg.get("noise_temp_k"),
-                t_ref_k=constants.t_ref_k,
-            )
-        else:
-            raise _UsageError("g_over_t_dbk, terminal, or rx_gain_dbi + nf_db/noise_temp_k")
-        result = linkbudget.link_budget(
-            tx, rx, distance_m, freq_hz, bw_hz, atm, ad, margin, constants
-        )
-    _emit_record(args, result.to_dict())
-    return EXIT_OK
+        raise _UsageError("g_over_t_dbk, terminal, or rx_gain_dbi + nf_db/noise_temp_k")
+    rx = linkbudget.Receiver(gain_dbi=gain_dbi, nf_db=nf_db, noise_temp_k=noise_temp_k, t_ref_k=constants.t_ref_k)
+    return linkbudget.link_budget(tx, rx, distance_m, freq_hz, bw_hz, atm, ad, margin, constants).to_dict()
 
 
 # --- capacity family ---------------------------------------------------------------
 
 
-def _cmd_capacity(args, constants) -> int:
+def _cmd_capacity(args, constants) -> dict:
     bw = _scaled(vars(args), _BW_SCALES)
     if bw is None:
         raise _UsageError("bw_khz (or --bw-hz / --bw-mhz / --bw-ghz)")
     if (args.snr_db is None) == (args.snr_linear is None):
         raise _UsageError("exactly one of --snr-db, --snr-linear")
     snr = args.snr_linear if args.snr_linear is not None else quantities.linear_from_db(args.snr_db)
-    _emit_record(
-        args,
-        {
-            "bw_hz": bw,
-            "snr_linear": snr,
-            "snr_db": quantities.db_from_linear(snr) if snr > 0 else -math.inf,
-            "se_max_bps_hz": capacity.max_spectral_efficiency(snr),
-            "capacity_bps": capacity.shannon_capacity(bw, snr),
-        },
-    )
-    return EXIT_OK
+    return {
+        "bw_hz": bw,
+        "snr_linear": snr,
+        "snr_db": quantities.db_from_linear(snr) if snr > 0 else -math.inf,
+        "se_max_bps_hz": capacity.max_spectral_efficiency(snr),
+        "capacity_bps": capacity.shannon_capacity(bw, snr),
+    }
 
 
-def _cmd_modcod(args, constants) -> int:
+def _cmd_modcod(args, constants) -> dict:
     catalog = capacity.load_modcod_catalog(Path(args.catalog)) if args.catalog else capacity.MODCOD_TABLE
     chosen, margin = capacity.select_modcod(args.snr_db, catalog)
     record = {
@@ -423,11 +378,10 @@ def _cmd_modcod(args, constants) -> int:
     bw = _scaled(vars(args), _BW_SCALES)
     if bw is not None:
         record["bitrate_bps"] = capacity.effective_bitrate(chosen.se_bps_hz, bw)
-    _emit_record(args, record)
-    return EXIT_OK
+    return record
 
 
-def _cmd_multibeam(args, constants) -> int:
+def _cmd_multibeam(args, constants) -> dict:
     cfg = capacity.MultiBeamConfig(
         se_bps_hz=args.se,
         bandwidth_hz=args.bw_ghz * 1e9,
@@ -436,68 +390,46 @@ def _cmd_multibeam(args, constants) -> int:
         colors=args.colors,
         guard_fraction=args.guard,
     )
-    _emit_record(
-        args,
-        {
-            "se_bps_hz": cfg.se_bps_hz,
-            "bw_hz": cfg.bandwidth_hz,
-            "polarizations": cfg.polarizations,
-            "beams": cfg.beams,
-            "colors": cfg.colors,
-            "guard_fraction": cfg.guard_fraction,
-            "capacity_bps": capacity.multibeam_capacity(cfg),
-        },
-    )
-    return EXIT_OK
+    return {
+        "se_bps_hz": cfg.se_bps_hz,
+        "bw_hz": cfg.bandwidth_hz,
+        "polarizations": cfg.polarizations,
+        "beams": cfg.beams,
+        "colors": cfg.colors,
+        "guard_fraction": cfg.guard_fraction,
+        "capacity_bps": capacity.multibeam_capacity(cfg),
+    }
 
 
-def _cmd_cost(args, constants) -> int:
-    _emit_record(
-        args,
-        {"rtot_gbps": args.rtot_gbps, "cost_per_gbps": capacity.satellite_cost_per_gbps(args.rtot_gbps)},
-    )
-    return EXIT_OK
+def _cmd_cost(args, constants) -> dict:
+    return {"rtot_gbps": args.rtot_gbps, "cost_per_gbps": capacity.satellite_cost_per_gbps(args.rtot_gbps)}
 
 
-def _cmd_tcp(args, constants) -> int:
+def _cmd_tcp(args, constants) -> dict:
     model = capacity.TcpLinkModel(
         mss_bytes=args.mss,
         rtt_s=args.rtt_ms * 1e-3,
         loss_probability=args.ploss,
         c_constant=args.c,
     )
-    _emit_record(
-        args,
-        {
-            "mss_bytes": model.mss_bytes,
-            "rtt_ms": args.rtt_ms,
-            "loss_probability": model.loss_probability,
-            "c_constant": model.c_constant,
-            "throughput_bps": capacity.tcp_throughput_bound(model),
-        },
-    )
-    return EXIT_OK
+    return {
+        "mss_bytes": model.mss_bytes,
+        "rtt_ms": args.rtt_ms,
+        "loss_probability": model.loss_probability,
+        "c_constant": model.c_constant,
+        "throughput_bps": capacity.tcp_throughput_bound(model),
+    }
 
 
 # --- antenna -------------------------------------------------------------------------
 
 
-def _write_file(path: str, text: str) -> None:
-    # OSError propagates to main() and maps to the I/O exit code
-    Path(path).write_text(text)
-
-
-def _cmd_antenna_pattern(args, constants) -> int:
+def _cmd_antenna_pattern(args, constants) -> str:
     spec = antenna.ArraySpec.linear(args.elements, spacing_wavelengths=args.spacing)
-    text = antenna.pattern_csv(spec, args.resolution_deg)
-    if args.out:
-        _write_file(args.out, text)
-    else:
-        print(text, end="")
-    return EXIT_OK
+    return antenna.pattern_csv(spec, args.resolution_deg)
 
 
-def _cmd_antenna_select(args, constants) -> int:
+def _cmd_antenna_select(args, constants) -> dict:
     if args.hpbw_deg is not None:
         required = args.hpbw_deg
         extra = {}
@@ -507,7 +439,7 @@ def _cmd_antenna_select(args, constants) -> int:
     else:
         raise _UsageError("hpbw_deg (or cell_radius_km + altitude_km)")
     spec, peak_dbi, edge_dbi = antenna.select_array(required)
-    record = {
+    return {
         **extra,
         "required_hpbw_deg": required,
         "array": spec.label,
@@ -516,11 +448,9 @@ def _cmd_antenna_select(args, constants) -> int:
         "peak_gain_dbi": peak_dbi,
         "edge_gain_dbi": edge_dbi,
     }
-    _emit_record(args, record)
-    return EXIT_OK
 
 
-def _cmd_antenna_table(args, constants) -> int:
+def _cmd_antenna_table(args, constants) -> list[dict]:
     rows = []
     for spec in antenna.ARRAY_CATALOG:
         d = antenna.directivity(spec)
@@ -532,15 +462,14 @@ def _cmd_antenna_table(args, constants) -> int:
                 "hpbw_deg": None if spec.elements == 1 else antenna.hpbw_from_directivity(d.linear),
             }
         )
-    _emit_rows(args, rows)
-    return EXIT_OK
+    return rows
 
 
 # --- constellation ----------------------------------------------------------------------
 
 
-def _cmd_constellation_list(args, constants) -> int:
-    rows = [
+def _cmd_constellation_list(args, constants) -> list[dict]:
+    return [
         {
             "constellation": s.constellation,
             "shell": s.shell_id,
@@ -552,33 +481,49 @@ def _cmd_constellation_list(args, constants) -> int:
         }
         for s in constellation.list_shells()
     ]
-    _emit_rows(args, rows)
-    return EXIT_OK
 
 
-def _cmd_constellation_stats(args, constants) -> int:
+def _cmd_constellation_stats(args, constants) -> dict:
     stats = constellation.shell_stats(args.shell, constants)
     shell = constellation.get_shell(args.shell)
-    _emit_record(
-        args,
-        {
-            "shell": stats.shell_id,
-            "constellation": shell.constellation,
-            "altitude_km": shell.altitude_km,
-            "footprint_diameter_km": stats.footprint_diameter_km,
-            "footprint_area_km2": stats.footprint_area_km2,
-            "orbit_coverage_fraction": stats.orbit_coverage_fraction,
-            "shell_coverage_fraction": stats.shell_coverage_fraction,
-            "total_satellites": stats.total_satellites,
-        },
-    )
-    return EXIT_OK
+    return {
+        "shell": stats.shell_id,
+        "constellation": shell.constellation,
+        "altitude_km": shell.altitude_km,
+        "footprint_diameter_km": stats.footprint_diameter_km,
+        "footprint_area_km2": stats.footprint_area_km2,
+        "orbit_coverage_fraction": stats.orbit_coverage_fraction,
+        "shell_coverage_fraction": stats.shell_coverage_fraction,
+        "total_satellites": stats.total_satellites,
+    }
 
 
 # --- scenario -------------------------------------------------------------------------------
 
 
-def _report_rows(report: scenario.ScenarioReport) -> list[dict]:
+def _cmd_scenario_run(args, constants) -> dict | list[dict]:
+    name = args.scenario
+    try:
+        s = scenario.fixture(name)
+    except NotFoundError:
+        if Path(name).is_file():
+            s = scenario.load_scenario(Path(name))
+        elif name.endswith(".json"):
+            raise NotFoundError(f"scenario file {name!r} not found") from None
+        else:
+            raise
+    report = scenario.run_scenario(s)
+    if args.format == "json":
+        return report.to_doc()
+    if args.format == "table":
+        print(f"scenario  {s.name} ({s.orbit})")
+        if s.description:
+            print(f"about     {s.description}")
+        if report.slant_range_km is not None:
+            print(f"slant_range_km  {report.slant_range_km:.1f}")
+        for note in s.annotations:
+            print(f"note      {note}")
+        print()
     return [
         {
             "quantity": f.quantity,
@@ -594,36 +539,8 @@ def _report_rows(report: scenario.ScenarioReport) -> list[dict]:
     ]
 
 
-def _cmd_scenario_run(args, constants) -> int:
-    name = args.scenario
-    try:
-        s = scenario.fixture(name)
-    except NotFoundError:
-        if Path(name).is_file():
-            s = scenario.load_scenario(Path(name))
-        elif name.endswith(".json"):
-            raise NotFoundError(f"scenario file {name!r} not found") from None
-        else:
-            raise
-    report = scenario.run_scenario(s)
-    if args.format == "json":
-        print(quantities.dump_json(_json_ready(report.to_doc())))
-        return EXIT_OK
-    if args.format == "table":
-        print(f"scenario  {s.name} ({s.orbit})")
-        if s.description:
-            print(f"about     {s.description}")
-        if report.slant_range_km is not None:
-            print(f"slant_range_km  {report.slant_range_km:.1f}")
-        for note in s.annotations:
-            print(f"note      {note}")
-        print()
-    _emit_rows(args, _report_rows(report))
-    return EXIT_OK
-
-
-def _cmd_scenario_list(args, constants) -> int:
-    rows = [
+def _cmd_scenario_list(args, constants) -> list[dict]:
+    return [
         {
             "name": s.name,
             "orbit": s.orbit,
@@ -633,8 +550,6 @@ def _cmd_scenario_list(args, constants) -> int:
         }
         for s in scenario.builtin_fixtures()
     ]
-    _emit_rows(args, rows)
-    return EXIT_OK
 
 
 # --- parser ------------------------------------------------------------------------------------
@@ -815,7 +730,12 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     try:
         constants = _constants_from_env()
-        return args.func(args, constants)
+        _emit(args, args.func(args, constants))
+    except BrokenPipeError:
+        # the reader closed stdout: send what is left to devnull, so the flush at exit is silent
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     except _UsageError as exc:
         print(f"error: missing parameter: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -831,6 +751,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
+    return EXIT_OK
 
 
 if __name__ == "__main__":

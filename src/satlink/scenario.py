@@ -465,11 +465,11 @@ class ScenarioReport:
 
     @classmethod
     def from_doc(cls, doc: dict) -> "ScenarioReport":
-        """The report a `to_doc` mapping describes; a mapping of another
-        shape raises ParseError "report document: …"."""
+        """The report a `to_doc` mapping describes; another shape raises ParseError
+        "report document: …", and a "scenario" that is not a mapping raises ParseError."""
         try:
             return cls(
-                scenario=load_scenario(doc["scenario"]),
+                scenario=_scenario_from_doc(doc["scenario"]),
                 slant_range_km=doc.get("slant_range_km"),
                 findings=tuple(Finding.from_doc(f) for f in doc.get("findings", [])),
             )

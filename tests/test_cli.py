@@ -1,10 +1,17 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from pytest import approx
 
-from satlink import cli
+import satlink
+from satlink import cli, geometry, linkbudget
+
+SRC = str(Path(satlink.__file__).resolve().parents[1])
 
 
 @pytest.fixture(autouse=True)
@@ -532,3 +539,55 @@ class TestRefusedDocumentsAndExtremes:
                 "--g-over-t-dbk", "1", "--bw-mhz", "1")
         expected = "error: path loss 4*pi*d*f/c underflows to 0 for distance 1e-297 m and frequency 1e-291 Hz\n"
         assert run(capsys, *argv) == (1, "", expected)
+
+
+class TestFlagsBeatConfig:
+    """A linkbudget flag replaces every form of its quantity in --config."""
+
+    CONFIG = {"distance_km": 1000, "freq_ghz": 2, "eirp_dbw": 40, "g_over_t_dbk": 0, "bw_mhz": 1}
+
+    @pytest.fixture
+    def cfg(self, tmp_path):
+        path = tmp_path / "budget.json"
+        path.write_text(json.dumps(self.CONFIG))
+        return str(path)
+
+    def test_frequency_flag_beats_config_frequency(self, capsys, cfg):
+        doc = run_json(capsys, "linkbudget", "--config", cfg, "--freq-mhz", "1500")
+        assert doc["fspl_db"] == float(canon(linkbudget.fspl(1e6, 1.5e9)))
+
+    def test_altitude_and_elevation_flags_beat_config_distance(self, capsys, cfg):
+        doc = run_json(capsys, "linkbudget", "--config", cfg, "--altitude-km", "500", "--elevation-deg", "30")
+        distance_m = 1e3 * geometry.slant_range_exact(500.0, math.radians(30.0))
+        assert doc["fspl_db"] == float(canon(linkbudget.fspl(distance_m, 2e9)))
+
+    def test_receiver_flags_beat_config_g_over_t(self, capsys, cfg):
+        doc = run_json(capsys, "linkbudget", "--config", cfg, "--rx-gain-dbi", "3", "--noise-temp-k", "400")
+        assert doc["g_over_t_dbk"] == float(canon(linkbudget.g_over_t(3.0, 400.0)))
+
+    def test_a_lone_half_of_a_form_does_not_fall_back_to_the_config(self, capsys, cfg):
+        code, out, err = run(capsys, "linkbudget", "--config", cfg, "--power-w", "10")
+        assert (code, out) == (2, "")
+        assert err == "error: missing parameter: eirp_dbw (or power_w + gain_dbi)\n"
+
+
+class TestClosedStdout:
+    """A reader that closes stdout unread ends the run quietly."""
+
+    @pytest.mark.parametrize("argv, unbuffered", [
+        (("scenario", "run", "thales", "--format", "json"), ""),
+        (("convert", "db", "--linear", "2"), ""),
+        (("antenna", "pattern", "--elements", "4"), ""),
+        (("convert", "band", "--freq-mhz", "1990", "--direction", "uplink"), "1"),  # fails in the preamble
+    ])
+    def test_exits_0_without_a_message(self, argv, unbuffered):
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # closed before the child writes a byte
+        env = {**os.environ, "PYTHONPATH": SRC, "PYTHONUNBUFFERED": unbuffered}
+        env.pop("SATLINK_CONSTANTS", None)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "satlink.cli", *argv], stdout=write_end,
+                                  stderr=subprocess.PIPE, env=env, timeout=120)
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (0, b"")

@@ -4,6 +4,7 @@ Each check runs in a fresh interpreter, since this test process has long
 since imported numpy.
 """
 
+import importlib
 import os
 import subprocess
 import sys
@@ -12,6 +13,7 @@ from pathlib import Path
 import satlink
 
 SRC = str(Path(satlink.__file__).resolve().parents[1])
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def python(code: str) -> str:
@@ -64,3 +66,18 @@ def test_unknown_attribute_is_still_missing():
         "    print(type(exc).__name__)\n"
     )
     assert out.split() == ["None", "False", "ImportError"]
+
+
+def test_benchmark_import_probe_times_every_module(monkeypatch):
+    """The benchmark's traced runs read an import time for each module it lists."""
+    before = set(sys.modules)
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    try:
+        run = importlib.import_module("run")
+        times = run.import_times_ms()
+    finally:  # perfbench's flat module names stay out of later tests
+        for name in set(sys.modules) - before:
+            if str(PERFBENCH) in str(getattr(sys.modules[name], "__file__", "")):
+                del sys.modules[name]
+    assert set(times) == {f"import.{name}_ms" for name in run.IMPORTED}
+    assert all(ms > 0 for ms in times.values())

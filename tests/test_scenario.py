@@ -381,6 +381,13 @@ class TestReportSerialization:
         with pytest.raises(ParseError, match=r"^report document: Exceeds the limit \(4300 digits\)"):
             sc.ScenarioReport.from_json(text)
 
+    def test_report_scenario_that_names_a_file(self, tmp_path):
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(sc.scenario_to_doc(sc.fixture("thales"))))
+        for scenario in (str(path), path.read_text()):
+            with pytest.raises(ParseError, match=r"^scenario document must be a JSON object$"):
+                sc.ScenarioReport.from_json(json.dumps({"scenario": scenario}))
+
     def test_finding_lookup_missing(self):
         report = sc.run_scenario(sc.fixture("thales"))
         with pytest.raises(NotFoundError):
