@@ -7,7 +7,9 @@ import csv
 import io
 import math
 import warnings
+from bisect import bisect_right
 from dataclasses import dataclass
+from operator import attrgetter
 
 from .errors import DomainError, NoFeasibleModcodError, ParseError, ValidationError
 from .quantities import linear_from_db, read_document, require
@@ -58,24 +60,57 @@ class ModCod:
             )
 
 
-def validate_catalog(catalog) -> tuple[ModCod, ...]:
-    """Check a MODCOD catalog: non-empty, and increasing spectral efficiency
-    must never come with a decreasing SNR requirement."""
+_SE_THEN_SNR = attrgetter("se_bps_hz", "snr_qef_db")
+_SNR = attrgetter("snr_qef_db")
+
+
+def _ladder(catalog) -> tuple[tuple[ModCod, ...], list[float], list[ModCod], ModCod]:
+    """Check a MODCOD catalog and order it for selection by bisection.
+
+    Returns the entries in the order given, the SNR requirements in
+    (spectral efficiency, requirement) order, the pick for each prefix of
+    that order, and the floor. A monotone catalog keeps the requirements
+    non-decreasing in that order, so the entries an SNR meets are a prefix.
+    The pick of a prefix is the first entry of its highest-efficiency run:
+    the lowest requirement and, the sort being stable, the first such entry
+    in catalog order. The floor is the entry with the lowest requirement,
+    the first in catalog order on a tie.
+    """
     entries = tuple(catalog)
     if not entries:
         raise DomainError("MODCOD catalog is empty")
-    by_se = sorted(entries, key=lambda m: m.se_bps_hz)
-    for a, b in zip(by_se, by_se[1:]):
-        if b.se_bps_hz > a.se_bps_hz and b.snr_qef_db < a.snr_qef_db:
-            raise DomainError(
-                f"catalog not monotone: {b.name} offers more throughput than {a.name} "
-                f"at a lower SNR requirement"
-            )
-    return entries
+    ordered = sorted(entries, key=_SE_THEN_SNR)
+    picks = []
+    best = a = ordered[0]
+    for b in ordered:
+        if b.se_bps_hz > a.se_bps_hz:
+            if b.snr_qef_db < a.snr_qef_db:
+                raise DomainError(
+                    f"catalog not monotone: {b.name} offers more throughput than {a.name} "
+                    f"at a lower SNR requirement"
+                )
+            best = b
+        picks.append(best)
+        a = b
+    thresholds = list(map(_SNR, ordered))
+    # ordered[0] has the lowest requirement; only a tie needs the catalog order
+    tied = len(ordered) > 1 and thresholds[1] == thresholds[0]
+    floor = min(entries, key=_SNR) if tied else ordered[0]
+    return entries, thresholds, picks, floor
+
+
+def validate_catalog(catalog) -> tuple[ModCod, ...]:
+    """Check a MODCOD catalog: non-empty, and no entry may offer a higher
+    spectral efficiency than another at a lower SNR requirement.
+
+    The rule holds for every pair, so the answer does not depend on the
+    order of the entries.
+    """
+    return _ladder(catalog)[0]
 
 
 # Reference catalog for a theoretical DVB-class modem, checked once here.
-MODCOD_TABLE: tuple[ModCod, ...] = validate_catalog((
+_TABLE_LADDER = _ladder((
     ModCod("APSK 1/2", 0.4, -2.0),
     ModCod("CPSK 1/4", 0.5, 0.0),
     ModCod("CPSK 1/2", 0.6, 1.0),
@@ -86,26 +121,27 @@ MODCOD_TABLE: tuple[ModCod, ...] = validate_catalog((
     ModCod("DPSK 5/6", 1.25, 7.0),
     ModCod("DPSK 7/8", 1.5, 9.0),
 ))
+MODCOD_TABLE: tuple[ModCod, ...] = _TABLE_LADDER[0]
 
 
 def select_modcod(snr_db: float, catalog=MODCOD_TABLE) -> tuple[ModCod, float]:
     """Pick the highest-rate scheme the SNR supports.
 
     Returns the chosen entry and the margin (dB) above its requirement.
-    Ties on spectral efficiency resolve toward the lower SNR requirement.
+    An SNR exactly at a requirement meets it. Ties on spectral efficiency
+    resolve toward the lower SNR requirement, then to catalog order.
     Raises NoFeasibleModcodError when the SNR is below every entry.
     """
     require("snr", snr_db, "must be finite dB")
-    entries = catalog if catalog is MODCOD_TABLE else validate_catalog(catalog)
-    eligible = [m for m in entries if m.snr_qef_db <= snr_db]
-    if not eligible:
-        floor = min(entries, key=lambda m: m.snr_qef_db)
+    _, thresholds, picks, floor = _TABLE_LADDER if catalog is MODCOD_TABLE else _ladder(catalog)
+    k = bisect_right(thresholds, snr_db)
+    if not k:
         raise NoFeasibleModcodError(
             f"snr {snr_db:g} dB is below the catalog floor "
             f"({floor.name} needs {floor.snr_qef_db:g} dB)",
             floor=floor,
         )
-    best = max(eligible, key=lambda m: (m.se_bps_hz, -m.snr_qef_db))
+    best = picks[k - 1]
     return best, snr_db - best.snr_qef_db
 
 

@@ -19,8 +19,10 @@ boltzmann_j_per_k, earth_radius_km).
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -555,8 +557,27 @@ def _cmd_scenario_list(args, constants) -> list[dict]:
 # --- parser ------------------------------------------------------------------------------------
 
 
+# argparse reads only "-123" and "-1.5" as negative numbers and takes any
+# other token that starts with "-" for an option, which leaves "--db -1e3"
+# without a value. This reads every negative decimal literal, exponent form
+# included, as a value. "-inf" and "-nan" are still read as options, as the
+# CLI corpus pins; they are passed as "--db=-inf".
+_NEGATIVE_NUMBER = re.compile(r"^-(?:\d+\.?\d*|\.\d+)(?:e[-+]?\d+)?$", re.IGNORECASE)
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that reads every negative decimal literal (-1e3,
+    -1e308, -2.5E-3) as a value; its subparsers are built from the same class."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
+
+
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    """The parser tree, built once per process: parsing leaves no state in it."""
+    parser = _Parser(
         prog="satlink",
         description="Satellite-link engineering toolkit",
     )

@@ -295,9 +295,16 @@ def _ledger(
 ) -> LinkBudgetResult:
     k_db = constants.boltzmann_dbw_per_k_hz
     snr = eirp_dbw + g_over_t_dbk - fspl_db - atm_loss_db - ad_loss_db - margin_db - bw_dbhz - k_db
-    return LinkBudgetResult(
-        eirp_dbw, g_over_t_dbk, fspl_db, atm_loss_db, ad_loss_db, margin_db, bw_dbhz, k_db, snr, rx_w, n_w
+    # The result is filled in one step instead of by the generated frozen
+    # __init__ (one object.__setattr__ per field). That skips no check only
+    # because LinkBudgetResult has no __post_init__.
+    result = object.__new__(LinkBudgetResult)
+    vars(result).update(
+        eirp_dbw=eirp_dbw, g_over_t_dbk=g_over_t_dbk, fspl_db=fspl_db, atm_loss_db=atm_loss_db,
+        ad_loss_db=ad_loss_db, margin_db=margin_db, bw_dbhz=bw_dbhz, boltzmann_dbw_per_k_hz=k_db, snr_db=snr,
+        received_power_w=rx_w, noise_power_w=n_w,
     )
+    return result
 
 
 def link_budget(
