@@ -19,7 +19,9 @@ boltzmann_j_per_k, earth_radius_km).
 from __future__ import annotations
 
 import argparse
+import csv
 import functools
+import io
 import math
 import os
 import re
@@ -92,8 +94,9 @@ def _emit(args, result) -> None:
     """Write a handler's result to --out or stdout.
 
     Text goes out as it is. A record (dict) or rows (list of dicts) is
-    rendered as --format asks: JSON at 6 significant digits, CSV (a record
-    is one row), or a table, key/value for a record and columns for rows.
+    rendered as --format asks: JSON at 6 significant digits, CSV quoted as
+    the csv module quotes (a record is one row), or a table, key/value for
+    a record and columns for rows.
     """
     if isinstance(result, str):
         text = result
@@ -105,15 +108,16 @@ def _emit(args, result) -> None:
         precise = args.format == "csv" or args.precise
         cells = [[_fmt(k, row.get(k), precise) for k in keys] for row in rows]
         if args.format == "csv":
-            lines = [",".join(line) for line in (keys, *cells)]
+            buffer = io.StringIO()
+            csv.writer(buffer, lineterminator="\n").writerows([keys, *cells])
+            text = buffer.getvalue()
         elif isinstance(result, dict):
             width = max(map(len, keys))
-            lines = [f"{k:<{width}}  {cell}" for k, cell in zip(keys, cells[0])]
+            text = "".join(f"{k:<{width}}  {cell}\n" for k, cell in zip(keys, cells[0]))
         else:
             table = [keys, *cells]
             widths = [max(len(line[i]) for line in table) for i in range(len(keys))]
-            lines = ["  ".join(f"{cell:<{w}}" for cell, w in zip(line, widths)) for line in table]
-        text = "\n".join(lines) + "\n"
+            text = "".join("  ".join(f"{cell:<{w}}" for cell, w in zip(line, widths)) + "\n" for line in table)
     if getattr(args, "out", None):
         Path(args.out).write_text(text)  # an OSError maps to the I/O exit code in main
     else:

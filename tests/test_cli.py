@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 import os
@@ -384,6 +386,24 @@ class TestScenario:
         lines = out.strip().splitlines()
         assert len(lines) == 1 + 8
         assert lines[1].startswith("thales")
+
+    def test_run_csv_round_trips_quoted_fields(self, capsys, tmp_path):
+        tricky = 'a, "b"\nc'
+        path = tmp_path / "tricky.json"
+        path.write_text(json.dumps({
+            "name": tricky,
+            "orbit": "LEO",
+            "altitude_km": 550.0,
+            "elevation_deg": 45.0,
+            "cases": [{"direction": "dl", "label": tricky, "sinr_db": 3.0, "bw_mhz": 1.0}],
+        }))
+        code, out, err = run(capsys, "scenario", "run", str(path), "--format", "csv")
+        assert code == 0, err
+        rows = list(csv.DictReader(io.StringIO(out)))
+        findings = run_json(capsys, "scenario", "run", str(path))["findings"]
+        keys = ("quantity", "direction", "label", "status")
+        assert [[row[k] for k in keys] for row in rows] == [[f.get(k) or "" for k in keys] for f in findings]
+        assert tricky in {row["label"] for row in rows}
 
     def test_invalid_scenario_file_is_domain_error(self, capsys, tmp_path):
         path = tmp_path / "broken.json"

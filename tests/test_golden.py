@@ -19,6 +19,7 @@ diff.
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import io
 import json
@@ -489,6 +490,19 @@ def test_cli_corpus(tmp_path, monkeypatch):
     assert not diffs, "\n".join(
         f"{' '.join(want['argv'])}\n  want {want}\n  got  {got}" for want, got in diffs[:5]
     )
+
+
+def test_cli_csv_output_parses(tmp_path, monkeypatch):
+    """Every `--format csv` run of the corpus prints rows as long as its header."""
+    monkeypatch.chdir(tmp_path)
+    write_cli_files(tmp_path)
+    runs = [(env, argv) for env, argv in cli_invocations() if "--format" in argv and "csv" in argv]
+    assert len(runs) >= 50
+    for constants, argv in runs:
+        record = cli_record(constants, argv)
+        if record["code"] == cli.EXIT_OK:
+            rows = list(csv.reader(io.StringIO(record["stdout"])))
+            assert rows and all(len(row) == len(rows[0]) for row in rows), (argv, record["stdout"])
 
 
 def _capture() -> None:
