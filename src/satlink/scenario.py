@@ -260,7 +260,10 @@ def _parse_case(doc: dict, index: int) -> LinkCase:
         raise ValidationError(f"cases[{index}].{sorted(unknown)[0]}", f"unknown case keys: {sorted(unknown)}")
     if "direction" not in doc:
         raise ValidationError(f"cases[{index}].direction", "case needs a direction")
-    kwargs: dict = {"direction": doc["direction"], "label": doc.get("label", "nominal")}
+    label = doc.get("label", "nominal")
+    if not isinstance(label, str):
+        raise ValidationError(f"cases[{index}].label", "case label must be a string")
+    kwargs: dict = {"direction": doc["direction"], "label": label}
     for key, target, scale in (
         ("sinr_db", "sinr_db", None),
         ("se_bps_hz", "se_bps_hz", None),

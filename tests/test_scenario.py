@@ -123,6 +123,12 @@ class TestLoadScenario:
         with pytest.raises(ValidationError):
             sc.load_scenario({"name": "x", "orbit": "LEO", "cases": [{"direction": "sideways"}]})
 
+    @pytest.mark.parametrize("label", [["a"], {"a": 1}, 3, None], ids=["list", "dict", "number", "null"])
+    def test_case_label_must_be_a_string(self, label):
+        with pytest.raises(ValidationError, match="case label must be a string") as err:
+            sc.load_scenario({"name": "x", "orbit": "LEO", "cases": [{"direction": "dl", "label": label, "sinr_db": 3}]})
+        assert err.value.field == "cases[0].label"
+
     def test_reuse_must_be_integer(self):
         with pytest.raises(ValidationError):
             sc.load_scenario({"name": "x", "orbit": "LEO", "reuse": 2.5})
