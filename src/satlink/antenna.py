@@ -151,7 +151,10 @@ def hpbw_from_directivity(directivity_linear: float) -> float:
     return math.sqrt(HPBW_APPROX_COEFFICIENT / require("directivity", directivity_linear, "must be > 0"))
 
 
-def hpbw_numeric(spec: ArraySpec, tol_rad: float = 1e-9) -> float:
+_HPBW_TOL_RAD = 1e-9  # bisection stops when the bracket on theta is this narrow
+
+
+def hpbw_numeric(spec: ArraySpec) -> float:
     """Broadside half-power beamwidth (degrees) of a linear array, located by
     bisection on |f(psi(theta))|^2 = 0.5 around the main lobe.
 
@@ -181,7 +184,7 @@ def hpbw_numeric(spec: ArraySpec, tol_rad: float = 1e-9) -> float:
             f"(N={n}, spacing={sp} wavelengths)"
         )
     # power rises monotonically from the first null to the broadside peak
-    while hi - lo > tol_rad:
+    while hi - lo > _HPBW_TOL_RAD:
         mid = 0.5 * (lo + hi)
         if power(mid) < 0.5:
             lo = mid
