@@ -1,0 +1,80 @@
+"""Documents of hand-built records, key for key and in order.
+
+The CLI and golden corpora reach these records only through the bundled
+fixtures and flags; this pins the shapes they do not reach: a null label,
+empty and non-empty `missing`, each noise form of a terminal and a ledger
+with and without its watts fields.
+"""
+
+from __future__ import annotations
+
+from satlink import linkbudget as lb
+from satlink import scenario as sc
+
+
+def items(doc: dict) -> list:
+    return list(doc.items())
+
+
+def test_link_case_docs():
+    assert items(sc.LinkCase("dl", label=None).to_doc()) == [("direction", "dl"), ("label", None)]
+    assert items(sc.LinkCase("ul").to_doc()) == [("direction", "ul"), ("label", "nominal")]
+    case = sc.LinkCase("ul", "edge", sinr_db=0.0, se_bps_hz=1.5, bitrate_mbps=2.0, bw_mhz=5.0)
+    assert items(case.to_doc()) == [
+        ("direction", "ul"), ("label", "edge"), ("sinr_db", 0.0), ("se_bps_hz", 1.5), ("bitrate_mbps", 2.0),
+        ("bw_mhz", 5.0),
+    ]
+    assert items(sc.LinkCase("dl", "x", bw_mhz=3.0).to_doc()) == [("direction", "dl"), ("label", "x"), ("bw_mhz", 3.0)]
+
+
+def test_finding_docs():
+    bare = sc.Finding("slant_range_km", sc.COMPUTED, computed=600.0)
+    assert items(bare.to_doc()) == [("quantity", "slant_range_km"), ("status", "computed"), ("computed", 600.0)]
+    missing = sc.Finding("bitrate_bps", sc.NOT_COMPUTABLE, direction="ul", label="edge", reported=1e6,
+                         missing=("se_bps_hz", "bw_mhz"))
+    doc = missing.to_doc()
+    assert items(doc) == [
+        ("quantity", "bitrate_bps"), ("status", "not_computable"), ("direction", "ul"), ("label", "edge"),
+        ("reported", 1e6), ("missing", ["se_bps_hz", "bw_mhz"]),
+    ]
+    assert type(doc["missing"]) is list
+    full = sc.Finding("band", sc.INCONSISTENT, direction="dl", label=None, computed="S", reported="L", delta=0.0)
+    assert items(full.to_doc()) == [
+        ("quantity", "band"), ("status", "inconsistent"), ("direction", "dl"), ("computed", "S"), ("reported", "L"),
+        ("delta", 0.0),
+    ]
+    assert sc.Finding.from_doc(missing.to_doc()) == missing
+
+
+def test_terminal_profile_docs():
+    by_figure = sc.TerminalProfile("t", 1.0, nf_db=0.0)
+    assert items(by_figure.to_doc()) == [("name", "t"), ("gain_dbi", 1.0), ("nf_db", 0.0)]
+    by_temperature = sc.TerminalProfile("u", -2.0, noise_temp_k=300.0, eirp_dbm=0.0)
+    assert items(by_temperature.to_doc()) == [
+        ("name", "u"), ("gain_dbi", -2.0), ("noise_temp_k", 300.0), ("eirp_dbm", 0.0),
+    ]
+    assert items(sc.TERMINALS["vsat"].to_doc()) == [("name", "vsat"), ("gain_dbi", 12.0), ("nf_db", 5.0),
+                                                   ("eirp_dbm", 45.0)]
+
+
+LEDGER_KEYS = [
+    "eirp_dbw", "g_over_t_dbk", "fspl_db", "atm_loss_db", "ad_loss_db", "margin_db", "bw_dbhz",
+    "boltzmann_dbw_per_k_hz", "snr_db",
+]
+
+
+def test_link_budget_result_docs():
+    values = [float(i) for i in range(9)]
+    assert items(lb.LinkBudgetResult(*values).to_dict()) == list(zip(LEDGER_KEYS, values))
+    watts = lb.LinkBudgetResult(*values, received_power_w=1e-12, noise_power_w=0.0).to_dict()
+    assert items(watts) == [*zip(LEDGER_KEYS, values), ("received_power_w", 1e-12), ("noise_power_w", 0.0)]
+    # only the watts field that is set is written
+    half = lb.LinkBudgetResult(*values, noise_power_w=2e-14).to_dict()
+    assert items(half) == [*zip(LEDGER_KEYS, values), ("noise_power_w", 2e-14)]
+
+    ledger = lb.snr_db(27.4, -30.0, 184.9, 9.6, 0.0, 0.0, 30.0).to_dict()
+    assert list(ledger) == LEDGER_KEYS
+    tx, rx = lb.Transmitter(power_w=2.0, gain_dbi=12.0), lb.Receiver(gain_dbi=0.0, nf_db=7.0)
+    full = lb.link_budget(tx, rx, 5.5e5, 11.7e9, 1e6).to_dict()
+    assert list(full) == [*LEDGER_KEYS, "received_power_w", "noise_power_w"]
+    assert all(type(v) is float for v in full.values())
