@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from operator import attrgetter
 
 from .errors import DomainError, NoFeasibleModcodError, ParseError, ValidationError
-from .quantities import linear_from_db, read_document, require
+from .quantities import dump_csv, linear_from_db, read_document, require
 
 _LN2 = math.log(2.0)
 
@@ -146,12 +146,8 @@ def select_modcod(snr_db: float, catalog=MODCOD_TABLE) -> tuple[ModCod, float]:
 
 
 def modcod_catalog_csv(catalog=MODCOD_TABLE) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["name", "se_bps_hz", "snr_qef_db"])
-    for m in catalog:
-        writer.writerow([m.name, f"{m.se_bps_hz:g}", f"{m.snr_qef_db:g}"])
-    return out.getvalue()
+    rows = [(m.name, f"{m.se_bps_hz:g}", f"{m.snr_qef_db:g}") for m in catalog]
+    return dump_csv([("name", "se_bps_hz", "snr_qef_db"), *rows])
 
 
 def load_modcod_catalog(source) -> tuple[ModCod, ...]:

@@ -19,9 +19,7 @@ boltzmann_j_per_k, earth_radius_km).
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import io
 import math
 import os
 import re
@@ -108,9 +106,7 @@ def _emit(args, result) -> None:
         precise = args.format == "csv" or args.precise
         cells = [[_fmt(k, row.get(k), precise) for k in keys] for row in rows]
         if args.format == "csv":
-            buffer = io.StringIO()
-            csv.writer(buffer, lineterminator="\n").writerows([keys, *cells])
-            text = buffer.getvalue()
+            text = quantities.dump_csv([keys, *cells])
         elif isinstance(result, dict):
             width = max(map(len, keys))
             text = "".join(f"{k:<{width}}  {cell}\n" for k, cell in zip(keys, cells[0]))

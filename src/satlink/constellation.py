@@ -2,13 +2,11 @@
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 
 from .errors import DomainError, NotFoundError
 from .geometry import earth_coverage_fraction, footprint_area, footprint_diameter
-from .quantities import DEFAULT_CONSTANTS, PhysicalConstants, require
+from .quantities import DEFAULT_CONSTANTS, PhysicalConstants, dump_csv, require
 
 
 @dataclass(frozen=True)
@@ -97,11 +95,8 @@ def shell_stats(shell_id: str, constants: PhysicalConstants = DEFAULT_CONSTANTS)
 
 
 def shell_catalog_csv() -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["constellation", "shell", "altitude_km", "orbits", "sats_per_orbit", "inclination_deg"])
-    for s in SHELLS:
-        writer.writerow(
-            [s.constellation, s.shell_id, f"{s.altitude_km:g}", s.orbits, s.sats_per_orbit, f"{s.inclination_deg:g}"]
-        )
-    return out.getvalue()
+    rows = [
+        (s.constellation, s.shell_id, f"{s.altitude_km:g}", s.orbits, s.sats_per_orbit, f"{s.inclination_deg:g}")
+        for s in SHELLS
+    ]
+    return dump_csv([("constellation", "shell", "altitude_km", "orbits", "sats_per_orbit", "inclination_deg"), *rows])

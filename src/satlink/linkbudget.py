@@ -8,7 +8,6 @@ of the same algebra and are kept mutually consistent.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 
@@ -20,6 +19,7 @@ from .quantities import (
     linear_from_db,
     noise_figure_from_temperature,
     noise_temperature_from_nf,
+    record_doc,
     require,
     wavelength,
 )
@@ -194,19 +194,6 @@ class LossLedger:
         return self.fspl_db + self.atm_loss_db + self.ad_loss_db + self.margin_db
 
 
-_RESULT_KEYS = (
-    "eirp_dbw",
-    "g_over_t_dbk",
-    "fspl_db",
-    "atm_loss_db",
-    "ad_loss_db",
-    "margin_db",
-    "bw_dbhz",
-    "boltzmann_dbw_per_k_hz",
-    "snr_db",
-)
-
-
 @dataclass(frozen=True)
 class LinkBudgetResult:
     """Itemized dB ledger of a link budget and the resulting SNR.
@@ -246,22 +233,13 @@ class LinkBudgetResult:
         ]
 
     def to_dict(self) -> dict:
-        d = {k: getattr(self, k) for k in _RESULT_KEYS}
-        if self.received_power_w is not None:
-            d["received_power_w"] = self.received_power_w
-        if self.noise_power_w is not None:
-            d["noise_power_w"] = self.noise_power_w
-        return d
+        return record_doc(self)
 
     def render_table(self) -> str:
         """Two-column text ledger with signs as applied in the dB sum."""
-        rows = [(k, f"{v:+.3f}") for k, v in self.breakdown()]
-        rows.append(("snr_db", f"{self.snr_db:+.3f}"))
+        rows = [*self.breakdown(), ("snr_db", self.snr_db)]
         width = max(len(k) for k, _ in rows)
-        out = io.StringIO()
-        for k, v in rows:
-            out.write(f"{k:<{width}}  {v}\n")
-        return out.getvalue()
+        return "".join(f"{k:<{width}}  {v:+.3f}\n" for k, v in rows)
 
 
 def snr_db(

@@ -8,13 +8,14 @@ appear only at construction and display boundaries.
 
 from __future__ import annotations
 
+import csv
 import io
 import json
 import math
 import re
 import sys
 from dataclasses import dataclass, fields
-from functools import cached_property
+from functools import cache, cached_property
 from json.encoder import encode_basestring_ascii as _json_str
 from pathlib import Path
 
@@ -284,6 +285,29 @@ def _dump_indented(obj, newline: str, step: str) -> str:
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
+def record_doc(record) -> dict:
+    """A dataclass record as a document: its fields in declaration order, less
+    each field whose default is None while its value is None. They are read
+    from the instance dict, which __init__ fills in that order."""
+    doc = vars(record).copy()
+    for name in _none_defaults(type(record)):
+        if doc[name] is None:
+            del doc[name]
+    return doc
+
+
+@cache
+def _none_defaults(cls) -> tuple[str, ...]:
+    return tuple(f.name for f in fields(cls) if f.default is None)
+
+
+def dump_csv(rows) -> str:
+    """Rows of cells as CSV text, quoted as the csv module quotes."""
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(rows)
+    return out.getvalue()
+
+
 def read_document(source) -> str:
     """The text of a document given as a Path, a file path string or the
     text itself.
@@ -448,9 +472,5 @@ def band_lookup(freq_hz: float, direction: str, orbit: str = ANY_ORBIT) -> str:
 
 def band_catalog_csv() -> str:
     """The allocation chart as CSV, one row per interval."""
-    out = io.StringIO()
-    out.write("band,orbit,direction,low_MHz,high_MHz\n")
-    for a in BAND_CATALOG:
-        for lo, hi in a.intervals_mhz:
-            out.write(f"{a.band},{a.orbit},{a.direction},{lo:g},{hi:g}\n")
-    return out.getvalue()
+    rows = [(a.band, a.orbit, a.direction, f"{lo:g}", f"{hi:g}") for a in BAND_CATALOG for lo, hi in a.intervals_mhz]
+    return dump_csv([("band", "orbit", "direction", "low_MHz", "high_MHz"), *rows])

@@ -32,6 +32,7 @@ from .quantities import (
     linear_from_db,
     parse_json,
     read_document,
+    record_doc,
     require,
 )
 
@@ -72,14 +73,7 @@ class TerminalProfile:
             require("terminal noise temperature", self.noise_temp_k, "must be > 0 K", "noise_temp_k")
 
     def to_doc(self) -> dict:
-        doc = {"name": self.name, "gain_dbi": self.gain_dbi}
-        if self.nf_db is not None:
-            doc["nf_db"] = self.nf_db
-        if self.noise_temp_k is not None:
-            doc["noise_temp_k"] = self.noise_temp_k
-        if self.eirp_dbm is not None:
-            doc["eirp_dbm"] = self.eirp_dbm
-        return doc
+        return record_doc(self)
 
 
 # Reference terminal classes. The handset class defaults to the lower of its
@@ -144,12 +138,7 @@ class LinkCase:
             raise ValidationError("direction", f"case direction must be '{DL}' or '{UL}', got {self.direction!r}")
 
     def to_doc(self) -> dict:
-        doc = {"direction": self.direction, "label": self.label}
-        for key in ("sinr_db", "se_bps_hz", "bitrate_mbps", "bw_mhz"):
-            v = getattr(self, key)
-            if v is not None:
-                doc[key] = v
-        return doc
+        return record_doc(self)
 
 
 @dataclass(frozen=True)
@@ -198,11 +187,9 @@ class Finding:
     missing: tuple[str, ...] = ()
 
     def to_doc(self) -> dict:
-        doc = {"quantity": self.quantity, "status": self.status}
-        for key in ("direction", "label", "computed", "reported", "delta"):
-            v = getattr(self, key)
-            if v is not None:
-                doc[key] = v
+        """The record's fields, with `missing` as a list, left out when empty."""
+        doc = record_doc(self)
+        del doc["missing"]
         if self.missing:
             doc["missing"] = list(self.missing)
         return doc
