@@ -142,7 +142,10 @@ def effective_aperture(wavelength_m: float, gain_linear: float) -> float:
     """Effective capture area in m^2: wavelength^2 * gain / (4*pi)."""
     require("wavelength", wavelength_m, "must be > 0 m")
     require("gain", gain_linear, "must be > 0")
-    return wavelength_m**2 * gain_linear / (4.0 * math.pi)
+    try:
+        return wavelength_m**2 * gain_linear / (4.0 * math.pi)
+    except OverflowError:  # above about 1.3e154 m
+        raise DomainError(f"wavelength {wavelength_m!r} m is too large for an effective aperture") from None
 
 
 def hpbw_from_directivity(directivity_linear: float) -> float:

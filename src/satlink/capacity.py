@@ -32,7 +32,10 @@ def required_snr(se_bps_hz: float) -> float:
 
     Exact inverse of max_spectral_efficiency.
     """
-    return math.expm1(require("spectral efficiency", se_bps_hz, "must be >= 0") * _LN2)
+    try:
+        return math.expm1(require("spectral efficiency", se_bps_hz, "must be >= 0") * _LN2)
+    except OverflowError:  # above about 1024 bps/Hz
+        raise DomainError(f"spectral efficiency {se_bps_hz!r} bps/Hz is too large for a required SNR") from None
 
 
 def effective_bitrate(se_bps_hz: float, bw_hz: float) -> float:

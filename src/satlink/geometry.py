@@ -75,7 +75,10 @@ def footprint_diameter(
 def footprint_area(diameter_km: float) -> float:
     """Disk area (km^2) of a footprint diameter."""
     require("diameter", diameter_km, "must be > 0 km")
-    return math.pi * (diameter_km / 2.0) ** 2
+    try:
+        return math.pi * (diameter_km / 2.0) ** 2
+    except OverflowError:  # above about 2.7e154 km
+        raise DomainError(f"diameter {diameter_km!r} km is too large for a footprint area") from None
 
 
 def earth_coverage_fraction(

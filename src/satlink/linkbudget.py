@@ -49,7 +49,13 @@ def friis_received_power(
 
 
 def _friis(p_t_w, g_t, g_r, wavelength_m, distance_m) -> float:
-    return p_t_w * g_t * g_r * wavelength_m**2 / ((4.0 * math.pi) ** 2 * distance_m**2)
+    try:
+        return p_t_w * g_t * g_r * wavelength_m**2 / ((4.0 * math.pi) ** 2 * distance_m**2)
+    except (OverflowError, ZeroDivisionError):  # a square above float max, or a distance squared to 0
+        raise DomainError(
+            f"wavelength {wavelength_m!r} m or distance {distance_m!r} m is too large or too small "
+            "for the Friis equation"
+        ) from None
 
 
 def noise_power(t_k: float, bw_hz: float, constants: PhysicalConstants = DEFAULT_CONSTANTS) -> float:
