@@ -477,6 +477,20 @@ def test_guard_corpus(module):
     assert not diffs, "\n".join(f"{expr}\n  want {want}\n  got  {got}" for expr, want, got in diffs[:10])
 
 
+def test_guard_corpus_pins_every_outcome():
+    """A null outcome is a fault the corpus skips; none is left."""
+    corpus = _load("guards.json")
+    unpinned = [
+        template.format(value)
+        for module, templates in corpus.items()
+        if module != "values"
+        for template, outcomes in templates.items()
+        for value, outcome in zip(corpus["values"], outcomes)
+        if outcome is None
+    ]
+    assert not unpinned, unpinned
+
+
 def test_cli_corpus(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     write_cli_files(tmp_path)
