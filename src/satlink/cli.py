@@ -88,13 +88,17 @@ def _fmt(key: str, value, precise: bool) -> str:
     return f"{value:.6g}"
 
 
+# each C0 control character and DEL as its escape (\n, \t, \x1b, ...), so a table line stays one line
+_VISIBLE = {c: repr(chr(c))[1:-1] for c in (*range(32), 127)}
+
+
 def _emit(args, result) -> None:
     """Write a handler's result to --out or stdout.
 
     Text goes out as it is. A record (dict) or rows (list of dicts) is
     rendered as --format asks: JSON at 6 significant digits, CSV quoted as
     the csv module quotes (a record is one row), or a table, key/value for
-    a record and columns for rows.
+    a record and columns for rows, with control characters escaped.
     """
     if isinstance(result, str):
         text = result
@@ -107,13 +111,14 @@ def _emit(args, result) -> None:
         cells = [[_fmt(k, row.get(k), precise) for k in keys] for row in rows]
         if args.format == "csv":
             text = quantities.dump_csv([keys, *cells])
-        elif isinstance(result, dict):
-            width = max(map(len, keys))
-            text = "".join(f"{k:<{width}}  {cell}\n" for k, cell in zip(keys, cells[0]))
         else:
-            table = [keys, *cells]
-            widths = [max(len(line[i]) for line in table) for i in range(len(keys))]
-            text = "".join("  ".join(f"{cell:<{w}}" for cell, w in zip(line, widths)) + "\n" for line in table)
+            table = [keys, *([cell.translate(_VISIBLE) for cell in line] for line in cells)]
+            if isinstance(result, dict):
+                width = max(map(len, keys))
+                text = "".join(f"{k:<{width}}  {cell}\n" for k, cell in zip(keys, table[1]))
+            else:
+                widths = [max(len(line[i]) for line in table) for i in range(len(keys))]
+                text = "".join("  ".join(f"{cell:<{w}}" for cell, w in zip(line, widths)) + "\n" for line in table)
     if getattr(args, "out", None):
         Path(args.out).write_text(text)  # an OSError maps to the I/O exit code in main
     else:
@@ -518,13 +523,13 @@ def _cmd_scenario_run(args, constants) -> dict | list[dict]:
     if args.format == "json":
         return report.to_doc()
     if args.format == "table":
-        print(f"scenario  {s.name} ({s.orbit})")
+        print(f"scenario  {s.name} ({s.orbit})".translate(_VISIBLE))
         if s.description:
-            print(f"about     {s.description}")
+            print(f"about     {s.description}".translate(_VISIBLE))
         if report.slant_range_km is not None:
             print(f"slant_range_km  {report.slant_range_km:.1f}")
         for note in s.annotations:
-            print(f"note      {note}")
+            print(f"note      {note}".translate(_VISIBLE))
         print()
     return [
         {

@@ -405,6 +405,29 @@ class TestScenario:
         assert [[row[k] for k in keys] for row in rows] == [[f.get(k) or "" for k in keys] for f in findings]
         assert tricky in {row["label"] for row in rows}
 
+    def test_run_table_escapes_control_characters(self, capsys, tmp_path):
+        path = tmp_path / "controls.json"
+        path.write_text(json.dumps({
+            "name": "n\n1\t2",
+            "orbit": "LEO",
+            "description": "d\r\n\x1b[31m\x7f",
+            "altitude_km": 550.0,
+            "elevation_deg": 45.0,
+            "annotations": ["first\nnote", "second\tnote"],
+            "cases": [{"direction": "dl", "label": "l\n\t\x00", "sinr_db": 3.0, "bw_mhz": 1.0}],
+        }))
+        findings = run_json(capsys, "scenario", "run", str(path))["findings"]
+        code, out, err = run(capsys, "scenario", "run", str(path))
+        assert code == 0, err
+        # scenario, about, slant range, two notes and a blank line; a header and one line per finding
+        lines = out.split("\n")
+        assert lines.pop() == ""
+        assert len(lines) == 6 + 1 + len(findings)
+        assert lines[:2] == ["scenario  n\\n1\\t2 (LEO)", "about     d\\r\\n\\x1b[31m\\x7f"]
+        assert lines[3:6] == ["note      first\\nnote", "note      second\\tnote", ""]
+        assert sum("l\\n\\t\\x00" in line for line in lines[7:]) == 2
+        assert not any(c in out for c in "\t\r\x1b\x7f\x00")
+
     def test_invalid_scenario_file_is_domain_error(self, capsys, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text(json.dumps({"name": "broken", "orbit": "LEO", "bw_dl_mhz": -1.0}))
