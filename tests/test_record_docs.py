@@ -78,3 +78,32 @@ def test_link_budget_result_docs():
     full = lb.link_budget(tx, rx, 5.5e5, 11.7e9, 1e6).to_dict()
     assert list(full) == [*LEDGER_KEYS, "received_power_w", "noise_power_w"]
     assert all(type(v) is float for v in full.values())
+
+
+def test_scenario_docs():
+    minimal = sc.load_scenario({"name": "m", "orbit": "GEO"})
+    assert items(sc.scenario_to_doc(minimal)) == [("name", "m"), ("orbit", "GEO")]
+
+    terminal = sc.TerminalProfile("t", 1.0, noise_temp_k=300.0)
+    cases = (sc.LinkCase("dl", sinr_db=5.5), sc.LinkCase("ul", "edge", bw_mhz=0.5))
+    full = sc.Scenario(
+        "f", "LEO", description="every part", altitude_km=600.0, elevation_deg=30.0, band="S", freq_dl_ghz=2.0,
+        freq_ul_ghz=2.1, bw_dl_mhz=10.0, bw_ul_mhz=0.36, terminal=terminal, reuse=3, margin_db=4.0, beams=16,
+        footprint_radius_km=50.0, cases=cases, annotations=("a", "b"),
+    )
+    doc = sc.scenario_to_doc(full)
+    assert items(doc) == [
+        ("name", "f"), ("orbit", "LEO"), ("description", "every part"), ("altitude_km", 600.0),
+        ("elevation_deg", 30.0), ("band", "S"), ("freq_dl_ghz", 2.0), ("freq_ul_ghz", 2.1), ("bw_dl_mhz", 10.0),
+        ("bw_ul_mhz", 0.36), ("reuse", 3), ("margin_db", 4.0), ("beams", 16), ("footprint_radius_km", 50.0),
+        ("terminal", {"name": "t", "gain_dbi": 1.0, "noise_temp_k": 300.0}),
+        ("cases", [{"direction": "dl", "label": "nominal", "sinr_db": 5.5},
+                   {"direction": "ul", "label": "edge", "bw_mhz": 0.5}]),
+        ("annotations", ["a", "b"]),
+    ]
+    assert [type(doc[key]) for key in ("terminal", "cases", "annotations")] == [dict, list, list]
+    assert items(doc["terminal"]) == items(terminal.to_doc())
+    assert sc.load_scenario(doc) == full
+    report = sc.run_scenario(full).to_doc()
+    assert list(report) == ["scenario", "slant_range_km", "findings"]
+    assert report["scenario"] == doc
