@@ -287,15 +287,10 @@ _BUDGET_FORMS = (
 
 def _load_budget_config(path: str) -> dict:
     try:
-        text = quantities._read_file(path)
+        doc = quantities.read_object(path, "link budget config")
     except FileNotFoundError:
         raise _UsageError(f"config file {path!r} not found")
-    doc = quantities.parse_json(text, path)
-    if not isinstance(doc, dict):
-        raise ParseError(f"{path}: link budget config must be a JSON object")
-    unknown = set(doc) - set(_BUDGET_KEYS)
-    if unknown:
-        raise ValidationError(sorted(unknown)[0], f"unknown config keys: {sorted(unknown)}")
+    quantities.check_keys(doc, _BUDGET_KEYS, "config")
     for key, value in doc.items():
         if key != "terminal":
             doc[key] = quantities._checked_number(key, value, "finite")

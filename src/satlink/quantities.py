@@ -199,18 +199,22 @@ class PhysicalConstants:
 
     @classmethod
     def from_mapping(cls, overrides) -> "PhysicalConstants":
-        known = {f.name for f in fields(cls)}
-        unknown = set(overrides) - known
-        if unknown:
-            raise ValidationError(sorted(unknown)[0], f"unknown constant keys: {sorted(unknown)}")
+        check_keys(overrides, {f.name for f in fields(cls)}, "constant")
         return cls(**{k: _checked_number(k, v, "finite") for k, v in overrides.items()})
 
     @classmethod
     def from_file(cls, path) -> "PhysicalConstants":
-        doc = parse_json(_read_file(path), path)
-        if not isinstance(doc, dict):
-            raise ParseError(f"{path}: constants document must be a JSON object")
-        return cls.from_mapping(doc)
+        return cls.from_mapping(read_object(path, "constants document"))
+
+
+def check_keys(doc, allowed, what: str, prefix: str = "") -> None:
+    """Raise ValidationError when `doc` has a key outside `allowed`. Its field
+    is `prefix` + the first unknown key, and its message names `what` and
+    lists every unknown key, sorted."""
+    unknown = set(doc).difference(allowed)
+    if unknown:
+        unknown = sorted(unknown)
+        raise ValidationError(prefix + unknown[0], f"unknown {what} keys: {unknown}")
 
 
 def _read_file(path) -> str:
@@ -218,6 +222,15 @@ def _read_file(path) -> str:
         return Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+
+
+def read_object(path, what: str) -> dict:
+    """The JSON object in the file at `path`. A document of another type raises
+    ParseError "<path>: <what> must be a JSON object"."""
+    doc = parse_json(_read_file(path), path)
+    if not isinstance(doc, dict):
+        raise ParseError(f"{path}: {what} must be a JSON object")
+    return doc
 
 
 def parse_json(text: str, name, located: bool = False):

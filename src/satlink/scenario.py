@@ -28,6 +28,7 @@ from .quantities import (
     UPLINK,
     _checked_number,
     band_lookup,
+    check_keys,
     dump_json,
     linear_from_db,
     parse_json,
@@ -111,10 +112,7 @@ def terminal_profile(spec) -> TerminalProfile:
         if "noise_temp_k" in doc:
             merged.pop("nf_db", None)
         merged.update(doc)
-        allowed = {"gain_dbi", "nf_db", "noise_temp_k", "eirp_dbm"}
-        unknown = set(merged) - allowed
-        if unknown:
-            raise ValidationError(f"terminal.{sorted(unknown)[0]}", f"unknown terminal keys: {sorted(unknown)}")
+        check_keys(merged, ("gain_dbi", "nf_db", "noise_temp_k", "eirp_dbm"), "terminal", "terminal.")
         if "gain_dbi" not in merged:
             raise ValidationError("terminal.gain_dbi", "terminal mapping needs gain_dbi")
         values = {k: _checked_number(f"terminal.{k}", v, "finite") for k, v in merged.items()}
@@ -236,42 +234,40 @@ _TOP_LEVEL_KEYS = (
     | set(_COUNT_FIELDS)
 )
 
-_CASE_KEYS = {"direction", "label", "sinr_db", "se_bps_hz", "bitrate_mbps", "bitrate_bps", "bw_mhz", "bw_hz"}
+# case key -> (LinkCase field, scale to the field's unit, kind); a later key
+# of the same field wins
+_CASE_NUMBERS: dict[str, tuple[str, float, str]] = {
+    "sinr_db": ("sinr_db", 1.0, "finite"),
+    "se_bps_hz": ("se_bps_hz", 1.0, "positive"),
+    "bitrate_mbps": ("bitrate_mbps", 1.0, "positive"),
+    "bw_mhz": ("bw_mhz", 1.0, "positive"),
+    "bitrate_bps": ("bitrate_mbps", 1e-6, "positive"),
+    "bw_hz": ("bw_mhz", 1e-6, "positive"),
+}
+
+_CASE_KEYS = {"direction", "label", *_CASE_NUMBERS}
 
 
 def _parse_case(doc: dict, index: int) -> LinkCase:
     if not isinstance(doc, dict):
         raise ValidationError(f"cases[{index}]", "each case must be a mapping")
-    unknown = set(doc) - _CASE_KEYS
-    if unknown:
-        raise ValidationError(f"cases[{index}].{sorted(unknown)[0]}", f"unknown case keys: {sorted(unknown)}")
+    check_keys(doc, _CASE_KEYS, "case", f"cases[{index}].")
     if "direction" not in doc:
         raise ValidationError(f"cases[{index}].direction", "case needs a direction")
     label = doc.get("label", "nominal")
     if not isinstance(label, str):
         raise ValidationError(f"cases[{index}].label", "case label must be a string")
     kwargs: dict = {"direction": doc["direction"], "label": label}
-    for key, target, scale in (
-        ("sinr_db", "sinr_db", None),
-        ("se_bps_hz", "se_bps_hz", None),
-        ("bitrate_mbps", "bitrate_mbps", None),
-        ("bw_mhz", "bw_mhz", None),
-        ("bitrate_bps", "bitrate_mbps", 1e-6),
-        ("bw_hz", "bw_mhz", 1e-6),
-    ):
+    for key, (target, scale, kind) in _CASE_NUMBERS.items():
         if key in doc:
-            kind = "finite" if key == "sinr_db" else "positive"
-            v = _checked_number(f"cases[{index}].{key}", doc[key], kind)
-            kwargs[target] = v * scale if scale else v
+            kwargs[target] = _checked_number(f"cases[{index}].{key}", doc[key], kind) * scale
     return LinkCase(**kwargs)
 
 
 def _scenario_from_doc(doc: dict) -> Scenario:
     if not isinstance(doc, dict):
         raise ParseError("scenario document must be a JSON object")
-    unknown = set(doc) - _TOP_LEVEL_KEYS
-    if unknown:
-        raise ValidationError(sorted(unknown)[0], f"unknown scenario keys: {sorted(unknown)}")
+    check_keys(doc, _TOP_LEVEL_KEYS, "scenario")
     for required in ("name", "orbit"):
         if not isinstance(doc.get(required), str) or not doc.get(required):
             raise ValidationError(required, f"scenario needs a non-empty '{required}'")
@@ -334,32 +330,18 @@ def load_scenario(source) -> Scenario:
 
 
 def scenario_to_doc(s: Scenario) -> dict:
-    """Canonical document form; load_scenario(scenario_to_doc(s)) == s."""
-    doc: dict = {"name": s.name, "orbit": s.orbit}
-    if s.description is not None:
-        doc["description"] = s.description
-    for key in (
-        "altitude_km",
-        "elevation_deg",
-        "band",
-        "freq_dl_ghz",
-        "freq_ul_ghz",
-        "bw_dl_mhz",
-        "bw_ul_mhz",
-        "reuse",
-        "margin_db",
-        "beams",
-        "footprint_radius_km",
-    ):
-        v = getattr(s, key)
-        if v is not None:
-            doc[key] = v
-    if s.terminal is not None:
-        doc["terminal"] = s.terminal.to_doc()
-    if s.cases:
-        doc["cases"] = [c.to_doc() for c in s.cases]
-    if s.annotations:
-        doc["annotations"] = list(s.annotations)
+    """Canonical document form; load_scenario(scenario_to_doc(s)) == s.
+
+    The record's fields, with the terminal, cases and annotations moved to
+    the end, each written only when set."""
+    doc = record_doc(s)
+    terminal, cases, annotations = doc.pop("terminal", None), doc.pop("cases"), doc.pop("annotations")
+    if terminal is not None:
+        doc["terminal"] = terminal.to_doc()
+    if cases:
+        doc["cases"] = [c.to_doc() for c in cases]
+    if annotations:
+        doc["annotations"] = list(annotations)
     return doc
 
 
