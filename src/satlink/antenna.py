@@ -143,9 +143,14 @@ def effective_aperture(wavelength_m: float, gain_linear: float) -> float:
     require("wavelength", wavelength_m, "must be > 0 m")
     require("gain", gain_linear, "must be > 0")
     try:
-        return wavelength_m**2 * gain_linear / (4.0 * math.pi)
+        area = wavelength_m**2 * gain_linear / (4.0 * math.pi)
     except OverflowError:  # above about 1.3e154 m
         raise DomainError(f"wavelength {wavelength_m!r} m is too large for an effective aperture") from None
+    if area == math.inf:  # a product past float max
+        raise DomainError(
+            f"wavelength {wavelength_m!r} m and gain {gain_linear!r} are too large for an effective aperture"
+        )
+    return area
 
 
 def hpbw_from_directivity(directivity_linear: float) -> float:

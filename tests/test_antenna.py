@@ -103,6 +103,11 @@ class TestGainAndAperture:
     def test_aperture_scales_with_wavelength_squared(self):
         assert ant.effective_aperture(0.3, 2.0) == approx(4 * ant.effective_aperture(0.15, 2.0), rel=1e-12)
 
+    def test_aperture_past_float_max(self):
+        with pytest.raises(DomainError) as info:
+            ant.effective_aperture(1e100, 1e300)
+        assert str(info.value) == "wavelength 1e+100 m and gain 1e+300 are too large for an effective aperture"
+
 
 class TestHpbwApproximation:
     def test_goldens(self):

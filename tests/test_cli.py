@@ -577,6 +577,13 @@ class TestRefusedDocumentsAndExtremes:
         expected = f"error: {path}: not UTF-8 text (invalid start byte at byte 17)\n"
         assert run(capsys, "linkbudget", "--config", str(path)) == (1, "", expected)
 
+    def test_received_power_past_float_max(self, capsys):
+        argv = ("linkbudget", "--distance-km", "1000", "--freq-ghz", "12", "--bw-mhz", "1", "--power-w", "1e300",
+                "--gain-dbi", "100", "--rx-gain-dbi", "100", "--nf-db", "1", "--format", "json")
+        expected = ("error: received power of 1e+300 W through gains 10000000000.0 and 10000000000.0 is too large "
+                    "for the Friis equation\n")
+        assert run(capsys, *argv) == (1, "", expected)
+
     def test_path_loss_underflow(self, capsys):
         argv = ("linkbudget", "--distance-km", "1e-300", "--freq-ghz", "1e-300", "--eirp-dbw", "40",
                 "--g-over-t-dbk", "1", "--bw-mhz", "1")
