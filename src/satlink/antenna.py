@@ -16,7 +16,7 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from .errors import DomainError, NoSidelobeError
-from .quantities import AntennaGain, require
+from .quantities import AntennaGain, require, require_count
 
 LINEAR = "linear"
 PLANAR = "planar"
@@ -41,11 +41,12 @@ class ArraySpec:
     def __post_init__(self):
         if self.topology not in (LINEAR, PLANAR):
             raise DomainError(f"topology must be '{LINEAR}' or '{PLANAR}', got {self.topology!r}")
-        if not (isinstance(self.elements, int) and self.elements >= 1):
-            raise DomainError(f"element count must be an integer >= 1, got {self.elements!r}")
+        require_count("element count", self.elements)
         if self.topology == PLANAR:
             if self.rows is None or self.cols is None:
                 raise DomainError("planar arrays need rows and cols")
+            require_count("rows", self.rows)
+            require_count("cols", self.cols)
             if self.rows * self.cols != self.elements:
                 raise DomainError(
                     f"rows*cols ({self.rows}x{self.cols}) must equal element count {self.elements}"
@@ -72,8 +73,7 @@ class ArraySpec:
 
 
 def _check_af(n, psi_rad) -> None:
-    if not (isinstance(n, int) and n >= 1):
-        raise DomainError(f"element count must be an integer >= 1, got {n!r}")
+    require_count("element count", n)
     require("psi", psi_rad, "must be finite")
     try:
         n_psi = n * psi_rad

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from operator import attrgetter
 
 from .errors import DomainError, NoFeasibleModcodError, ParseError, ValidationError
-from .quantities import dump_csv, linear_from_db, read_document, require
+from .quantities import dump_csv, linear_from_db, read_document, require, require_count
 
 _LN2 = math.log(2.0)
 
@@ -187,12 +187,9 @@ class MultiBeamConfig:
     guard_fraction: float = 0.0
 
     def __post_init__(self):
-        if self.polarizations not in (1, 2):
-            raise DomainError(f"polarizations must be 1 or 2, got {self.polarizations!r}")
-        if not (isinstance(self.beams, int) and self.beams >= 1):
-            raise DomainError(f"beams must be an integer >= 1, got {self.beams!r}")
-        if not (isinstance(self.colors, int) and self.colors >= 1):
-            raise DomainError(f"colors must be an integer >= 1, got {self.colors!r}")
+        require_count("polarizations", self.polarizations, "must be 1 or 2", top=2)
+        require_count("beams", self.beams)
+        require_count("colors", self.colors)
         require("guard fraction", self.guard_fraction, "must lie in [0, 1]")
         require("spectral efficiency", self.se_bps_hz, "must be >= 0")
         require("bandwidth", self.bandwidth_hz, "must be > 0 Hz")

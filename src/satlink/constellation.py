@@ -4,9 +4,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DomainError, NotFoundError
+from .errors import NotFoundError
 from .geometry import earth_coverage_fraction, footprint_area, footprint_diameter
-from .quantities import DEFAULT_CONSTANTS, PhysicalConstants, dump_csv, require
+from .quantities import DEFAULT_CONSTANTS, PhysicalConstants, dump_csv, require, require_count
 
 
 @dataclass(frozen=True)
@@ -22,10 +22,8 @@ class Shell:
 
     def __post_init__(self):
         require("altitude", self.altitude_km, "must be > 0 km")
-        if not (isinstance(self.orbits, int) and self.orbits >= 1):
-            raise DomainError(f"orbit count must be >= 1, got {self.orbits!r}")
-        if not (isinstance(self.sats_per_orbit, int) and self.sats_per_orbit >= 1):
-            raise DomainError(f"satellites per orbit must be >= 1, got {self.sats_per_orbit!r}")
+        require_count("orbit count", self.orbits, "must be >= 1")
+        require_count("satellites per orbit", self.sats_per_orbit, "must be >= 1")
         require("inclination", self.inclination_deg, "must lie in (0, 180] degrees")
 
     @property

@@ -54,6 +54,16 @@ def require(name: str, value, rule, field: str | None = None):
     raise DomainError(message) if field is None else ValidationError(field, message)
 
 
+def require_count(name: str, value, rule: str = "must be an integer >= 1", field: str | None = None, top=math.inf):
+    """Return `value` if it is an int from 1 to `top`, else raise DomainError (or
+    ValidationError naming `field`) reading "<name> <rule>, got <value!r>". A
+    bool is not a count."""
+    if isinstance(value, int) and not isinstance(value, bool) and 1 <= value <= top:
+        return value
+    message = f"{name} {rule}, got {value!r}"
+    raise DomainError(message) if field is None else ValidationError(field, message)
+
+
 def _bounds(rule) -> tuple[float, float]:
     """The closed float range (lo, hi) that a rule states."""
     if not isinstance(rule, str):

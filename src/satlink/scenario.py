@@ -35,6 +35,7 @@ from .quantities import (
     read_document,
     record_doc,
     require,
+    require_count,
 )
 
 DL = "dl"
@@ -285,10 +286,7 @@ def _scenario_from_doc(doc: dict) -> Scenario:
             values[key] = _checked_number(key, doc[key], kind)
     for key in _COUNT_FIELDS:
         if key in doc:
-            v = doc[key]
-            if isinstance(v, bool) or not isinstance(v, int) or v < 1:
-                raise ValidationError(key, f"{key} must be an integer >= 1, got {v!r}")
-            values[key] = v
+            values[key] = require_count(key, doc[key], field=key)
 
     if "terminal" in doc and doc["terminal"] is not None:
         values["terminal"] = terminal_profile(doc["terminal"])

@@ -6,6 +6,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from pytest import approx
 
+from satlink import antenna, capacity, constellation, scenario
 from satlink import quantities as q
 from satlink.errors import DomainError, OutOfBandError, ParseError, ValidationError
 
@@ -326,6 +327,56 @@ class TestRequire:
     def test_a_rule_without_a_range_is_refused(self):
         with pytest.raises(ValueError, match="states no range"):
             q.require("x", 1.0, "must be nice")
+
+
+
+class TestRequireCount:
+    """The one count check: an int from 1 up, never a bool."""
+
+    @pytest.mark.parametrize("value", [1, 2, 10**400])
+    def test_counts_pass_through(self, value):
+        assert q.require_count("n", value) is value
+
+    @pytest.mark.parametrize("value", [0, -1, True, False, 1.0, 2.5, "3", None, math.inf, math.nan])
+    def test_other_values_fail(self, value):
+        with pytest.raises(DomainError) as err:
+            q.require_count("n", value)
+        assert str(err.value) == f"n must be an integer >= 1, got {value!r}"
+
+    def test_top_and_field(self):
+        assert q.require_count("p", 2, "must be 1 or 2", top=2) == 2
+        with pytest.raises(ValidationError) as err:
+            q.require_count("p", 3, "must be 1 or 2", "p", top=2)
+        assert (err.value.field, str(err.value)) == ("p", "p must be 1 or 2, got 3")
+
+    @pytest.mark.parametrize("call, message", [
+        ("a.ArraySpec.linear(True)", "element count must be an integer >= 1, got True"),
+        ("a.ArraySpec.linear(0)", "element count must be an integer >= 1, got 0"),
+        ("a.ArraySpec.planar(-1, -4)", "rows must be an integer >= 1, got -1"),
+        ("a.ArraySpec.planar(4, True)", "cols must be an integer >= 1, got True"),
+        ("a.normalized_array_factor(True, 0.3)", "element count must be an integer >= 1, got True"),
+        ("a.array_factor_magnitude(False, 0.3)", "element count must be an integer >= 1, got False"),
+        ("c.MultiBeamConfig(1.0, 1e6, polarizations=True, beams=True, colors=True)",
+         "polarizations must be 1 or 2, got True"),
+        ("c.MultiBeamConfig(1.0, 1e6, polarizations=2.0)", "polarizations must be 1 or 2, got 2.0"),
+        ("c.MultiBeamConfig(1.0, 1e6, polarizations=3)", "polarizations must be 1 or 2, got 3"),
+        ("c.MultiBeamConfig(1.0, 1e6, beams=True)", "beams must be an integer >= 1, got True"),
+        ("c.MultiBeamConfig(1.0, 1e6, beams=0)", "beams must be an integer >= 1, got 0"),
+        ("c.MultiBeamConfig(1.0, 1e6, colors=True)", "colors must be an integer >= 1, got True"),
+        ("c.MultiBeamConfig(1.0, 1e6, colors=0)", "colors must be an integer >= 1, got 0"),
+        ("k.Shell('c', 's', 500.0, True, True, 50.0)", "orbit count must be >= 1, got True"),
+        ("k.Shell('c', 's', 500.0, 1, True, 50.0)", "satellites per orbit must be >= 1, got True"),
+    ])
+    def test_every_count_refuses_a_bool(self, call, message):
+        with pytest.raises(DomainError) as err:
+            eval(call, {"a": antenna, "c": capacity, "k": constellation})
+        assert str(err.value) == message
+
+    def test_scenario_counts(self):
+        for key in ("beams", "reuse"):
+            with pytest.raises(ValidationError) as err:
+                scenario.load_scenario({"name": "x", "orbit": "LEO", key: True})
+            assert (err.value.field, str(err.value)) == (key, f"{key} must be an integer >= 1, got True")
 
 
 class _Dict(dict):
