@@ -290,7 +290,7 @@ def _load_budget_config(path: str) -> dict:
         doc = quantities.read_object(path, "link budget config")
     except FileNotFoundError:
         raise _UsageError(f"config file {path!r} not found")
-    quantities.check_keys(doc, _BUDGET_KEYS, "config")
+    quantities.check_keys(doc, set(_BUDGET_KEYS), "config")
     for key, value in doc.items():
         if key != "terminal":
             doc[key] = quantities._checked_number(key, value, "finite")

@@ -217,14 +217,14 @@ class PhysicalConstants:
         return cls.from_mapping(read_object(path, "constants document"))
 
 
-def check_keys(doc, allowed, what: str, prefix: str = "") -> None:
+def check_keys(doc: dict, allowed: set, what: str, prefix: str = "") -> None:
     """Raise ValidationError when `doc` has a key outside `allowed`. Its field
     is `prefix` + the first unknown key, and its message names `what` and
     lists every unknown key, sorted."""
-    unknown = set(doc).difference(allowed)
-    if unknown:
-        unknown = sorted(unknown)
-        raise ValidationError(prefix + unknown[0], f"unknown {what} keys: {unknown}")
+    if doc.keys() <= allowed:  # a subset test, without building a set
+        return
+    unknown = sorted(doc.keys() - allowed)
+    raise ValidationError(prefix + unknown[0], f"unknown {what} keys: {unknown}")
 
 
 def _read_file(path) -> str:

@@ -113,7 +113,7 @@ def terminal_profile(spec) -> TerminalProfile:
         if "noise_temp_k" in doc:
             merged.pop("nf_db", None)
         merged.update(doc)
-        check_keys(merged, ("gain_dbi", "nf_db", "noise_temp_k", "eirp_dbm"), "terminal", "terminal.")
+        check_keys(merged, {"gain_dbi", "nf_db", "noise_temp_k", "eirp_dbm"}, "terminal", "terminal.")
         if "gain_dbi" not in merged:
             raise ValidationError("terminal.gain_dbi", "terminal mapping needs gain_dbi")
         values = {k: _checked_number(f"terminal.{k}", v, "finite") for k, v in merged.items()}
