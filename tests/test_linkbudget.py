@@ -40,7 +40,8 @@ class TestFriis:
     def test_rejects_a_received_power_past_float_max(self):
         with pytest.raises(DomainError) as info:
             lb.friis_received_power(1e300, 1e300, 1, 0.1, 1000)
-        assert str(info.value) == "received power of 1e+300 W through gains 1e+300 and 1 is too large for the Friis equation"
+        message = "received power of 1e+300 W through gains 1e+300 and 1 is too large for the Friis equation"
+        assert str(info.value) == message
 
     def test_huge_finite_received_power_is_kept(self):
         assert lb.friis_received_power(1e300, 1e6, 1.0, 0.1, 1.0) == approx(1e304 / (4 * math.pi) ** 2, rel=1e-15)
