@@ -16,7 +16,7 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from .errors import DomainError, NoSidelobeError
-from .quantities import AntennaGain, require, require_count
+from .quantities import AntennaGain, require, require_count, require_no_overflow
 
 LINEAR = "linear"
 PLANAR = "planar"
@@ -146,11 +146,9 @@ def effective_aperture(wavelength_m: float, gain_linear: float) -> float:
         area = wavelength_m**2 * gain_linear / (4.0 * math.pi)
     except OverflowError:  # above about 1.3e154 m
         raise DomainError(f"wavelength {wavelength_m!r} m is too large for an effective aperture") from None
-    if area == math.inf:  # a product past float max
-        raise DomainError(
-            f"wavelength {wavelength_m!r} m and gain {gain_linear!r} are too large for an effective aperture"
-        )
-    return area
+    return require_no_overflow(
+        area, "wavelength {!r} m and gain {!r} are too large for an effective aperture", wavelength_m, gain_linear
+    )
 
 
 def hpbw_from_directivity(directivity_linear: float) -> float:
@@ -270,8 +268,11 @@ def _pattern_cut(spec: ArraySpec, resolution_deg: float):
         raise DomainError("pattern cuts are defined for linear arrays only")
     steps = int(round(180.0 / require("resolution", resolution_deg, _RESOLUTION)))
     two_pi_sp = 2.0 * math.pi * spec.spacing_wavelengths
-    if spec.elements * two_pi_sp == math.inf:  # N*psi would overflow at endfire
-        raise DomainError(f"spacing {spec.spacing_wavelengths!r} wavelengths is too large for a pattern cut")
+    try:
+        n_psi = spec.elements * two_pi_sp  # N*psi at endfire
+    except OverflowError:  # an element count past the float range
+        raise DomainError(f"element count {spec.elements!r} is too large for a pattern cut") from None
+    require_no_overflow(n_psi, "spacing {!r} wavelengths is too large for a pattern cut", spec.spacing_wavelengths)
     thetas = np.linspace(0.0, math.pi, steps + 1)
     psis = two_pi_sp * np.cos(thetas)
     amps = _normalized_af_vec(spec.elements, psis)

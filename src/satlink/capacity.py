@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from operator import attrgetter
 
 from .errors import DomainError, NoFeasibleModcodError, ParseError, ValidationError
-from .quantities import dump_csv, linear_from_db, read_document, require, require_count
+from .quantities import dump_csv, linear_from_db, read_document, require, require_count, require_no_overflow
 
 _LN2 = math.log(2.0)
 
@@ -40,7 +40,10 @@ def required_snr(se_bps_hz: float) -> float:
 
 def effective_bitrate(se_bps_hz: float, bw_hz: float) -> float:
     """Delivered bitrate in bps for a spectral efficiency over a bandwidth."""
-    return require("se_bps_hz", se_bps_hz, "must be >= 0") * require("bw_hz", bw_hz, "must be >= 0")
+    return require_no_overflow(
+        require("se_bps_hz", se_bps_hz, "must be >= 0") * require("bw_hz", bw_hz, "must be >= 0"),
+        "spectral efficiency {!r} bps/Hz and bandwidth {!r} Hz are too large for a bitrate", se_bps_hz, bw_hz,
+    )
 
 
 @dataclass(frozen=True)
@@ -200,11 +203,14 @@ def multibeam_capacity(cfg: MultiBeamConfig) -> float:
 
     R = se * B * (N_pol * N_beams / N_colors) * (1 - guard).
     """
-    return (
-        cfg.se_bps_hz
-        * cfg.bandwidth_hz
-        * (cfg.polarizations * cfg.beams / cfg.colors)
-        * (1.0 - cfg.guard_fraction)
+    try:
+        share = cfg.polarizations * cfg.beams / cfg.colors
+    except OverflowError:  # a beam count past the float range
+        share = math.inf
+    return require_no_overflow(
+        cfg.se_bps_hz * cfg.bandwidth_hz * share * (1.0 - cfg.guard_fraction),
+        "spectral efficiency {!r} bps/Hz, bandwidth {!r} Hz and {!r} beams are too large for a multi-beam capacity",
+        cfg.se_bps_hz, cfg.bandwidth_hz, cfg.beams,
     )
 
 
@@ -245,4 +251,7 @@ class TcpLinkModel:
 
 def tcp_throughput_bound(model: TcpLinkModel) -> float:
     """Upper bound on TCP throughput in bps: (MSS*8/RTT) * C/sqrt(p_loss)."""
-    return (model.mss_bytes * 8.0 / model.rtt_s) * model.c_constant / math.sqrt(model.loss_probability)
+    return require_no_overflow(
+        (model.mss_bytes * 8.0 / model.rtt_s) * model.c_constant / math.sqrt(model.loss_probability),
+        "MSS {!r} bytes over RTT {!r} s is too large for a TCP throughput bound", model.mss_bytes, model.rtt_s,
+    )

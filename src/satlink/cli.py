@@ -293,7 +293,7 @@ def _load_budget_config(path: str) -> dict:
     quantities.check_keys(doc, set(_BUDGET_KEYS), "config")
     for key, value in doc.items():
         if key != "terminal":
-            doc[key] = quantities._checked_number(key, value, "finite")
+            doc[key] = quantities.require_number(key, value, "finite")
     return doc
 
 
@@ -357,11 +357,15 @@ def _cmd_capacity(args, constants) -> dict:
         raise _UsageError("bw_khz (or --bw-hz / --bw-mhz / --bw-ghz)")
     if (args.snr_db is None) == (args.snr_linear is None):
         raise _UsageError("exactly one of --snr-db, --snr-linear")
-    snr = args.snr_linear if args.snr_linear is not None else quantities.linear_from_db(args.snr_db)
+    if args.snr_db is not None:  # printed as typed: its linear value may underflow to 0
+        snr_db, snr = args.snr_db, quantities.linear_from_db(args.snr_db)
+    else:
+        snr = args.snr_linear
+        snr_db = quantities.db_from_linear(snr) if snr > 0 else -math.inf
     return {
         "bw_hz": bw,
         "snr_linear": snr,
-        "snr_db": quantities.db_from_linear(snr) if snr > 0 else -math.inf,
+        "snr_db": snr_db,
         "se_max_bps_hz": capacity.max_spectral_efficiency(snr),
         "capacity_bps": capacity.shannon_capacity(bw, snr),
     }

@@ -6,7 +6,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .quantities import DEFAULT_CONSTANTS, PhysicalConstants, require
+from .quantities import DEFAULT_CONSTANTS, PhysicalConstants, require, require_no_overflow
 
 
 def slant_range_exact(
@@ -25,7 +25,10 @@ def slant_range_exact(
     require("elevation", elevation_rad, "must lie in [0, pi/2] rad")
     re = constants.earth_radius_km
     s = math.sin(elevation_rad)
-    return -re * s + math.sqrt(re * re * s * s + altitude_km * (altitude_km + 2.0 * re))
+    return require_no_overflow(
+        -re * s + math.sqrt(re * re * s * s + altitude_km * (altitude_km + 2.0 * re)),
+        "altitude {!r} km and Earth radius {!r} km are too large for a slant range", altitude_km, re,
+    )
 
 
 def slant_range_altitude_approx(altitude_km: float, elevation_rad: float) -> float:

@@ -21,6 +21,7 @@ from .quantities import (
     noise_temperature_from_nf,
     record_doc,
     require,
+    require_no_overflow,
     wavelength,
 )
 
@@ -56,11 +57,9 @@ def _friis(p_t_w, g_t, g_r, wavelength_m, distance_m) -> float:
             f"wavelength {wavelength_m!r} m or distance {distance_m!r} m is too large or too small "
             "for the Friis equation"
         ) from None
-    if p_r == math.inf:  # a product past float max
-        raise DomainError(
-            f"received power of {p_t_w!r} W through gains {g_t!r} and {g_r!r} is too large for the Friis equation"
-        )
-    return p_r
+    return require_no_overflow(
+        p_r, "received power of {!r} W through gains {!r} and {!r} is too large for the Friis equation", p_t_w, g_t, g_r
+    )
 
 
 def noise_power(t_k: float, bw_hz: float, constants: PhysicalConstants = DEFAULT_CONSTANTS) -> float:
@@ -71,7 +70,10 @@ def noise_power(t_k: float, bw_hz: float, constants: PhysicalConstants = DEFAULT
 
 
 def _noise_power(t_k, bw_hz, constants) -> float:
-    return constants.boltzmann_j_per_k * t_k * bw_hz
+    return require_no_overflow(
+        constants.boltzmann_j_per_k * t_k * bw_hz,
+        "noise temperature {!r} K and bandwidth {!r} Hz are too large for a noise power", t_k, bw_hz,
+    )
 
 
 def fspl(distance_m: float, freq_hz: float, constants: PhysicalConstants = DEFAULT_CONSTANTS) -> float:
@@ -138,7 +140,10 @@ class Transmitter:
 
     @property
     def eirp_w(self) -> float:
-        return self.power_w * self.gain_linear
+        return require_no_overflow(
+            self.power_w * self.gain_linear,
+            "transmit power {!r} W and gain {!r} dBi are too large for an EIRP in watts", self.power_w, self.gain_dbi,
+        )
 
 
 @dataclass(frozen=True)
@@ -329,7 +334,7 @@ def link_budget(
     require("margin_db", margin_db, "must be >= 0 dB")
     extra_loss = linear_from_db(atm_loss_db + ad_loss_db + margin_db)
     g_t, g_r = transmitter.gain_linear, receiver.gain_linear
-    # an extreme gain underflows to 0, extreme constants push the wavelength to 0 or inf
+    # an extreme gain underflows to 0, extreme constants push the wavelength to 0
     require("g_t", g_t, "must be finite and > 0")
     require("g_r", g_r, "must be finite and > 0")
     require("wavelength_m", lam, "must be finite and > 0")

@@ -64,6 +64,15 @@ def require_count(name: str, value, rule: str = "must be an integer >= 1", field
     raise DomainError(message) if field is None else ValidationError(field, message)
 
 
+def require_no_overflow(value: float, template: str, *args) -> float:
+    """Return `value`, a result computed from finite inputs, if it is finite.
+    Otherwise an intermediate passed float max: raise DomainError reading
+    `template.format(*args)`, a message built only then."""
+    if math.isfinite(value):
+        return value
+    raise DomainError(template.format(*args))
+
+
 def _bounds(rule) -> tuple[float, float]:
     """The closed float range (lo, hi) that a rule states."""
     if not isinstance(rule, str):
@@ -111,7 +120,9 @@ _KINDS = {
 }
 
 
-def _checked_number(key: str, value, kind: str) -> float:
+def require_number(key: str, value, kind: str) -> float:
+    """`value` as a float if it is a number (not a bool) of the range `kind`
+    names in _KINDS, else raise ValidationError naming `key`."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValidationError(key, f"{key} must be a number, got {value!r}")
     return float(require(key, value, _KINDS[kind], key))
@@ -210,7 +221,7 @@ class PhysicalConstants:
     @classmethod
     def from_mapping(cls, overrides) -> "PhysicalConstants":
         check_keys(overrides, {f.name for f in fields(cls)}, "constant")
-        return cls(**{k: _checked_number(k, v, "finite") for k, v in overrides.items()})
+        return cls(**{k: require_number(k, v, "finite") for k, v in overrides.items()})
 
     @classmethod
     def from_file(cls, path) -> "PhysicalConstants":
@@ -371,7 +382,11 @@ def noise_figure_from_temperature(t_k: float, t_ref_k: float = DEFAULT_CONSTANTS
 
 def wavelength(freq_hz: float, constants: PhysicalConstants = DEFAULT_CONSTANTS) -> float:
     """Free-space wavelength in meters for a carrier frequency in Hz."""
-    return constants.c_m_per_s / require("frequency", freq_hz, "must be finite and > 0 Hz")
+    c = constants.c_m_per_s
+    return require_no_overflow(
+        c / require("frequency", freq_hz, "must be finite and > 0 Hz"),
+        "speed of light {!r} m/s over frequency {!r} Hz is too large for a wavelength", c, freq_hz,
+    )
 
 
 # --- ITU band allocations -------------------------------------------------

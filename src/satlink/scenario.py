@@ -26,7 +26,6 @@ from .quantities import (
     GEO,
     NON_GEO,
     UPLINK,
-    _checked_number,
     band_lookup,
     check_keys,
     dump_json,
@@ -36,6 +35,7 @@ from .quantities import (
     record_doc,
     require,
     require_count,
+    require_number,
 )
 
 DL = "dl"
@@ -116,7 +116,7 @@ def terminal_profile(spec) -> TerminalProfile:
         check_keys(merged, {"gain_dbi", "nf_db", "noise_temp_k", "eirp_dbm"}, "terminal", "terminal.")
         if "gain_dbi" not in merged:
             raise ValidationError("terminal.gain_dbi", "terminal mapping needs gain_dbi")
-        values = {k: _checked_number(f"terminal.{k}", v, "finite") for k, v in merged.items()}
+        values = {k: require_number(f"terminal.{k}", v, "finite") for k, v in merged.items()}
         return TerminalProfile(name, **values)
     raise ValidationError("terminal", f"terminal must be a preset name or mapping, got {type(spec).__name__}")
 
@@ -261,7 +261,7 @@ def _parse_case(doc: dict, index: int) -> LinkCase:
     kwargs: dict = {"direction": doc["direction"], "label": label}
     for key, (target, scale, kind) in _CASE_NUMBERS.items():
         if key in doc:
-            kwargs[target] = _checked_number(f"cases[{index}].{key}", doc[key], kind) * scale
+            kwargs[target] = require_number(f"cases[{index}].{key}", doc[key], kind) * scale
     return LinkCase(**kwargs)
 
 
@@ -283,7 +283,7 @@ def _scenario_from_doc(doc: dict) -> Scenario:
 
     for key, (kind,) in _SCALAR_FIELDS.items():
         if key in doc:
-            values[key] = _checked_number(key, doc[key], kind)
+            values[key] = require_number(key, doc[key], kind)
     for key in _COUNT_FIELDS:
         if key in doc:
             values[key] = require_count(key, doc[key], field=key)

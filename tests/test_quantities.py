@@ -379,6 +379,23 @@ class TestRequireCount:
             assert (err.value.field, str(err.value)) == (key, f"{key} must be an integer >= 1, got True")
 
 
+class TestRequireNoOverflow:
+    """The one overflow check: a result of finite inputs must be finite."""
+
+    @pytest.mark.parametrize("value", [0.0, -0.0, 5e-324, -1e308, 1.7976931348623157e308, 3])
+    def test_a_finite_result_is_returned(self, value):
+        assert q.require_no_overflow(value, "unused {}") is value
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_a_non_finite_result_raises_the_formatted_message(self, value):
+        with pytest.raises(DomainError) as err:
+            q.require_no_overflow(value, "power {!r} W and gain {!r} are too large for {}", 1e300, 1e10, "a test")
+        assert str(err.value) == "power 1e+300 W and gain 10000000000.0 are too large for a test"
+
+    def test_the_message_is_built_only_on_failure(self):
+        assert q.require_no_overflow(1.0, "{} {}") == 1.0  # formatting it would raise IndexError
+
+
 class _Dict(dict):
     pass
 
