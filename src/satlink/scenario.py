@@ -35,6 +35,7 @@ from .quantities import (
     record_doc,
     require,
     require_count,
+    require_no_overflow,
     require_number,
 )
 
@@ -392,7 +393,11 @@ def _case_findings(s: Scenario, case: LinkCase) -> list[Finding]:
 
     # bitrate from SE x bandwidth against the reported figure
     bw_mhz = s.bw_mhz_for(case)
-    reported_bps = case.bitrate_mbps * 1e6 if case.bitrate_mbps is not None else None
+    reported_bps = None
+    if case.bitrate_mbps is not None:
+        reported_bps = require_no_overflow(
+            case.bitrate_mbps * 1e6, "reported bitrate {!r} Mb/s is too large for a bitrate in b/s", case.bitrate_mbps
+        )
     missing = tuple(
         key for key, v in (("se_bps_hz", case.se_bps_hz), ("bw_mhz", bw_mhz)) if v is None
     )

@@ -114,23 +114,18 @@ def test_every_pair_of_flags_at_extremes_prints_finite_numbers(leaf):
     assert not found, found
 
 
-EXTREME_SCENARIO = {
-    "name": "extreme",
-    "orbit": "LEO",
-    "altitude_km": 1e200,
-    "elevation_deg": 30,
-    "se_dl_bps_hz": 1e300,
-    "bw_dl_mhz": 1e300,
+EXTREME_SCENARIOS = {
+    # past float max, the slant range, and (without the altitude) the bitrate
+    "altitude": {"altitude_km": 1e200, "elevation_deg": 30, "se_dl_bps_hz": 1e300, "bw_dl_mhz": 1e300},
+    "bitrate": {"se_dl_bps_hz": 1e300, "bw_dl_mhz": 1e300},
+    "reported-bitrate": {"se_dl_bps_hz": 2, "bw_dl_mhz": 1, "bitrate_dl_mbps": 1e306},
 }
 
 
-@pytest.mark.parametrize("with_altitude", [True, False], ids=["with-altitude", "without-altitude"])
-def test_extreme_scenario_prints_finite_numbers(tmp_path, with_altitude):
-    doc = dict(EXTREME_SCENARIO)
-    if not with_altitude:  # so the bitrate finding is reached
-        del doc["altitude_km"], doc["elevation_deg"]
+@pytest.mark.parametrize("fields", EXTREME_SCENARIOS.values(), ids=EXTREME_SCENARIOS)
+def test_extreme_scenario_prints_finite_numbers(tmp_path, fields):
     path = tmp_path / "extreme.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps({"name": "extreme", "orbit": "LEO", **fields}))
     assert not nonfinite(["scenario", "run", str(path), "--format=json"])
 
 
