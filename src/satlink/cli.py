@@ -134,23 +134,26 @@ def _add_output_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--precise", action="store_true", help="full 6-significant-digit tables")
 
 
-_BW_SCALES = {"bw_hz": 1.0, "bw_khz": 1e3, "bw_mhz": 1e6, "bw_ghz": 1e9}
-_FREQ_SCALES = {"freq_hz": 1.0, "freq_mhz": 1e6, "freq_ghz": 1e9}
+# Each quantity given in a choice of units, as {flag key: scale to SI}. A subcommand takes one
+# quantity's flags as one mutually exclusive group; key order is the precedence in a --config.
+_UNITS = {"freq": {"freq_ghz": 1e9, "freq_mhz": 1e6, "freq_hz": 1.0},
+          "bw": {"bw_hz": 1.0, "bw_khz": 1e3, "bw_mhz": 1e6, "bw_ghz": 1e9}}
 
 
 def _flag(key: str) -> str:
     return "--" + key.replace("_", "-")
 
 
-def _add_bw_flags(p: argparse.ArgumentParser) -> None:
+def _add_unit_flags(p: argparse.ArgumentParser, keys) -> None:
+    """Add the flags of `keys`, all of one quantity, in order as one mutually exclusive group."""
     g = p.add_mutually_exclusive_group()
-    for key in _BW_SCALES:
+    for key in keys:
         g.add_argument(_flag(key), type=float)
 
 
-def _scaled(values: dict, scales: dict) -> float | None:
-    """The value of the first key of `scales` set in `values`, times its scale."""
-    return next((values[k] * scale for k, scale in scales.items() if values.get(k) is not None), None)
+def _si(values: dict, quantity: str) -> float | None:
+    """`quantity` in SI units from the first of its keys set in `values`, or None."""
+    return next((values[k] * scale for k, scale in _UNITS[quantity].items() if values.get(k) is not None), None)
 
 
 def _constants_from_env() -> quantities.PhysicalConstants:
@@ -191,14 +194,14 @@ def _cmd_convert_noise_temp(args, constants) -> dict:
 
 
 def _cmd_convert_wavelength(args, constants) -> dict:
-    f = _scaled(vars(args), _FREQ_SCALES)
+    f = _si(vars(args), "freq")
     if f is None:
         raise _UsageError("freq_ghz (or --freq-mhz / --freq-hz)")
     return {"freq_hz": f, "wavelength_m": quantities.wavelength(f, constants)}
 
 
 def _cmd_convert_band(args, constants) -> list[dict]:
-    f = _scaled(vars(args), _FREQ_SCALES)
+    f = _si(vars(args), "freq")
     if f is None:
         raise _UsageError("freq_mhz (or --freq-ghz / --freq-hz)")
     band = quantities.band_lookup(f, args.direction, args.orbit)
@@ -265,20 +268,21 @@ def _cmd_geometry_cell(args, constants) -> dict:
 # --- linkbudget -------------------------------------------------------------------
 
 
-# The linkbudget flags in --help order; a --config document takes the same keys.
-_BUDGET_KEYS = (
-    "distance_km", "altitude_km", "elevation_deg", "freq_ghz", "freq_mhz", "eirp_dbw", "power_w", "gain_dbi",
-    "terminal", "rx_gain_dbi", "nf_db", "noise_temp_k", "g_over_t_dbk", *_BW_SCALES, "atm_loss_db", "ad_loss_db",
-    "margin_db",
+# The linkbudget flags in --help order, a tuple per quantity of _UNITS (no --freq-hz
+# here); a --config document takes the same keys.
+_BUDGET_FLAGS = (
+    "distance_km", "altitude_km", "elevation_deg", ("freq_ghz", "freq_mhz"), "eirp_dbw", "power_w", "gain_dbi",
+    "terminal", "rx_gain_dbi", "nf_db", "noise_temp_k", "g_over_t_dbk", tuple(_UNITS["bw"]), "atm_loss_db",
+    "ad_loss_db", "margin_db",
 )
+_BUDGET_KEYS = tuple(k for f in _BUDGET_FLAGS for k in ((f,) if isinstance(f, str) else f))
 
 
 # The forms each linkbudget quantity can take. A flag that sets a key of one
 # form drops the --config keys of the quantity's other forms.
 _BUDGET_FORMS = (
     ({"distance_km"}, {"altitude_km", "elevation_deg"}),
-    ({"freq_ghz"}, {"freq_mhz"}),
-    tuple({key} for key in _BW_SCALES),
+    *(tuple({key} for key in f) for f in _BUDGET_FLAGS if isinstance(f, tuple)),
     ({"eirp_dbw"}, {"power_w", "gain_dbi"}),
     ({"g_over_t_dbk"}, {"terminal"}, {"rx_gain_dbi", "nf_db", "noise_temp_k"}),
     ({"nf_db"}, {"noise_temp_k"}),
@@ -313,11 +317,11 @@ def _cmd_linkbudget(args, constants) -> dict:
     else:
         raise _UsageError("distance_km (or altitude_km + elevation_deg)")
 
-    freq_hz = _scaled(cfg, {"freq_ghz": 1e9, "freq_mhz": 1e6})
+    freq_hz = _si(cfg, "freq")
     if freq_hz is None:
         raise _UsageError("freq_ghz")
 
-    bw_hz = _scaled(cfg, _BW_SCALES)
+    bw_hz = _si(cfg, "bw")
     if bw_hz is None:
         raise _UsageError("bw_khz (or --bw-hz / --bw-mhz / --bw-ghz)")
 
@@ -352,7 +356,7 @@ def _cmd_linkbudget(args, constants) -> dict:
 
 
 def _cmd_capacity(args, constants) -> dict:
-    bw = _scaled(vars(args), _BW_SCALES)
+    bw = _si(vars(args), "bw")
     if bw is None:
         raise _UsageError("bw_khz (or --bw-hz / --bw-mhz / --bw-ghz)")
     if (args.snr_db is None) == (args.snr_linear is None):
@@ -381,7 +385,7 @@ def _cmd_modcod(args, constants) -> dict:
         "snr_qef_db": chosen.snr_qef_db,
         "margin_db": margin,
     }
-    bw = _scaled(vars(args), _BW_SCALES)
+    bw = _si(vars(args), "bw")
     if bw is not None:
         record["bitrate_bps"] = capacity.effective_bitrate(chosen.se_bps_hz, bw)
     return record
@@ -390,7 +394,7 @@ def _cmd_modcod(args, constants) -> dict:
 def _cmd_multibeam(args, constants) -> dict:
     cfg = capacity.MultiBeamConfig(
         se_bps_hz=args.se,
-        bandwidth_hz=args.bw_ghz * 1e9,
+        bandwidth_hz=_si(vars(args), "bw"),
         polarizations=args.pol,
         beams=args.beams,
         colors=args.colors,
@@ -564,14 +568,13 @@ def _cmd_scenario_list(args, constants) -> list[dict]:
 # argparse reads only "-123" and "-1.5" as negative numbers and takes any
 # other token that starts with "-" for an option, which leaves "--db -1e3"
 # without a value. This reads every negative decimal literal, exponent form
-# included, as a value. "-inf" and "-nan" are still read as options, as the
-# CLI corpus pins; they are passed as "--db=-inf".
-_NEGATIVE_NUMBER = re.compile(r"^-(?:\d+\.?\d*|\.\d+)(?:e[-+]?\d+)?$", re.IGNORECASE)
+# included, and "-inf", "-infinity" and "-nan" as a value.
+_NEGATIVE_NUMBER = re.compile(r"^-(?:(?:\d+\.?\d*|\.\d+)(?:e[-+]?\d+)?|inf(?:inity)?|nan)$", re.IGNORECASE)
 
 
 class _Parser(argparse.ArgumentParser):
-    """An ArgumentParser that reads every negative decimal literal (-1e3,
-    -1e308, -2.5E-3) as a value; its subparsers are built from the same class."""
+    """An ArgumentParser that reads every negative literal (-1e3, -1e308,
+    -2.5E-3, -inf, -nan) as a value; its subparsers are built from the same class."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -610,15 +613,11 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_output_flags(p)
     p.set_defaults(func=_cmd_convert_noise_temp)
     p = csub.add_parser("wavelength", help="carrier frequency to wavelength")
-    p.add_argument("--freq-ghz", type=float)
-    p.add_argument("--freq-mhz", type=float)
-    p.add_argument("--freq-hz", type=float)
+    _add_unit_flags(p, _UNITS["freq"])
     _add_output_flags(p)
     p.set_defaults(func=_cmd_convert_wavelength)
     p = csub.add_parser("band", help="resolve a frequency to its ITU band")
-    p.add_argument("--freq-mhz", type=float)
-    p.add_argument("--freq-ghz", type=float)
-    p.add_argument("--freq-hz", type=float)
+    _add_unit_flags(p, ("freq_mhz", "freq_ghz", "freq_hz"))
     p.add_argument("--direction", choices=(quantities.DOWNLINK, quantities.UPLINK), required=True)
     p.add_argument("--orbit", choices=(quantities.GEO, quantities.NON_GEO, quantities.ANY_ORBIT),
                    default=quantities.ANY_ORBIT)
@@ -651,13 +650,13 @@ def _build_parser() -> argparse.ArgumentParser:
     # linkbudget
     p = sub.add_parser("linkbudget", help="itemized dB ledger and SNR")
     p.add_argument("--config", help="JSON file with the same keys as the flags")
-    for key in _BUDGET_KEYS:
-        if key == "terminal":
+    for f in _BUDGET_FLAGS:
+        if f == "terminal":
             p.add_argument("--terminal", help="receiver terminal preset (class3-ue, vsat, iot)")
-        elif key == "bw_hz":
-            _add_bw_flags(p)
-        elif key not in _BW_SCALES:
-            p.add_argument(_flag(key), type=float)
+        elif isinstance(f, tuple):
+            _add_unit_flags(p, f)
+        else:
+            p.add_argument(_flag(f), type=float)
     _add_output_flags(p)
     p.set_defaults(func=_cmd_linkbudget)
 
@@ -665,7 +664,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("capacity", help="Shannon capacity and spectral efficiency")
     p.add_argument("--snr-db", type=float)
     p.add_argument("--snr-linear", type=float)
-    _add_bw_flags(p)
+    _add_unit_flags(p, _UNITS["bw"])
     _add_output_flags(p)
     p.set_defaults(func=_cmd_capacity)
 
@@ -673,7 +672,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("modcod", help="highest-rate scheme the SNR supports")
     p.add_argument("--snr-db", type=float, required=True)
     p.add_argument("--catalog", help="CSV catalog (name, se_bps_hz, snr_qef_db)")
-    _add_bw_flags(p)
+    _add_unit_flags(p, _UNITS["bw"])
     _add_output_flags(p)
     p.set_defaults(func=_cmd_modcod)
 

@@ -75,10 +75,10 @@ def test_negative_exponent_value_runs_end_to_end():
     assert run(["geometry", "cell", "--parent-radius-km", "-1e3", "--beams", "4"])[0] == cli.EXIT_DOMAIN
 
 
-def test_non_finite_words_are_still_passed_with_an_equals_sign():
-    code, _, err = run(["convert", "linear", "--db", "-inf"])
-    assert code == cli.EXIT_USAGE and "expected one argument" in err
-    assert run(["convert", "linear", "--db=-inf"])[0] == cli.EXIT_DOMAIN
+def test_non_finite_words_are_values():
+    for value, shown in (("-inf", "-inf"), ("-Infinity", "-inf"), ("-nan", "nan"), ("-NaN", "nan")):
+        for argv in (["convert", "linear", "--db", value], ["convert", "linear", f"--db={value}"]):
+            assert run(argv) == (cli.EXIT_DOMAIN, "", f"error: dB value must be finite, got {shown}\n"), argv
 
 
 def test_parser_is_built_once():
