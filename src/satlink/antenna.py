@@ -10,6 +10,7 @@ All arrays are untapered (uniformly weighted).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +43,7 @@ class ArraySpec:
         if self.topology not in (LINEAR, PLANAR):
             raise DomainError(f"topology must be '{LINEAR}' or '{PLANAR}', got {self.topology!r}")
         require_count("element count", self.elements)
+        require_count("element count", self.elements, "must lie within the float range", top=sys.float_info.max)
         if self.topology == PLANAR:
             if self.rows is None or self.cols is None:
                 raise DomainError("planar arrays need rows and cols")
@@ -121,7 +123,8 @@ def psi_from_incidence(spacing_wavelengths: float, theta_rad: float) -> float:
     array axis: psi = 2*pi*spacing*cos(theta)."""
     require("spacing", spacing_wavelengths, "must be > 0 wavelengths")
     require("theta", theta_rad, "must be finite")
-    return 2.0 * math.pi * spacing_wavelengths * math.cos(theta_rad)
+    psi = 2.0 * math.pi * spacing_wavelengths * math.cos(theta_rad)
+    return require_no_overflow(psi, "spacing {!r} wavelengths is too large for a phase psi", spacing_wavelengths)
 
 
 def directivity(spec: ArraySpec) -> AntennaGain:
@@ -154,7 +157,8 @@ def effective_aperture(wavelength_m: float, gain_linear: float) -> float:
 def hpbw_from_directivity(directivity_linear: float) -> float:
     """Half-power beamwidth in degrees under the symmetric-beam approximation
     D = 32400 / hpbw^2, i.e. hpbw = sqrt(32400 / D)."""
-    return math.sqrt(HPBW_APPROX_COEFFICIENT / require("directivity", directivity_linear, "must be > 0"))
+    hpbw = math.sqrt(HPBW_APPROX_COEFFICIENT / require("directivity", directivity_linear, "must be > 0"))
+    return require_no_overflow(hpbw, "directivity {!r} is too small for a beamwidth", directivity_linear)
 
 
 _HPBW_TOL_RAD = 1e-9  # bisection stops when the bracket on theta is this narrow
@@ -200,22 +204,19 @@ def hpbw_numeric(spec: ArraySpec) -> float:
     return math.degrees(2.0 * (math.pi / 2.0 - theta_half))
 
 
-def sidelobe_level(spec: ArraySpec, scan_samples: int = 20001) -> float:
+def sidelobe_level(spec: ArraySpec) -> float:
     """Peak pattern amplitude outside the main lobe of a linear array.
 
     The largest sidelobe of an untapered linear array is its first one, the
     single peak of |AF| between the nulls at psi = 2*pi/N and 4*pi/N; a
     bounded search over that bracket finds it. Returns the amplitude ratio
-    (1.0 = main-lobe peak). `scan_samples` no longer shapes the search; it
-    is kept, and still must be at least 10^4, for existing callers.
+    (1.0 = main-lobe peak).
     """
     if spec.topology != LINEAR:
         raise DomainError("sidelobe scan is defined for linear arrays only")
     n = spec.elements
     if n < 3:
         raise NoSidelobeError(f"an N={n} array has no sidelobe between its null and the grating lobe")
-    if scan_samples < 10_000:
-        raise DomainError(f"scan needs at least 10^4 samples, got {scan_samples}")
     res = minimize_scalar(
         lambda p: -_af(n, p),
         bounds=(2.0 * math.pi / n, 4.0 * math.pi / n),
@@ -268,10 +269,7 @@ def _pattern_cut(spec: ArraySpec, resolution_deg: float):
         raise DomainError("pattern cuts are defined for linear arrays only")
     steps = int(round(180.0 / require("resolution", resolution_deg, _RESOLUTION)))
     two_pi_sp = 2.0 * math.pi * spec.spacing_wavelengths
-    try:
-        n_psi = spec.elements * two_pi_sp  # N*psi at endfire
-    except OverflowError:  # an element count past the float range
-        raise DomainError(f"element count {spec.elements!r} is too large for a pattern cut") from None
+    n_psi = spec.elements * two_pi_sp  # N*psi at endfire
     require_no_overflow(n_psi, "spacing {!r} wavelengths is too large for a pattern cut", spec.spacing_wavelengths)
     thetas = np.linspace(0.0, math.pi, steps + 1)
     psis = two_pi_sp * np.cos(thetas)

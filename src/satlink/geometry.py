@@ -42,7 +42,10 @@ def slant_range_altitude_approx(altitude_km: float, elevation_rad: float) -> flo
     require("altitude", altitude_km, "must be > 0 km")
     require("elevation", elevation_rad, "must lie in [0, pi/2) rad")
     t = math.tan(elevation_rad)
-    return altitude_km * math.sqrt(1.0 + t * t)
+    return require_no_overflow(
+        altitude_km * math.sqrt(1.0 + t * t),
+        "altitude {!r} km at elevation {!r} rad is too large for a slant range", altitude_km, elevation_rad,
+    )
 
 
 @dataclass(frozen=True)

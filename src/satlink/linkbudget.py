@@ -80,7 +80,10 @@ def fspl(distance_m: float, freq_hz: float, constants: PhysicalConstants = DEFAU
     """Free-space path loss in dB: 20*log10(4*pi*d*f/c)."""
     require("distance", distance_m, "must be > 0 m")
     require("frequency", freq_hz, "must be > 0 Hz")
-    return _fspl(distance_m, freq_hz, constants)
+    return require_no_overflow(
+        _fspl(distance_m, freq_hz, constants),
+        "distance {!r} m and frequency {!r} Hz are too large for a path loss", distance_m, freq_hz,
+    )
 
 
 def _fspl(distance_m, freq_hz, constants) -> float:

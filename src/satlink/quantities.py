@@ -377,7 +377,10 @@ def noise_figure_from_temperature(t_k: float, t_ref_k: float = DEFAULT_CONSTANTS
     """Inverse of noise_temperature_from_nf: NF = 10*log10(1 + T/Tref)."""
     require("noise temperature", t_k, "must be >= 0 K")
     require("reference temperature", t_ref_k, "must be > 0 K")
-    return 10.0 * math.log1p(t_k / t_ref_k) / _LN10
+    return require_no_overflow(
+        10.0 * math.log1p(t_k / t_ref_k) / _LN10,
+        "noise temperature {!r} K over reference {!r} K is too large for a noise figure", t_k, t_ref_k,
+    )
 
 
 def wavelength(freq_hz: float, constants: PhysicalConstants = DEFAULT_CONSTANTS) -> float:

@@ -356,7 +356,8 @@ def _band_finding(s: Scenario, direction: str) -> Finding | None:
     chart_direction = DOWNLINK if direction == DL else UPLINK
     orbit = _ORBIT_CLASS_TO_CHART.get(s.orbit.upper(), ANY_ORBIT)
     try:
-        computed = band_lookup(freq_ghz * 1e9, chart_direction, orbit)
+        freq_hz = require_no_overflow(freq_ghz * 1e9, "frequency {!r} GHz is too large for a frequency in Hz", freq_ghz)
+        computed = band_lookup(freq_hz, chart_direction, orbit)
     except OutOfBandError as exc:
         computed = f"out-of-band ({exc.nearest.band} nearest)"
         if s.band is None:
@@ -407,7 +408,8 @@ def _case_findings(s: Scenario, case: LinkCase) -> list[Finding]:
                     reported=reported_bps, missing=missing)
         )
     else:
-        computed = effective_bitrate(case.se_bps_hz, bw_mhz * 1e6)
+        bw_hz = require_no_overflow(bw_mhz * 1e6, "bandwidth {!r} MHz is too large for a bandwidth in Hz", bw_mhz)
+        computed = effective_bitrate(case.se_bps_hz, bw_hz)
         if reported_bps is None:
             out.append(Finding("bitrate_bps", COMPUTED, direction=d, label=l, computed=computed))
         else:

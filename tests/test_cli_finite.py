@@ -119,6 +119,9 @@ EXTREME_SCENARIOS = {
     "altitude": {"altitude_km": 1e200, "elevation_deg": 30, "se_dl_bps_hz": 1e300, "bw_dl_mhz": 1e300},
     "bitrate": {"se_dl_bps_hz": 1e300, "bw_dl_mhz": 1e300},
     "reported-bitrate": {"se_dl_bps_hz": 2, "bw_dl_mhz": 1, "bitrate_dl_mbps": 1e306},
+    # past float max only once scaled to Hz
+    "bandwidth": {"se_dl_bps_hz": 2, "bw_dl_mhz": 1e305},
+    "frequency": {"freq_dl_ghz": 1e305},
 }
 
 
@@ -155,7 +158,7 @@ HUGE_COUNT = "1" + "0" * 400  # an int past the float range
 @pytest.mark.parametrize("argv, message", [
     (["multibeam", "--se=2", "--bw-ghz=1", f"--beams={HUGE_COUNT}", "--colors=1"],
      f"bandwidth 1000000000.0 Hz and {HUGE_COUNT} beams are too large for a multi-beam capacity"),
-    (["antenna", "pattern", f"--elements={HUGE_COUNT}"], f"element count {HUGE_COUNT} is too large for a pattern cut"),
+    (["antenna", "pattern", f"--elements={HUGE_COUNT}"], f"element count must lie within the float range, got {HUGE_COUNT}"),
 ], ids=["beams", "elements"])
 def test_a_count_past_the_float_range_is_a_domain_error(argv, message):
     code, _, err = invoke(argv)

@@ -7,7 +7,7 @@ from pytest import approx
 
 from satlink import scenario as sc
 from satlink.capacity import max_spectral_efficiency
-from satlink.errors import NotFoundError, ParseError, ValidationError
+from satlink.errors import DomainError, NotFoundError, ParseError, ValidationError
 from satlink.quantities import linear_from_db
 
 
@@ -309,6 +309,18 @@ class TestRunScenario:
         f = sc.run_scenario(s).finding("band", "dl")
         assert f.status == sc.COMPUTED
         assert f.computed == "Ku"
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"se_dl_bps_hz": 2, "bw_dl_mhz": 1e305}, "bandwidth 1e+305 MHz is too large for a bandwidth in Hz"),
+        ({"cases": [{"direction": "ul", "se_bps_hz": 2, "bw_mhz": 1e305}]},
+         "bandwidth 1e+305 MHz is too large for a bandwidth in Hz"),
+        ({"freq_dl_ghz": 1e305}, "frequency 1e+305 GHz is too large for a frequency in Hz"),
+    ], ids=["bw_dl_mhz", "case-bw_mhz", "freq_dl_ghz"])
+    def test_a_value_past_float_max_in_si_units_is_named_as_typed(self, fields, message):
+        s = sc.load_scenario({"name": "x", "orbit": "LEO", **fields})
+        with pytest.raises(DomainError) as exc:
+            sc.run_scenario(s)
+        assert str(exc.value) == message
 
 
 class TestFieldDeletionFuzz:
