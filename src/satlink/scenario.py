@@ -355,8 +355,8 @@ def _band_finding(s: Scenario, direction: str) -> Finding | None:
         return None
     chart_direction = DOWNLINK if direction == DL else UPLINK
     orbit = _ORBIT_CLASS_TO_CHART.get(s.orbit.upper(), ANY_ORBIT)
+    freq_hz = require_no_overflow(freq_ghz * 1e9, "frequency {!r} GHz is too large for a frequency in Hz", freq_ghz)
     try:
-        freq_hz = require_no_overflow(freq_ghz * 1e9, "frequency {!r} GHz is too large for a frequency in Hz", freq_ghz)
         computed = band_lookup(freq_hz, chart_direction, orbit)
     except OutOfBandError as exc:
         computed = f"out-of-band ({exc.nearest.band} nearest)"
