@@ -158,7 +158,8 @@ HUGE_COUNT = "1" + "0" * 400  # an int past the float range
 @pytest.mark.parametrize("argv, message", [
     (["multibeam", "--se=2", "--bw-ghz=1", f"--beams={HUGE_COUNT}", "--colors=1"],
      f"bandwidth 1000000000.0 Hz and {HUGE_COUNT} beams are too large for a multi-beam capacity"),
-    (["antenna", "pattern", f"--elements={HUGE_COUNT}"], f"element count must lie within the float range, got {HUGE_COUNT}"),
+    (["antenna", "pattern", f"--elements={HUGE_COUNT}"],
+     f"element count must lie within the float range, got {HUGE_COUNT}"),
 ], ids=["beams", "elements"])
 def test_a_count_past_the_float_range_is_a_domain_error(argv, message):
     code, _, err = invoke(argv)
