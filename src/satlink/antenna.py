@@ -131,7 +131,9 @@ def directivity(spec: ArraySpec) -> AntennaGain:
     """Maximum directivity: N for a linear array, N*pi for a planar one."""
     if spec.topology == LINEAR:
         return AntennaGain(float(spec.elements))
-    return AntennaGain(spec.elements * math.pi)
+    return AntennaGain(require_no_overflow(
+        spec.elements * math.pi, "element count {!r} is too large for a planar directivity", spec.elements
+    ))
 
 
 def gain_from_directivity(directivity_linear: float, efficiency: float) -> AntennaGain:
@@ -268,9 +270,14 @@ def _pattern_cut(spec: ArraySpec, resolution_deg: float):
     if spec.topology != LINEAR:
         raise DomainError("pattern cuts are defined for linear arrays only")
     steps = int(round(180.0 / require("resolution", resolution_deg, _RESOLUTION)))
-    two_pi_sp = 2.0 * math.pi * spec.spacing_wavelengths
-    n_psi = spec.elements * two_pi_sp  # N*psi at endfire
-    require_no_overflow(n_psi, "spacing {!r} wavelengths is too large for a pattern cut", spec.spacing_wavelengths)
+    spacing = spec.spacing_wavelengths
+    two_pi_sp = require_no_overflow(
+        2.0 * math.pi * spacing, "spacing {!r} wavelengths is too large for a pattern cut", spacing
+    )
+    require_no_overflow(  # N*psi at endfire
+        spec.elements * two_pi_sp,
+        "element count {!r} and spacing {!r} wavelengths are too large for a pattern cut", spec.elements, spacing,
+    )
     thetas = np.linspace(0.0, math.pi, steps + 1)
     psis = two_pi_sp * np.cos(thetas)
     amps = _normalized_af_vec(spec.elements, psis)

@@ -50,7 +50,7 @@ def require(name: str, value, rule, field: str | None = None):
     if not isinstance(rule, str):
         for phrase in rule:
             require(name, value, phrase, field)
-    message = f"{name} {rule}, got {value!r}"
+    message = f"{name} {rule}, got {_show(value)}"
     raise DomainError(message) if field is None else ValidationError(field, message)
 
 
@@ -60,17 +60,45 @@ def require_count(name: str, value, rule: str = "must be an integer >= 1", field
     bool is not a count."""
     if isinstance(value, int) and not isinstance(value, bool) and 1 <= value <= top:
         return value
-    message = f"{name} {rule}, got {value!r}"
+    message = f"{name} {rule}, got {_show(value)}"
     raise DomainError(message) if field is None else ValidationError(field, message)
 
 
 def require_no_overflow(value: float, template: str, *args) -> float:
     """Return `value`, a result computed from finite inputs, if it is finite.
     Otherwise an intermediate passed float max: raise DomainError reading
-    `template.format(*args)`, a message built only then."""
+    `template.format(*args)`, a message built only then, in which a `{!r}`
+    field renders its argument through `_show`."""
     if math.isfinite(value):
         return value
-    raise DomainError(template.format(*args))
+    raise DomainError(template.format(*map(_Shown, args)))
+
+
+def _show(value) -> str:
+    """How a refusal shows a value: its repr, or for an int too long for one
+    (over sys.get_int_max_str_digits() digits) its number of digits."""
+    try:
+        return repr(value)
+    except ValueError:  # only such an int fails its repr
+        n = abs(value)
+        digits = int(math.log10(n)) + 1
+        digits += (n >= 10**digits) - (n < 10 ** (digits - 1))  # log10 may round across a power of ten
+        return f"{'a negative' if value < 0 else 'an'} integer of {digits} digits"
+
+
+class _Shown:
+    """A message argument: `{!r}` renders it through `_show`, `{}` as str.format would."""
+
+    __slots__ = ("value",)
+
+    def __init__(self, value):
+        self.value = value
+
+    def __repr__(self) -> str:
+        return _show(self.value)
+
+    def __format__(self, spec: str) -> str:
+        return format(self.value, spec)
 
 
 def _bounds(rule) -> tuple[float, float]:

@@ -210,22 +210,21 @@ class Finding:
 
 # --- document loading ------------------------------------------------------
 
-_SCALAR_FIELDS: dict[str, tuple[str, ...]] = {
-    # key -> (kind,) where kind constrains the value
-    "altitude_km": ("positive",),
-    "elevation_deg": ("elevation",),
-    "freq_dl_ghz": ("positive",),
-    "freq_ul_ghz": ("positive",),
-    "bw_dl_mhz": ("positive",),
-    "bw_ul_mhz": ("positive",),
-    "sinr_dl_db": ("finite",),
-    "sinr_ul_db": ("finite",),
-    "se_dl_bps_hz": ("positive",),
-    "se_ul_bps_hz": ("positive",),
-    "bitrate_dl_mbps": ("positive",),
-    "bitrate_ul_mbps": ("positive",),
-    "margin_db": ("nonnegative",),
-    "footprint_radius_km": ("positive",),
+_SCALAR_FIELDS: dict[str, str] = {  # key -> the kind of number it holds
+    "altitude_km": "positive",
+    "elevation_deg": "elevation",
+    "freq_dl_ghz": "positive",
+    "freq_ul_ghz": "positive",
+    "bw_dl_mhz": "positive",
+    "bw_ul_mhz": "positive",
+    "sinr_dl_db": "finite",
+    "sinr_ul_db": "finite",
+    "se_dl_bps_hz": "positive",
+    "se_ul_bps_hz": "positive",
+    "bitrate_dl_mbps": "positive",
+    "bitrate_ul_mbps": "positive",
+    "margin_db": "nonnegative",
+    "footprint_radius_km": "positive",
 }
 
 _COUNT_FIELDS = ("reuse", "beams")
@@ -282,7 +281,7 @@ def _scenario_from_doc(doc: dict) -> Scenario:
         raise ValidationError("band", "band must be a string")
     values["band"] = band
 
-    for key, (kind,) in _SCALAR_FIELDS.items():
+    for key, kind in _SCALAR_FIELDS.items():
         if key in doc:
             values[key] = require_number(key, doc[key], kind)
     for key in _COUNT_FIELDS:
@@ -349,77 +348,59 @@ def scenario_to_doc(s: Scenario) -> dict:
 _ORBIT_CLASS_TO_CHART = {"GEO": GEO, "LEO": NON_GEO, "MEO": NON_GEO}
 
 
-def _band_finding(s: Scenario, direction: str) -> Finding | None:
-    freq_ghz = s.freq_dl_ghz if direction == DL else s.freq_ul_ghz
-    if freq_ghz is None:
-        return None
-    chart_direction = DOWNLINK if direction == DL else UPLINK
-    orbit = _ORBIT_CLASS_TO_CHART.get(s.orbit.upper(), ANY_ORBIT)
+def _grade(quantity, direction, label, names, inputs, compute, reported=None, grade=None) -> Finding:
+    """The one grading rule: the finding for `quantity` from `inputs`, named by
+    `names`. If any input is None it is not computable, `missing` naming each
+    such input in order. Else `compute(*inputs)` is `computed` when nothing was
+    reported, and otherwise graded by the status and delta `grade` returns."""
+    if None in inputs:
+        missing = tuple([name for name, value in zip(names, inputs) if value is None])
+        return Finding(quantity, NOT_COMPUTABLE, direction, label, None, reported, None, missing)
+    computed = compute(*inputs)
+    if reported is None:
+        return Finding(quantity, COMPUTED, direction, label, computed)
+    status, delta = grade(computed, reported)
+    return Finding(quantity, status, direction, label, computed, reported, delta)
+
+
+def _slant_range_km(altitude_km: float, elevation_deg: float) -> float:
+    return slant_range_exact(altitude_km, math.radians(elevation_deg))
+
+
+def _band(freq_ghz: float, chart_direction: str, chart_orbit: str) -> str:
+    """The chart's band at a frequency in GHz, or "out-of-band (<band> nearest)"."""
     freq_hz = require_no_overflow(freq_ghz * 1e9, "frequency {!r} GHz is too large for a frequency in Hz", freq_ghz)
     try:
-        computed = band_lookup(freq_hz, chart_direction, orbit)
+        return band_lookup(freq_hz, chart_direction, chart_orbit)
     except OutOfBandError as exc:
-        computed = f"out-of-band ({exc.nearest.band} nearest)"
-        if s.band is None:
-            return Finding("band", COMPUTED, direction=direction, computed=computed)
-        return Finding("band", INCONSISTENT, direction=direction, computed=computed, reported=s.band)
-    if s.band is None:
-        return Finding("band", COMPUTED, direction=direction, computed=computed)
-    declared = [b.strip() for b in s.band.split("/")]
-    status = CONSISTENT if computed in declared else INCONSISTENT
-    return Finding("band", status, direction=direction, computed=computed, reported=s.band)
+        return f"out-of-band ({exc.nearest.band} nearest)"
 
 
-def _case_findings(s: Scenario, case: LinkCase) -> list[Finding]:
-    out: list[Finding] = []
-    d, l = case.direction, case.label
+def _band_match(band: str, declared: str) -> tuple[str, None]:
+    """Consistent when the band is one of the declared "/"-separated bands; an
+    out-of-band result never is."""
+    match = not band.startswith("out-of-band") and band in [b.strip() for b in declared.split("/")]
+    return (CONSISTENT if match else INCONSISTENT), None
 
-    # Shannon feasibility of the reported spectral efficiency
-    if case.sinr_db is None:
-        out.append(
-            Finding("se_vs_shannon", NOT_COMPUTABLE, direction=d, label=l,
-                    reported=case.se_bps_hz, missing=("sinr_db",))
-        )
-    else:
-        bound = max_spectral_efficiency(linear_from_db(case.sinr_db))
-        if case.se_bps_hz is None:
-            out.append(Finding("se_vs_shannon", COMPUTED, direction=d, label=l, computed=bound))
-        else:
-            excess = case.se_bps_hz - bound
-            status = INCONSISTENT if excess > SE_BOUND_SLACK else CONSISTENT
-            out.append(
-                Finding("se_vs_shannon", status, direction=d, label=l,
-                        computed=bound, reported=case.se_bps_hz, delta=excess)
-            )
 
-    # bitrate from SE x bandwidth against the reported figure
-    bw_mhz = s.bw_mhz_for(case)
-    reported_bps = None
-    if case.bitrate_mbps is not None:
-        reported_bps = require_no_overflow(
-            case.bitrate_mbps * 1e6, "reported bitrate {!r} Mb/s is too large for a bitrate in b/s", case.bitrate_mbps
-        )
-    missing = tuple(
-        key for key, v in (("se_bps_hz", case.se_bps_hz), ("bw_mhz", bw_mhz)) if v is None
-    )
-    if missing:
-        out.append(
-            Finding("bitrate_bps", NOT_COMPUTABLE, direction=d, label=l,
-                    reported=reported_bps, missing=missing)
-        )
-    else:
-        bw_hz = require_no_overflow(bw_mhz * 1e6, "bandwidth {!r} MHz is too large for a bandwidth in Hz", bw_mhz)
-        computed = effective_bitrate(case.se_bps_hz, bw_hz)
-        if reported_bps is None:
-            out.append(Finding("bitrate_bps", COMPUTED, direction=d, label=l, computed=computed))
-        else:
-            rel = abs(computed - reported_bps) / reported_bps
-            status = CONSISTENT if rel <= BITRATE_TOLERANCE else INCONSISTENT
-            out.append(
-                Finding("bitrate_bps", status, direction=d, label=l,
-                        computed=computed, reported=reported_bps, delta=rel)
-            )
-    return out
+def _shannon_bound(sinr_db: float) -> float:
+    return max_spectral_efficiency(linear_from_db(sinr_db))
+
+
+def _se_excess(bound: float, se_bps_hz: float) -> tuple[str, float]:
+    """A reported spectral efficiency above the Shannon bound is inconsistent."""
+    excess = se_bps_hz - bound
+    return (INCONSISTENT if excess > SE_BOUND_SLACK else CONSISTENT), excess
+
+
+def _bitrate_bps(se_bps_hz: float, bw_mhz: float) -> float:
+    bw_hz = require_no_overflow(bw_mhz * 1e6, "bandwidth {!r} MHz is too large for a bandwidth in Hz", bw_mhz)
+    return effective_bitrate(se_bps_hz, bw_hz)
+
+
+def _relative_error(bitrate: float, reported: float) -> tuple[str, float]:
+    rel = abs(bitrate - reported) / reported
+    return (CONSISTENT if rel <= BITRATE_TOLERANCE else INCONSISTENT), rel
 
 
 @dataclass(frozen=True)
@@ -474,46 +455,29 @@ def run_scenario(s: Scenario) -> ScenarioReport:
     Missing inputs produce not-computable findings listing what was absent;
     they never become failures or fabricated defaults.
     """
-    findings: list[Finding] = []
-
-    slant = None
-    missing = tuple(
-        key
-        for key, v in (("altitude_km", s.altitude_km), ("elevation_deg", s.elevation_deg))
-        if v is None
-    )
-    if missing:
-        findings.append(Finding("slant_range_km", NOT_COMPUTABLE, missing=missing))
-    else:
-        slant = slant_range_exact(s.altitude_km, math.radians(s.elevation_deg))
-        findings.append(Finding("slant_range_km", COMPUTED, computed=slant))
-
-    for direction in (DL, UL):
-        f = _band_finding(s, direction)
-        if f is not None:
-            findings.append(f)
-
+    names, inputs = ("altitude_km", "elevation_deg"), (s.altitude_km, s.elevation_deg)
+    slant = _grade("slant_range_km", None, None, names, inputs, _slant_range_km)
+    findings = [slant]
+    for direction, chart_direction, freq_ghz in ((DL, DOWNLINK, s.freq_dl_ghz), (UL, UPLINK, s.freq_ul_ghz)):
+        if freq_ghz is not None:  # a band finding only for a given frequency
+            names = ("freq_ghz", "chart_direction", "chart_orbit")
+            inputs = (freq_ghz, chart_direction, _ORBIT_CLASS_TO_CHART.get(s.orbit.upper(), ANY_ORBIT))
+            findings.append(_grade("band", direction, None, names, inputs, _band, s.band, _band_match))
     if s.beams is not None or s.footprint_radius_km is not None:
-        missing = tuple(
-            key
-            for key, v in (("footprint_radius_km", s.footprint_radius_km), ("beams", s.beams))
-            if v is None
-        )
-        if missing:
-            findings.append(Finding("cell_radius_km", NOT_COMPUTABLE, missing=missing))
-        else:
-            findings.append(
-                Finding(
-                    "cell_radius_km",
-                    COMPUTED,
-                    computed=cell_radius_from_split(s.footprint_radius_km, s.beams),
-                )
-            )
+        names, inputs = ("footprint_radius_km", "beams"), (s.footprint_radius_km, s.beams)
+        findings.append(_grade("cell_radius_km", None, None, names, inputs, cell_radius_from_split))
 
     for case in s.cases:
-        findings.extend(_case_findings(s, case))
+        d, l, se, reported = case.direction, case.label, case.se_bps_hz, case.bitrate_mbps
+        findings.append(_grade("se_vs_shannon", d, l, ("sinr_db",), (case.sinr_db,), _shannon_bound, se, _se_excess))
+        names, inputs = ("se_bps_hz", "bw_mhz"), (se, s.bw_mhz_for(case))
+        if reported is not None:
+            reported = require_no_overflow(
+                reported * 1e6, "reported bitrate {!r} Mb/s is too large for a bitrate in b/s", reported
+            )
+        findings.append(_grade("bitrate_bps", d, l, names, inputs, _bitrate_bps, reported, _relative_error))
 
-    return ScenarioReport(scenario=s, slant_range_km=slant, findings=tuple(findings))
+    return ScenarioReport(scenario=s, slant_range_km=slant.computed, findings=tuple(findings))
 
 
 # --- built-in project fixtures ----------------------------------------------

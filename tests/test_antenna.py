@@ -86,6 +86,11 @@ class TestDirectivity:
     def test_the_largest_float_count_is_accepted(self):
         assert ant.directivity(ant.ArraySpec.linear(int(1.7976931348623157e308))).linear == 1.7976931348623157e308
 
+    def test_a_planar_count_whose_directivity_passes_float_max(self):
+        n = 10**308  # inside the float range, but N*pi is not
+        with pytest.raises(DomainError, match=rf"^element count {n} is too large for a planar directivity$"):
+            ant.directivity(ant.ArraySpec.planar(10**154, 10**154))
+
 
 class TestGainAndAperture:
     def test_lossless(self):

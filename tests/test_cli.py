@@ -546,8 +546,17 @@ class TestRefusedDocumentsAndExtremes:
     @pytest.mark.parametrize("spacing", ["1e308", "1e307"])  # 2*pi*spacing overflows; N*psi overflows
     def test_pattern_spacing_too_large(self, capsys, spacing):
         argv = ("antenna", "pattern", "--elements", "4", "--spacing", spacing, "--resolution-deg", "45")
-        expected = f"error: spacing {float(spacing)!r} wavelengths is too large for a pattern cut\n"
+        culprits = {
+            "1e308": "spacing 1e+308 wavelengths is",
+            "1e307": "element count 4 and spacing 1e+307 wavelengths are",
+        }
+        expected = f"error: {culprits[spacing]} too large for a pattern cut\n"
         assert run(capsys, *argv) == (1, "", expected)
+
+    def test_pattern_element_count_too_large(self, capsys):
+        n = "1" + "0" * 308  # inside the float range, but N*2*pi*spacing is not
+        expected = f"error: element count {n} and spacing 0.5 wavelengths are too large for a pattern cut\n"
+        assert run(capsys, "antenna", "pattern", "--elements", n, "--resolution-deg", "45") == (1, "", expected)
 
     def test_long_integer_in_scenario_file(self, capsys, tmp_path):
         path = tmp_path / "long.json"

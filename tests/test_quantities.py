@@ -6,9 +6,9 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from pytest import approx
 
-from satlink import antenna, capacity, constellation, scenario
+from satlink import antenna, capacity, constellation, geometry, scenario
 from satlink import quantities as q
-from satlink.errors import DomainError, OutOfBandError, ParseError, ValidationError
+from satlink.errors import DomainError, OutOfBandError, ParseError, SatlinkError, ValidationError
 
 
 class TestDbConversions:
@@ -377,6 +377,35 @@ class TestRequireCount:
             with pytest.raises(ValidationError) as err:
                 scenario.load_scenario({"name": "x", "orbit": "LEO", key: True})
             assert (err.value.field, str(err.value)) == (key, f"{key} must be an integer >= 1, got True")
+
+
+class TestLongIntegers:
+    """A refusal shows an int too long for a repr by its number of digits."""
+
+    @pytest.mark.parametrize("call, shown", [
+        (lambda n: antenna.ArraySpec.linear(n), "got an integer of 5001 digits"),
+        (lambda n: geometry.cell_radius_from_split(1.0, n), "got an integer of 5001 digits"),
+        (lambda n: geometry.footprint_diameter(n), "got an integer of 5001 digits"),
+        (lambda n: capacity.multibeam_capacity(capacity.MultiBeamConfig(1.0, 1e6, beams=n)),
+         "and an integer of 5001 digits beams are too large"),
+    ], ids=["ArraySpec.linear", "cell_radius_from_split", "footprint_diameter", "multibeam_capacity"])
+    def test_a_refusal_of_a_long_integer_is_a_satlink_error(self, call, shown):
+        with pytest.raises(SatlinkError) as err:
+            call(10**5000)
+        assert shown in str(err.value)
+
+    @pytest.mark.parametrize("value, shown", [
+        (10**4300, "an integer of 4301 digits"),
+        (10**4301 - 1, "an integer of 4301 digits"),
+        (10**5000, "an integer of 5001 digits"),
+        (10**5000 - 1, "an integer of 5000 digits"),
+        (-(10**5000), "a negative integer of 5001 digits"),
+        (10**4299, "1" + "0" * 4299),
+    ], ids=["1e4300", "1e4301-1", "1e5000", "1e5000-1", "-1e5000", "1e4299"])
+    def test_the_digit_count_is_exact(self, value, shown):
+        with pytest.raises(DomainError) as err:
+            q.require("n", value, "must be finite")
+        assert str(err.value) == f"n must be finite, got {shown}"
 
 
 class TestRequireNoOverflow:

@@ -322,6 +322,22 @@ class TestRunScenario:
             sc.run_scenario(s)
         assert str(exc.value) == message
 
+    def test_the_shannon_bound_is_checked_before_the_reported_bitrate(self):
+        s = sc.load_scenario({"name": "x", "orbit": "LEO", "cases": [
+            {"direction": "dl", "sinr_db": 4000, "bitrate_mbps": 1e305}]})
+        with pytest.raises(DomainError, match=r"^dB value 4000\.0 is too large for a linear ratio$"):
+            sc.run_scenario(s)
+
+    def test_a_bandwidth_is_converted_only_for_a_computable_bitrate(self):
+        s = sc.load_scenario({"name": "x", "orbit": "LEO", "bw_dl_mhz": 1e305, "bitrate_dl_mbps": 1.0})
+        f = sc.run_scenario(s).finding("bitrate_bps", "dl")
+        assert (f.status, f.reported, f.missing) == (sc.NOT_COMPUTABLE, 1e6, ("se_bps_hz",))
+
+    def test_an_out_of_band_result_is_never_consistent(self):
+        s = sc.load_scenario({"name": "x", "orbit": "GEO", "band": "out-of-band (S nearest)", "freq_dl_ghz": 2.0})
+        f = sc.run_scenario(s).finding("band", "dl")
+        assert (f.status, f.computed, f.reported) == (sc.INCONSISTENT, s.band, s.band)
+
 
 class TestFieldDeletionFuzz:
     CASES = [
