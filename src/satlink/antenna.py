@@ -29,15 +29,14 @@ HPBW_APPROX_COEFFICIENT = 32400.0
 
 @dataclass(frozen=True)
 class ArraySpec:
-    """A phased-array configuration: topology, element count, spacing
-    (in wavelengths) and radiation efficiency."""
+    """A phased-array configuration: topology, element count and spacing
+    (in wavelengths)."""
 
     topology: str
     elements: int
     rows: int | None = None
     cols: int | None = None
     spacing_wavelengths: float = 0.5
-    efficiency: float = 1.0
 
     def __post_init__(self):
         if self.topology not in (LINEAR, PLANAR):
@@ -54,18 +53,14 @@ class ArraySpec:
                     f"rows*cols ({self.rows}x{self.cols}) must equal element count {self.elements}"
                 )
         require("spacing", self.spacing_wavelengths, "must be > 0 wavelengths")
-        require("efficiency", self.efficiency, "must lie in (0, 1]")
 
     @classmethod
-    def linear(cls, n: int, spacing_wavelengths: float = 0.5, efficiency: float = 1.0) -> "ArraySpec":
-        return cls(LINEAR, n, spacing_wavelengths=spacing_wavelengths, efficiency=efficiency)
+    def linear(cls, n: int, spacing_wavelengths: float = 0.5) -> "ArraySpec":
+        return cls(LINEAR, n, spacing_wavelengths=spacing_wavelengths)
 
     @classmethod
-    def planar(
-        cls, rows: int, cols: int, spacing_wavelengths: float = 0.5, efficiency: float = 1.0
-    ) -> "ArraySpec":
-        return cls(PLANAR, rows * cols, rows=rows, cols=cols,
-                   spacing_wavelengths=spacing_wavelengths, efficiency=efficiency)
+    def planar(cls, rows: int, cols: int, spacing_wavelengths: float = 0.5) -> "ArraySpec":
+        return cls(PLANAR, rows * cols, rows=rows, cols=cols, spacing_wavelengths=spacing_wavelengths)
 
     @property
     def label(self) -> str:

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 from .errors import NotFoundError
 from .geometry import earth_coverage_fraction, footprint_area, footprint_diameter
-from .quantities import DEFAULT_CONSTANTS, PhysicalConstants, dump_csv, require, require_count
+from .quantities import DEFAULT_CONSTANTS, PhysicalConstants, require, require_count
 
 
 @dataclass(frozen=True)
@@ -90,11 +90,3 @@ def shell_stats(shell_id: str, constants: PhysicalConstants = DEFAULT_CONSTANTS)
         shell_coverage_fraction=whole_shell,
         total_satellites=shell.total_satellites,
     )
-
-
-def shell_catalog_csv() -> str:
-    rows = [
-        (s.constellation, s.shell_id, f"{s.altitude_km:g}", s.orbits, s.sats_per_orbit, f"{s.inclination_deg:g}")
-        for s in SHELLS
-    ]
-    return dump_csv([("constellation", "shell", "altitude_km", "orbits", "sats_per_orbit", "inclination_deg"), *rows])

@@ -59,6 +59,6 @@ class ParseError(SatlinkError, ValueError):
 class ValidationError(SatlinkError, ValueError):
     """A parsed document violates an invariant; carries the field name."""
 
-    def __init__(self, field: str, message: str | None = None):
-        super().__init__(message or f"invalid field: {field}")
+    def __init__(self, field: str, message: str):
+        super().__init__(message)
         self.field = field

@@ -48,29 +48,6 @@ def slant_range_altitude_approx(altitude_km: float, elevation_rad: float) -> flo
     )
 
 
-@dataclass(frozen=True)
-class LinkGeometry:
-    """Ground-to-spacecraft geometry: altitude, elevation, slant range."""
-
-    altitude_km: float
-    elevation_rad: float
-
-    def __post_init__(self):
-        # reuse the slant-range validation
-        slant_range_exact(self.altitude_km, self.elevation_rad)
-
-    @classmethod
-    def from_degrees(cls, altitude_km: float, elevation_deg: float) -> "LinkGeometry":
-        return cls(altitude_km, math.radians(elevation_deg))
-
-    @property
-    def elevation_deg(self) -> float:
-        return math.degrees(self.elevation_rad)
-
-    def slant_range_km(self, constants: PhysicalConstants = DEFAULT_CONSTANTS) -> float:
-        return slant_range_exact(self.altitude_km, self.elevation_rad, constants)
-
-
 def footprint_diameter(
     sats_per_orbit: float, constants: PhysicalConstants = DEFAULT_CONSTANTS
 ) -> float:

@@ -190,30 +190,6 @@ class Receiver:
 
 
 @dataclass(frozen=True)
-class LossLedger:
-    """Loss lines of a link budget, all in dB.
-
-    The rain-fade margin defaults to 0 dB; 2-10 dB is the usual
-    recommendation when clear-sky figures must survive weather.
-    """
-
-    fspl_db: float
-    atm_loss_db: float = 0.0
-    ad_loss_db: float = 0.0
-    margin_db: float = 0.0
-
-    def __post_init__(self):
-        require("fspl_db", self.fspl_db, "must be >= 0 dB")
-        require("atm_loss_db", self.atm_loss_db, "must be >= 0 dB")
-        require("ad_loss_db", self.ad_loss_db, "must be >= 0 dB")
-        require("margin_db", self.margin_db, "must be >= 0 dB")
-
-    @property
-    def total_db(self) -> float:
-        return self.fspl_db + self.atm_loss_db + self.ad_loss_db + self.margin_db
-
-
-@dataclass(frozen=True)
 class LinkBudgetResult:
     """Itemized dB ledger of a link budget and the resulting SNR.
 
@@ -253,12 +229,6 @@ class LinkBudgetResult:
 
     def to_dict(self) -> dict:
         return record_doc(self)
-
-    def render_table(self) -> str:
-        """Two-column text ledger with signs as applied in the dB sum."""
-        rows = [*self.breakdown(), ("snr_db", self.snr_db)]
-        width = max(len(k) for k, _ in rows)
-        return "".join(f"{k:<{width}}  {v:+.3f}\n" for k, v in rows)
 
 
 def snr_db(

@@ -298,23 +298,21 @@ def parse_json(text: str, name, located: bool = False):
 _NONFINITE_JSON = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def dump_json(obj, indent: int | None = 2) -> str:
-    """`json.dumps(obj, indent=indent)`, byte for byte.
+def dump_json(obj) -> str:
+    """`json.dumps(obj, indent=2)`, byte for byte.
 
     json writes an indented document through its pure-Python encoder; this
     builds the same text directly, with json's C string escaper. Dict keys
     must be strings.
     """
-    if indent is None:
-        return json.dumps(obj)
-    return _dump_indented(obj, "\n", " " * indent)
+    return _dump_indented(obj, "\n")
 
 
-def _dump_indented(obj, newline: str, step: str) -> str:
+def _dump_indented(obj, newline: str) -> str:
     if isinstance(obj, dict):
         if not obj:
             return "{}"
-        inner = newline + step
+        inner = newline + "  "
         items = []
         for key, value in obj.items():
             if not isinstance(key, str):
@@ -324,14 +322,14 @@ def _dump_indented(obj, newline: str, step: str) -> str:
             elif isinstance(value, float):
                 text = _NONFINITE_JSON.get(text := float.__repr__(value), text)
             else:
-                text = _dump_indented(value, inner, step)
+                text = _dump_indented(value, inner)
             items.append(f"{_json_str(key)}: {text}")
         return f"{{{inner}{(',' + inner).join(items)}{newline}}}"
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        inner = newline + step
-        return f"[{inner}{(',' + inner).join([_dump_indented(v, inner, step) for v in obj])}{newline}]"
+        inner = newline + "  "
+        return f"[{inner}{(',' + inner).join([_dump_indented(v, inner) for v in obj])}{newline}]"
     if isinstance(obj, str):
         return _json_str(obj)
     if obj is None:

@@ -91,8 +91,6 @@ TERMINALS: dict[str, TerminalProfile] = {
 
 def terminal_profile(spec) -> TerminalProfile:
     """Resolve a terminal from a preset name or a (possibly partial) mapping."""
-    if isinstance(spec, TerminalProfile):
-        return spec
     if isinstance(spec, str):
         if spec not in TERMINALS:
             raise NotFoundError(
@@ -418,8 +416,8 @@ class ScenarioReport:
         doc["findings"] = [f.to_doc() for f in self.findings]
         return doc
 
-    def to_json(self, indent: int | None = 2) -> str:
-        return dump_json(self.to_doc(), indent)
+    def to_json(self) -> str:
+        return dump_json(self.to_doc())
 
     @classmethod
     def from_doc(cls, doc: dict) -> "ScenarioReport":

@@ -275,8 +275,6 @@ class TestArraySpec:
             ant.ArraySpec("planar", 16, rows=3, cols=4)
         with pytest.raises(DomainError):
             ant.ArraySpec.linear(4, spacing_wavelengths=0.0)
-        with pytest.raises(DomainError):
-            ant.ArraySpec.linear(4, efficiency=1.2)
 
 
 class TestPatternExport:

@@ -68,11 +68,3 @@ class TestShellStats:
             stats = con.shell_stats(shell.shell_id)
             assert stats.footprint_diameter_km * shell.sats_per_orbit == approx(40_075.0, rel=1e-12)
 
-
-class TestCsvExport:
-    def test_shape_and_rows(self):
-        lines = con.shell_catalog_csv().strip().splitlines()
-        assert lines[0] == "constellation,shell,altitude_km,orbits,sats_per_orbit,inclination_deg"
-        assert len(lines) == 11
-        assert "Starlink,S1,550,72,22,53" in lines
-        assert "Telesat,T1,1015,27,13,98.98" in lines

@@ -65,17 +65,6 @@ class TestSlantRangeAltitudeApprox:
             geo.slant_range_altitude_approx(600.0, math.pi / 2)
 
 
-class TestLinkGeometry:
-    def test_from_degrees(self):
-        g = geo.LinkGeometry.from_degrees(600.0, 30.0)
-        assert g.elevation_deg == approx(30.0)
-        assert g.slant_range_km() == approx(1075.09, abs=0.05)
-
-    def test_invariants_checked(self):
-        with pytest.raises(DomainError):
-            geo.LinkGeometry(600.0, 3.0)
-
-
 class TestFootprint:
     def test_diameter_goldens(self):
         assert geo.footprint_diameter(22) == approx(1821.6, abs=0.05)

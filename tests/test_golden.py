@@ -80,7 +80,6 @@ _TEMPLATES = {
     "geometry": (
         "g.slant_range_exact({}, 0.5)", "g.slant_range_exact(500.0, {})",
         "g.slant_range_altitude_approx({}, 0.5)", "g.slant_range_altitude_approx(500.0, {})",
-        "g.LinkGeometry({}, 0.5)", "g.LinkGeometry.from_degrees(500.0, {})",
         "g.footprint_diameter({})", "g.footprint_area({})",
         "g.earth_coverage_fraction({}, 100.0)", "g.earth_coverage_fraction(10.0, {})",
         "g.Footprint(2.0, 3.141592653589793, {})", "g.satellite_footprint(22, {})",
@@ -101,8 +100,6 @@ _TEMPLATES = {
         "lb.Receiver(0.0, nf_db=3.0, t_ref_k={}).noise_temperature_k",
         "lb.Receiver(0.0, noise_temp_k={}).noise_figure_db", "lb.Receiver(0.0, noise_temp_k={}).g_over_t_dbk",
         "lb.Receiver({}, noise_temp_k=100.0).g_over_t_dbk",
-        "lb.LossLedger({})", "lb.LossLedger(100.0, {})", "lb.LossLedger(100.0, 0.0, {})",
-        "lb.LossLedger(100.0, 0.0, 0.0, {})",
         "lb.snr_db({}, 0.0, 100.0)", "lb.snr_db(0.0, {}, 100.0)", "lb.snr_db(0.0, 0.0, {})",
         "lb.snr_db(0.0, 0.0, 100.0, {})", "lb.snr_db(0.0, 0.0, 100.0, 0.0, {})",
         "lb.snr_db(0.0, 0.0, 100.0, 0.0, 0.0, {})", "lb.snr_db(0.0, 0.0, 100.0, bw_dbhz={})",
@@ -130,7 +127,7 @@ _TEMPLATES = {
         "c.TcpLinkModel(1500.0, 0.1, 1e-6, {})",
     ),
     "antenna": (
-        "a.ArraySpec('linear', 4, spacing_wavelengths={})", "a.ArraySpec('linear', 4, efficiency={})",
+        "a.ArraySpec('linear', 4, spacing_wavelengths={})",
         "a.array_factor_magnitude(4, {})", "a.normalized_array_factor(4, {})",
         "a.psi_from_incidence({}, 0.5)", "a.psi_from_incidence(0.5, {})",
         "a.gain_from_directivity({}, 0.5)", "a.gain_from_directivity(10.0, {})",

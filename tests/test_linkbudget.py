@@ -153,11 +153,6 @@ class TestSnrLedger:
             "snr_db",
         ]
 
-    def test_render_table(self):
-        text = lb.snr_db(27.4, -30.0, 184.9, 9.6, 0.0, 0.0, 30.0).render_table()
-        assert "eirp_dbw" in text
-        assert "snr_db" in text
-
 
 class TestCombineSnrSir:
     def test_worked_case(self):
@@ -227,16 +222,6 @@ class TestReceiver:
         assert rx.g_over_t_dbk == approx(
             rx.gain_dbi - 10.0 * math.log10(rx.noise_temperature_k), abs=1e-9
         )
-
-
-class TestLossLedger:
-    def test_total(self):
-        ledger = lb.LossLedger(fspl_db=180.0, atm_loss_db=2.0, ad_loss_db=1.0, margin_db=4.0)
-        assert ledger.total_db == 187.0
-
-    def test_rejects_negative_component(self):
-        with pytest.raises(DomainError):
-            lb.LossLedger(fspl_db=180.0, margin_db=-1.0)
 
 
 class TestEndToEndBudget:

@@ -380,7 +380,6 @@ class TestReportSerialization:
     def test_to_json_is_json_dumps(self, name):
         report = sc.run_scenario(sc.fixture(name))
         assert report.to_json() == json.dumps(report.to_doc(), indent=2)
-        assert report.to_json(None) == json.dumps(report.to_doc())
 
     def test_bad_report_json(self):
         with pytest.raises(ParseError):
