@@ -9,6 +9,7 @@ of the same algebra and are kept mutually consistent.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import DomainError, ValidationError
@@ -110,14 +111,15 @@ def combine_snr_sir(snr: float, sir: float) -> float:
     """Combine noise-only and interference-only ratios into an SINR.
 
     Both inputs are linear ratios; an infinite SIR denotes an
-    interference-free link. SINR = 1 / (1/SNR + 1/SIR).
+    interference-free link, and a ratio past the float range counts as
+    infinite. SINR = 1 / (1/SNR + 1/SIR).
     """
     require("snr", snr, "must be a positive linear ratio")
     require("sir", sir, "must be a positive linear ratio")
     # an infinite term drops out of the sum exactly
-    if math.isinf(sir):
+    if sir > sys.float_info.max:
         return snr
-    if math.isinf(snr):
+    if snr > sys.float_info.max:
         return sir
     return 1.0 / (1.0 / snr + 1.0 / sir)
 

@@ -488,6 +488,26 @@ def test_guard_corpus_pins_every_outcome():
     assert not unpinned, unpinned
 
 
+# `2e9 * {}` overflows in the template's own expression for an int past the
+# float range, before satlink is called.
+_HUGE_INT_EXEMPT = {"q.band_lookup(2e9 * {}, 'uplink', 'geo')"}
+
+
+@pytest.mark.parametrize("value", ["10**400", "-10**400", "10**5000"])
+def test_guard_templates_take_ints_past_the_float_range(value):
+    """An int past the float range (and past the int-to-str digit limit) ends
+    in a value or a SatlinkError in every guard template."""
+    faults = []
+    for templates in _TEMPLATES.values():
+        for template in templates:
+            if template not in _HUGE_INT_EXEMPT:
+                try:
+                    guard_outcome(expr := template.format(value))
+                except Exception as exc:
+                    faults.append(f"{expr}: {type(exc).__name__}: {exc}")
+    assert not faults, "\n".join(faults)
+
+
 def test_cli_corpus(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     write_cli_files(tmp_path)
