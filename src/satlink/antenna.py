@@ -17,7 +17,7 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from .errors import DomainError, NoSidelobeError
-from .quantities import AntennaGain, require, require_count, require_no_overflow
+from .quantities import AntennaGain, _show, require, require_count, require_no_overflow
 
 LINEAR = "linear"
 PLANAR = "planar"
@@ -49,9 +49,8 @@ class ArraySpec:
             require_count("rows", self.rows)
             require_count("cols", self.cols)
             if self.rows * self.cols != self.elements:
-                raise DomainError(
-                    f"rows*cols ({self.rows}x{self.cols}) must equal element count {self.elements}"
-                )
+                raise DomainError(f"rows*cols ({_show(self.rows)}x{_show(self.cols)}) "
+                                  f"must equal element count {_show(self.elements)}")
         require("spacing", self.spacing_wavelengths, "must be > 0 wavelengths")
 
     @classmethod

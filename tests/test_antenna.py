@@ -276,6 +276,18 @@ class TestArraySpec:
         with pytest.raises(DomainError):
             ant.ArraySpec.linear(4, spacing_wavelengths=0.0)
 
+    @pytest.mark.parametrize("make, message", [
+        (lambda: ant.ArraySpec("ring", 4), "topology must be 'linear' or 'planar', got 'ring'"),
+        (lambda: ant.ArraySpec("planar", 4, rows=2), "planar arrays need rows and cols"),
+        (lambda: ant.ArraySpec("planar", 4, rows=10**5000, cols=1),
+         "rows*cols (an integer of 5001 digitsx1) must equal element count 4"),
+        (lambda: ant.pattern_csv(ant.ArraySpec.planar(2, 2)), "pattern cuts are defined for linear arrays only"),
+    ], ids=["topology", "planar-without-cols", "rows-past-the-digit-limit", "planar-pattern-cut"])
+    def test_refusals_name_the_fault(self, make, message):
+        with pytest.raises(DomainError) as err:
+            make()
+        assert type(err.value) is DomainError and str(err.value) == message
+
 
 class TestPatternExport:
     def test_csv_shape(self):

@@ -277,6 +277,17 @@ class TestBandAllocationInvariants:
         with pytest.raises(ValidationError):
             q.BandAllocation("X", q.ANY_ORBIT, q.DOWNLINK, ((100.0, 200.0), (150.0, 250.0)))
 
+    @pytest.mark.parametrize("orbit, direction, intervals, field, message", [
+        (q.ANY_ORBIT, "sideways", ((1.0, 2.0),), "direction",
+         "direction must be one of ('downlink', 'uplink'), got 'sideways'"),
+        ("leo", q.DOWNLINK, ((1.0, 2.0),), "orbit", "orbit must be one of ('geo', 'non-geo', 'any'), got 'leo'"),
+        (q.ANY_ORBIT, q.DOWNLINK, (), "intervals_mhz", "allocation needs at least one interval"),
+    ], ids=["direction", "orbit", "no-intervals"])
+    def test_refusals_name_the_field(self, orbit, direction, intervals, field, message):
+        with pytest.raises(ValidationError) as err:
+            q.BandAllocation("X", orbit, direction, intervals)
+        assert type(err.value) is ValidationError and str(err.value) == message and err.value.field == field
+
 
 class TestBandCatalogCsv:
     def test_shape_and_content(self):

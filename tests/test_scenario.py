@@ -129,6 +129,22 @@ class TestLoadScenario:
             sc.load_scenario({"name": "x", "orbit": "LEO", "cases": [{"direction": "dl", "label": label, "sinr_db": 3}]})
         assert err.value.field == "cases[0].label"
 
+    @pytest.mark.parametrize("fields, field, message", [
+        ({"terminal": {"gain_dbi": 1.0}}, "terminal.name", "terminal mapping needs a name"),
+        ({"terminal": {"name": "x", "nf_db": 1.0}}, "terminal.gain_dbi", "terminal mapping needs gain_dbi"),
+        ({"terminal": 3}, "terminal", "terminal must be a preset name or mapping, got int"),
+        ({"cases": [3]}, "cases[0]", "each case must be a mapping"),
+        ({"description": 3}, "description", "description must be a string"),
+        ({"band": ["Ku"]}, "band", "band must be a string"),
+        ({"annotations": ["a", 1]}, "annotations", "annotations must be a list of strings"),
+        ({"cases": {"direction": "dl"}}, "cases", "cases must be a list"),
+    ], ids=["terminal-name", "terminal-gain", "terminal-type", "case-type", "description", "band", "annotations",
+            "cases"])
+    def test_refused_fields_are_named(self, fields, field, message):
+        with pytest.raises(ValidationError) as err:
+            sc.load_scenario({"name": "x", "orbit": "LEO", **fields})
+        assert type(err.value) is ValidationError and str(err.value) == message and err.value.field == field
+
     def test_reuse_must_be_integer(self):
         with pytest.raises(ValidationError):
             sc.load_scenario({"name": "x", "orbit": "LEO", "reuse": 2.5})
