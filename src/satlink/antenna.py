@@ -40,7 +40,7 @@ class ArraySpec:
 
     def __post_init__(self):
         if self.topology not in (LINEAR, PLANAR):
-            raise DomainError(f"topology must be '{LINEAR}' or '{PLANAR}', got {self.topology!r}")
+            raise DomainError(f"topology must be '{LINEAR}' or '{PLANAR}', got {_show(self.topology)}")
         require_count("element count", self.elements)
         require_count("element count", self.elements, "must lie within the float range", top=sys.float_info.max)
         if self.topology == PLANAR:

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 from .errors import NotFoundError
 from .geometry import earth_coverage_fraction, footprint_area, footprint_diameter
-from .quantities import DEFAULT_CONSTANTS, PhysicalConstants, require, require_count
+from .quantities import DEFAULT_CONSTANTS, PhysicalConstants, _show, require, require_count
 
 
 @dataclass(frozen=True)
@@ -54,7 +54,7 @@ def get_shell(shell_id: str) -> Shell:
         if s.shell_id == shell_id:
             return s
     ids = [s.shell_id for s in SHELLS]
-    raise NotFoundError(f"unknown shell {shell_id!r}; valid ids: {', '.join(ids)}", valid_ids=ids)
+    raise NotFoundError(f"unknown shell {_show(shell_id)}; valid ids: {', '.join(ids)}", valid_ids=ids)
 
 
 @dataclass(frozen=True)

@@ -76,10 +76,13 @@ def require_no_overflow(value: float, template: str, *args) -> float:
 
 def _show(value) -> str:
     """How a refusal shows a value: its repr, or for an int too long for one
-    (over sys.get_int_max_str_digits() digits) its number of digits."""
+    (over sys.get_int_max_str_digits() digits) its number of digits, or for
+    any other value whose repr fails (a list holding such an int) its type."""
     try:
         return repr(value)
-    except ValueError:  # only such an int fails its repr
+    except Exception:  # a repr may raise anything, and the refusal must still be made
+        if not isinstance(value, int):
+            return f"an unprintable {type(value).__name__}"
         n = abs(value)
         digits = int(math.log10(n)) + 1
         digits += (n >= 10**digits) - (n < 10 ** (digits - 1))  # log10 may round across a power of ten
@@ -152,7 +155,7 @@ def require_number(key: str, value, kind: str) -> float:
     """`value` as a float if it is a number (not a bool) of the range `kind`
     names in _KINDS, else raise ValidationError naming `key`."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValidationError(key, f"{key} must be a number, got {value!r}")
+        raise ValidationError(key, f"{key} must be a number, got {_show(value)}")
     return float(require(key, value, _KINDS[kind], key))
 
 
@@ -445,18 +448,22 @@ class BandAllocation:
 
     def __post_init__(self):
         if self.direction not in _DIRECTIONS:
-            raise ValidationError("direction", f"direction must be one of {_DIRECTIONS}, got {self.direction!r}")
+            raise ValidationError("direction", f"direction must be one of {_DIRECTIONS}, got {_show(self.direction)}")
         if self.orbit not in _ORBITS:
-            raise ValidationError("orbit", f"orbit must be one of {_ORBITS}, got {self.orbit!r}")
+            raise ValidationError("orbit", f"orbit must be one of {_ORBITS}, got {_show(self.orbit)}")
         if not self.intervals_mhz:
             raise ValidationError("intervals_mhz", "allocation needs at least one interval")
         for lo, hi in self.intervals_mhz:
             if not (lo < hi):
-                raise ValidationError("intervals_mhz", f"interval bounds must satisfy low < high, got ({lo}, {hi})")
+                raise ValidationError(
+                    "intervals_mhz", f"interval bounds must satisfy low < high, got ({_show(lo)}, {_show(hi)})"
+                )
         ordered = sorted(self.intervals_mhz)
         for (alo, ahi), (blo, bhi) in zip(ordered, ordered[1:]):
             if blo < ahi:
-                raise ValidationError("intervals_mhz", f"intervals overlap: ({alo}, {ahi}) and ({blo}, {bhi})")
+                raise ValidationError(
+                    "intervals_mhz", f"intervals overlap: ({_show(alo)}, {_show(ahi)}) and ({_show(blo)}, {_show(bhi)})"
+                )
 
     def contains(self, freq_mhz: float) -> bool:
         return any(lo <= freq_mhz <= hi for lo, hi in self.intervals_mhz)
@@ -494,9 +501,9 @@ BAND_CATALOG: tuple[BandAllocation, ...] = (
 def _check_query(freq_hz: float, direction: str, orbit: str) -> float:
     require("frequency", freq_hz, "must be finite and > 0 Hz")
     if direction not in _DIRECTIONS:
-        raise DomainError(f"direction must be one of {_DIRECTIONS}, got {direction!r}")
+        raise DomainError(f"direction must be one of {_DIRECTIONS}, got {_show(direction)}")
     if orbit not in _ORBITS:
-        raise DomainError(f"orbit must be one of {_ORBITS}, got {orbit!r}")
+        raise DomainError(f"orbit must be one of {_ORBITS}, got {_show(orbit)}")
     return freq_hz / 1e6
 
 

@@ -26,6 +26,7 @@ from .quantities import (
     GEO,
     NON_GEO,
     UPLINK,
+    _show,
     band_lookup,
     check_keys,
     dump_json,
@@ -133,7 +134,7 @@ class LinkCase:
 
     def __post_init__(self):
         if self.direction not in (DL, UL):
-            raise ValidationError("direction", f"case direction must be '{DL}' or '{UL}', got {self.direction!r}")
+            raise ValidationError("direction", f"case direction must be '{DL}' or '{UL}', got {_show(self.direction)}")
 
     def to_doc(self) -> dict:
         return record_doc(self)
@@ -667,4 +668,4 @@ def fixture(name: str) -> Scenario:
         if doc["name"] == name:
             return load_scenario(doc)
     names = [doc["name"] for doc in _FIXTURE_DOCS]
-    raise NotFoundError(f"unknown fixture {name!r}; available: {', '.join(names)}", valid_ids=names)
+    raise NotFoundError(f"unknown fixture {_show(name)}; available: {', '.join(names)}", valid_ids=names)

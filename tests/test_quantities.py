@@ -418,6 +418,48 @@ class TestLongIntegers:
             q.require("n", value, "must be finite")
         assert str(err.value) == f"n must be finite, got {shown}"
 
+    LONG_CASE = {"name": "x", "orbit": "LEO", "cases": [{"direction": 10**5000}]}
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: antenna.ArraySpec(10**5000, 4), "topology must be 'linear' or 'planar', got {}"),
+        (lambda: scenario.LinkCase(direction=10**5000), "case direction must be 'dl' or 'ul', got {}"),
+        (lambda: scenario.load_scenario(TestLongIntegers.LONG_CASE), "case direction must be 'dl' or 'ul', got {}"),
+        (lambda: q.band_lookup(2e9, 10**5000), "direction must be one of ('downlink', 'uplink'), got {}"),
+        (lambda: q.band_lookup(2e9, "downlink", 10**5000), "orbit must be one of ('geo', 'non-geo', 'any'), got {}"),
+        (lambda: q.matching_allocations(2e9, 10**5000), "direction must be one of ('downlink', 'uplink'), got {}"),
+        (lambda: q.BandAllocation("L", 10**5000, "downlink", ((1.0, 2.0),)),
+         "orbit must be one of ('geo', 'non-geo', 'any'), got {}"),
+        (lambda: q.BandAllocation("L", "any", 10**5000, ((1.0, 2.0),)),
+         "direction must be one of ('downlink', 'uplink'), got {}"),
+        (lambda: q.BandAllocation("L", "any", "downlink", ((10**5000, 2.0),)),
+         "interval bounds must satisfy low < high, got ({}, 2.0)"),
+        (lambda: scenario.fixture(10**5000),
+         "unknown fixture {}; available: " + ", ".join(s.name for s in scenario.builtin_fixtures())),
+        (lambda: constellation.get_shell(10**5000),
+         "unknown shell {}; valid ids: " + ", ".join(s.shell_id for s in constellation.list_shells())),
+        (lambda: q.require_number("k", [10**5000], "finite"), "k must be a number, got an unprintable list"),
+        (lambda: scenario.load_scenario({"name": "x", "orbit": "LEO", "altitude_km": [10**5000]}),
+         "altitude_km must be a number, got an unprintable list"),
+        (lambda: q.require("x", [10**5000], "must be finite"), "x must be finite, got an unprintable list"),
+        (lambda: q.require_count("n", [10**5000]), "n must be an integer >= 1, got an unprintable list"),
+    ], ids=["ArraySpec-topology", "LinkCase-direction", "load_scenario-case-direction", "band_lookup-direction",
+            "band_lookup-orbit", "matching_allocations-direction", "BandAllocation-orbit",
+            "BandAllocation-direction", "BandAllocation-interval", "fixture", "get_shell", "require_number-list",
+            "load_scenario-altitude-list", "require-list", "require_count-list"])
+    def test_every_refusal_shows_its_value(self, call, message):
+        with pytest.raises(SatlinkError) as err:
+            call()
+        assert str(err.value) == message.format("an integer of 5001 digits")
+
+    def test_a_value_whose_repr_fails_is_shown_by_its_type(self):
+        class Opaque:
+            def __repr__(self):
+                raise RuntimeError("no repr")
+
+        assert q._show(Opaque()) == "an unprintable Opaque"
+        assert q._show({"a": (10**5000,)}) == "an unprintable dict"
+        assert q._show([1, "two", 3.0]) == "[1, 'two', 3.0]"
+
 
 class TestRequireNoOverflow:
     """The one overflow check: a result of finite inputs must be finite."""
