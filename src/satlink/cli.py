@@ -11,6 +11,13 @@ preamble lines of `convert band` and `scenario run` tables): a record
 `_emit`, which renders the chosen format and writes it to `--out` or
 stdout. A reader that closes stdout early ends the run quietly with exit 0.
 
+One table, `_COMMANDS`, lists every group and leaf with its help, and each
+leaf's handler and flag rows; `_add_commands` builds the parser from it.
+A flag row is (key, type, argparse options), and a tuple of keys is one
+quantity offered in several units (`--freq-ghz`, `--freq-mhz`, ...), taken
+as one mutually exclusive group. The `linkbudget` row's keys are also the
+keys of its `--config` document.
+
 `run` is the process entry point (`python -m satlink.cli` and the
 `satlink` console script): it calls `main`, flushes the output and ends
 the process without the interpreter's teardown. `main` returns the exit
@@ -134,26 +141,17 @@ def _emit(args, result) -> None:
 # --- shared flag helpers ------------------------------------------------------
 
 
-def _add_output_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--format", choices=("table", "json", "csv"), default="table")
-    p.add_argument("--precise", action="store_true", help="full 6-significant-digit tables")
-
-
 # Each quantity given in a choice of units, as {flag key: scale to SI}. A subcommand takes one
 # quantity's flags as one mutually exclusive group; key order is the precedence in a --config.
 _UNITS = {"freq": {"freq_ghz": 1e9, "freq_mhz": 1e6, "freq_hz": 1.0},
           "bw": {"bw_hz": 1.0, "bw_khz": 1e3, "bw_mhz": 1e6, "bw_ghz": 1e9}}
+_FREQ = tuple(_UNITS["freq"])
+_BW = tuple(_UNITS["bw"])
+_BUDGET_FREQ = ("freq_ghz", "freq_mhz")  # linkbudget takes no --freq-hz
 
 
 def _flag(key: str) -> str:
     return "--" + key.replace("_", "-")
-
-
-def _add_unit_flags(p: argparse.ArgumentParser, keys) -> None:
-    """Add the flags of `keys`, all of one quantity, in order as one mutually exclusive group."""
-    g = p.add_mutually_exclusive_group()
-    for key in keys:
-        g.add_argument(_flag(key), type=float)
 
 
 def _si(values: dict, quantity: str) -> float | None:
@@ -273,21 +271,12 @@ def _cmd_geometry_cell(args, constants) -> dict:
 # --- linkbudget -------------------------------------------------------------------
 
 
-# The linkbudget flags in --help order, a tuple per quantity of _UNITS (no --freq-hz
-# here); a --config document takes the same keys.
-_BUDGET_FLAGS = (
-    "distance_km", "altitude_km", "elevation_deg", ("freq_ghz", "freq_mhz"), "eirp_dbw", "power_w", "gain_dbi",
-    "terminal", "rx_gain_dbi", "nf_db", "noise_temp_k", "g_over_t_dbk", tuple(_UNITS["bw"]), "atm_loss_db",
-    "ad_loss_db", "margin_db",
-)
-_BUDGET_KEYS = tuple(k for f in _BUDGET_FLAGS for k in ((f,) if isinstance(f, str) else f))
-
-
 # The forms each linkbudget quantity can take. A flag that sets a key of one
 # form drops the --config keys of the quantity's other forms.
 _BUDGET_FORMS = (
     ({"distance_km"}, {"altitude_km", "elevation_deg"}),
-    *(tuple({key} for key in f) for f in _BUDGET_FLAGS if isinstance(f, tuple)),
+    tuple({key} for key in _BUDGET_FREQ),
+    tuple({key} for key in _BW),
     ({"eirp_dbw"}, {"power_w", "gain_dbi"}),
     ({"g_over_t_dbk"}, {"terminal"}, {"rx_gain_dbi", "nf_db", "noise_temp_k"}),
     ({"nf_db"}, {"noise_temp_k"}),
@@ -586,168 +575,123 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = _NEGATIVE_NUMBER
 
 
+_REQUIRED = {"required": True}
+_OUTPUT = (
+    ("format", None, {"choices": ("table", "json", "csv"), "default": "table"}),
+    ("precise", None, {"action": "store_true", "help": "full 6-significant-digit tables"}),
+)
+
+# Every subcommand: {name: (help, {name: ...})} for a group, {name: (help, handler, flags)}
+# for a leaf. A flag row is (key, type, argparse options); a tuple of keys is one
+# quantity's unit flags, one mutually exclusive group; "positional" makes the key an
+# argument, not a --flag.
+_COMMANDS = {
+    "convert": ("unit conversions and the band chart", {
+        "db": ("linear ratio to dB", _cmd_convert_db, (("linear", float, _REQUIRED), *_OUTPUT)),
+        "linear": ("dB to linear ratio", _cmd_convert_linear, (("db", float, _REQUIRED), *_OUTPUT)),
+        "power": ("watts / dBW / dBm views", _cmd_convert_power,
+                  (("watts", float), ("dbw", float), ("dbm", float), *_OUTPUT)),
+        "noise-temp": ("noise figure to noise temperature", _cmd_convert_noise_temp,
+                       (("nf_db", float, _REQUIRED), ("t_ref_k", float), *_OUTPUT)),
+        "wavelength": ("carrier frequency to wavelength", _cmd_convert_wavelength, ((_FREQ, float), *_OUTPUT)),
+        "band": ("resolve a frequency to its ITU band", _cmd_convert_band, (
+            (("freq_mhz", "freq_ghz", "freq_hz"), float),
+            ("direction", None, {"choices": (quantities.DOWNLINK, quantities.UPLINK), "required": True}),
+            ("orbit", None, {"choices": (quantities.GEO, quantities.NON_GEO, quantities.ANY_ORBIT),
+                             "default": quantities.ANY_ORBIT}),
+            *_OUTPUT,
+        )),
+        "bands": ("export the band allocation chart as CSV", _cmd_convert_bands, (("out", None),)),
+    }),
+    "geometry": ("slant range, footprints, beam cells", {
+        "slant": ("slant range from altitude and elevation", _cmd_geometry_slant,
+                  (("altitude_km", float, _REQUIRED), ("elevation_deg", float, _REQUIRED), *_OUTPUT)),
+        "footprint": ("per-satellite footprint and coverage", _cmd_geometry_footprint,
+                      (("sats_per_orbit", int, _REQUIRED), ("coverage_sats", int), *_OUTPUT)),
+        "cell": ("cell radius after an equal-area beam split", _cmd_geometry_cell, (
+            ("parent_radius_km", float, _REQUIRED), ("beams", int, _REQUIRED), ("altitude_km", float), *_OUTPUT,
+        )),
+    }),
+    "linkbudget": ("itemized dB ledger and SNR", _cmd_linkbudget, (
+        ("config", None, {"help": "JSON file with the same keys as the flags"}),
+        ("distance_km", float), ("altitude_km", float), ("elevation_deg", float), (_BUDGET_FREQ, float),
+        ("eirp_dbw", float), ("power_w", float), ("gain_dbi", float),
+        ("terminal", None, {"help": "receiver terminal preset (class3-ue, vsat, iot)"}),
+        ("rx_gain_dbi", float), ("nf_db", float), ("noise_temp_k", float), ("g_over_t_dbk", float), (_BW, float),
+        ("atm_loss_db", float), ("ad_loss_db", float), ("margin_db", float),
+        *_OUTPUT,
+    )),
+    "capacity": ("Shannon capacity and spectral efficiency", _cmd_capacity,
+                 (("snr_db", float), ("snr_linear", float), (_BW, float), *_OUTPUT)),
+    "modcod": ("highest-rate scheme the SNR supports", _cmd_modcod, (
+        ("snr_db", float, _REQUIRED), ("catalog", None, {"help": "CSV catalog (name, se_bps_hz, snr_qef_db)"}),
+        (_BW, float), *_OUTPUT,
+    )),
+    "multibeam": ("total multi-beam satellite capacity", _cmd_multibeam, (
+        ("se", float, _REQUIRED), ("bw_ghz", float, _REQUIRED), ("pol", int, {"default": 1}),
+        ("beams", int, _REQUIRED), ("colors", int, _REQUIRED), ("guard", float, {"default": 0.0}), *_OUTPUT,
+    )),
+    "cost": ("cost per Gb/s power law", _cmd_cost, (("rtot_gbps", float, _REQUIRED), *_OUTPUT)),
+    "tcp": ("loss-bounded TCP throughput", _cmd_tcp, (
+        ("mss", float, {"required": True, "help": "maximum segment size in bytes"}), ("rtt_ms", float, _REQUIRED),
+        ("ploss", float, _REQUIRED), ("c", float, {"default": 1.0}), *_OUTPUT,
+    )),
+    "antenna": ("phased-array patterns and selection", {
+        "pattern": ("radiation-pattern cut as CSV", _cmd_antenna_pattern, (
+            ("elements", int, _REQUIRED),
+            ("spacing", float, {"default": 0.5, "help": "element spacing in wavelengths"}),
+            ("resolution_deg", float, {"default": 0.1}), ("out", None),
+        )),
+        "select": ("pick the catalog array nearest a target beamwidth", _cmd_antenna_select,
+                   (("hpbw_deg", float), ("cell_radius_km", float), ("altitude_km", float), *_OUTPUT)),
+        "table": ("reference array catalog", _cmd_antenna_table, _OUTPUT),
+    }),
+    "constellation": ("LEO shell catalog and footprints", {
+        "list": ("all catalog shells", _cmd_constellation_list, _OUTPUT),
+        "stats": ("footprint statistics for one shell", _cmd_constellation_stats,
+                  (("shell", None, {"positional": True}), *_OUTPUT)),
+    }),
+    "scenario": ("NTN project consistency reports", {
+        "run": ("run a bundled fixture or a scenario file", _cmd_scenario_run,
+                (("scenario", None, {"positional": True, "help": "fixture name or JSON file path"}), *_OUTPUT)),
+        "list": ("bundled fixtures", _cmd_scenario_list, _OUTPUT),
+    }),
+}
+
+
+def _add_commands(parser: argparse.ArgumentParser, commands: dict, dest: str) -> None:
+    """Add the groups and leaves of `commands`, a level of _COMMANDS, under `parser`."""
+    sub = parser.add_subparsers(dest=dest)
+    for name, (help_text, *entry) in commands.items():
+        p = sub.add_parser(name, help=help_text)
+        if len(entry) == 1:
+            _add_commands(p, entry[0], "subcommand")
+            continue
+        handler, flags = entry
+        for key, kind, *options in flags:
+            options = dict(*options, **({"type": kind} if kind else {}))
+            positional = options.pop("positional", False)
+            target = p.add_mutually_exclusive_group() if isinstance(key, tuple) else p
+            for k in (key,) if isinstance(key, str) else key:
+                target.add_argument(k if positional else _flag(k), **options)
+        p.set_defaults(func=handler)
+
+
+def _keys(flags) -> tuple:
+    """The keys of `flags`, rows of _COMMANDS, in order."""
+    return tuple(k for key, *_ in flags for k in ((key,) if isinstance(key, str) else key))
+
+
+# The linkbudget flags but --config and the output flags, in --help order; a --config
+# document takes the same keys.
+_BUDGET_KEYS = tuple(k for k in _keys(_COMMANDS["linkbudget"][2]) if k not in ("config", *_keys(_OUTPUT)))
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The parser tree, built once per process: parsing leaves no state in it."""
-    parser = _Parser(
-        prog="satlink",
-        description="Satellite-link engineering toolkit",
-    )
-    sub = parser.add_subparsers(dest="command")
-
-    # convert
-    convert = sub.add_parser("convert", help="unit conversions and the band chart")
-    csub = convert.add_subparsers(dest="subcommand")
-    p = csub.add_parser("db", help="linear ratio to dB")
-    p.add_argument("--linear", type=float, required=True)
-    _add_output_flags(p)
-    p.set_defaults(func=_cmd_convert_db)
-    p = csub.add_parser("linear", help="dB to linear ratio")
-    p.add_argument("--db", type=float, required=True)
-    _add_output_flags(p)
-    p.set_defaults(func=_cmd_convert_linear)
-    p = csub.add_parser("power", help="watts / dBW / dBm views")
-    p.add_argument("--watts", type=float)
-    p.add_argument("--dbw", type=float)
-    p.add_argument("--dbm", type=float)
-    _add_output_flags(p)
-    p.set_defaults(func=_cmd_convert_power)
-    p = csub.add_parser("noise-temp", help="noise figure to noise temperature")
-    p.add_argument("--nf-db", type=float, required=True)
-    p.add_argument("--t-ref-k", type=float)
-    _add_output_flags(p)
-    p.set_defaults(func=_cmd_convert_noise_temp)
-    p = csub.add_parser("wavelength", help="carrier frequency to wavelength")
-    _add_unit_flags(p, _UNITS["freq"])
-    _add_output_flags(p)
-    p.set_defaults(func=_cmd_convert_wavelength)
-    p = csub.add_parser("band", help="resolve a frequency to its ITU band")
-    _add_unit_flags(p, ("freq_mhz", "freq_ghz", "freq_hz"))
-    p.add_argument("--direction", choices=(quantities.DOWNLINK, quantities.UPLINK), required=True)
-    p.add_argument("--orbit", choices=(quantities.GEO, quantities.NON_GEO, quantities.ANY_ORBIT),
-                   default=quantities.ANY_ORBIT)
-    _add_output_flags(p)
-    p.set_defaults(func=_cmd_convert_band)
-    p = csub.add_parser("bands", help="export the band allocation chart as CSV")
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_convert_bands)
-
-    # geometry
-    geo = sub.add_parser("geometry", help="slant range, footprints, beam cells")
-    gsub = geo.add_subparsers(dest="subcommand")
-    p = gsub.add_parser("slant", help="slant range from altitude and elevation")
-    p.add_argument("--altitude-km", type=float, required=True)
-    p.add_argument("--elevation-deg", type=float, required=True)
-    _add_output_flags(p)
-    p.set_defaults(func=_cmd_geometry_slant)
-    p = gsub.add_parser("footprint", help="per-satellite footprint and coverage")
-    p.add_argument("--sats-per-orbit", type=int, required=True)
-    p.add_argument("--coverage-sats", type=int)
-    _add_output_flags(p)
-    p.set_defaults(func=_cmd_geometry_footprint)
-    p = gsub.add_parser("cell", help="cell radius after an equal-area beam split")
-    p.add_argument("--parent-radius-km", type=float, required=True)
-    p.add_argument("--beams", type=int, required=True)
-    p.add_argument("--altitude-km", type=float)
-    _add_output_flags(p)
-    p.set_defaults(func=_cmd_geometry_cell)
-
-    # linkbudget
-    p = sub.add_parser("linkbudget", help="itemized dB ledger and SNR")
-    p.add_argument("--config", help="JSON file with the same keys as the flags")
-    for f in _BUDGET_FLAGS:
-        if f == "terminal":
-            p.add_argument("--terminal", help="receiver terminal preset (class3-ue, vsat, iot)")
-        elif isinstance(f, tuple):
-            _add_unit_flags(p, f)
-        else:
-            p.add_argument(_flag(f), type=float)
-    _add_output_flags(p)
-    p.set_defaults(func=_cmd_linkbudget)
-
-    # capacity
-    p = sub.add_parser("capacity", help="Shannon capacity and spectral efficiency")
-    p.add_argument("--snr-db", type=float)
-    p.add_argument("--snr-linear", type=float)
-    _add_unit_flags(p, _UNITS["bw"])
-    _add_output_flags(p)
-    p.set_defaults(func=_cmd_capacity)
-
-    # modcod
-    p = sub.add_parser("modcod", help="highest-rate scheme the SNR supports")
-    p.add_argument("--snr-db", type=float, required=True)
-    p.add_argument("--catalog", help="CSV catalog (name, se_bps_hz, snr_qef_db)")
-    _add_unit_flags(p, _UNITS["bw"])
-    _add_output_flags(p)
-    p.set_defaults(func=_cmd_modcod)
-
-    # multibeam
-    p = sub.add_parser("multibeam", help="total multi-beam satellite capacity")
-    p.add_argument("--se", type=float, required=True)
-    p.add_argument("--bw-ghz", type=float, required=True)
-    p.add_argument("--pol", type=int, default=1)
-    p.add_argument("--beams", type=int, required=True)
-    p.add_argument("--colors", type=int, required=True)
-    p.add_argument("--guard", type=float, default=0.0)
-    _add_output_flags(p)
-    p.set_defaults(func=_cmd_multibeam)
-
-    # cost
-    p = sub.add_parser("cost", help="cost per Gb/s power law")
-    p.add_argument("--rtot-gbps", type=float, required=True)
-    _add_output_flags(p)
-    p.set_defaults(func=_cmd_cost)
-
-    # tcp
-    p = sub.add_parser("tcp", help="loss-bounded TCP throughput")
-    p.add_argument("--mss", type=float, required=True, help="maximum segment size in bytes")
-    p.add_argument("--rtt-ms", type=float, required=True)
-    p.add_argument("--ploss", type=float, required=True)
-    p.add_argument("--c", type=float, default=1.0)
-    _add_output_flags(p)
-    p.set_defaults(func=_cmd_tcp)
-
-    # antenna
-    ant = sub.add_parser("antenna", help="phased-array patterns and selection")
-    asub = ant.add_subparsers(dest="subcommand")
-    p = asub.add_parser("pattern", help="radiation-pattern cut as CSV")
-    p.add_argument("--elements", type=int, required=True)
-    p.add_argument("--spacing", type=float, default=0.5, help="element spacing in wavelengths")
-    p.add_argument("--resolution-deg", type=float, default=0.1)
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_antenna_pattern)
-    p = asub.add_parser("select", help="pick the catalog array nearest a target beamwidth")
-    p.add_argument("--hpbw-deg", type=float)
-    p.add_argument("--cell-radius-km", type=float)
-    p.add_argument("--altitude-km", type=float)
-    _add_output_flags(p)
-    p.set_defaults(func=_cmd_antenna_select)
-    p = asub.add_parser("table", help="reference array catalog")
-    _add_output_flags(p)
-    p.set_defaults(func=_cmd_antenna_table)
-
-    # constellation
-    con = sub.add_parser("constellation", help="LEO shell catalog and footprints")
-    consub = con.add_subparsers(dest="subcommand")
-    p = consub.add_parser("list", help="all catalog shells")
-    _add_output_flags(p)
-    p.set_defaults(func=_cmd_constellation_list)
-    p = consub.add_parser("stats", help="footprint statistics for one shell")
-    p.add_argument("shell")
-    _add_output_flags(p)
-    p.set_defaults(func=_cmd_constellation_stats)
-
-    # scenario
-    sce = sub.add_parser("scenario", help="NTN project consistency reports")
-    ssub = sce.add_subparsers(dest="subcommand")
-    p = ssub.add_parser("run", help="run a bundled fixture or a scenario file")
-    p.add_argument("scenario", help="fixture name or JSON file path")
-    _add_output_flags(p)
-    p.set_defaults(func=_cmd_scenario_run)
-    p = ssub.add_parser("list", help="bundled fixtures")
-    _add_output_flags(p)
-    p.set_defaults(func=_cmd_scenario_list)
-
+    parser = _Parser(prog="satlink", description="Satellite-link engineering toolkit")
+    _add_commands(parser, _COMMANDS, "command")
     return parser
 
 
