@@ -16,7 +16,11 @@ leaf's handler and flag rows; `_add_commands` builds the parser from it.
 A flag row is (key, type, argparse options), and a tuple of keys is one
 quantity offered in several units (`--freq-ghz`, `--freq-mhz`, ...), taken
 as one mutually exclusive group. The `linkbudget` row's keys are also the
-keys of its `--config` document.
+keys of its `--config` document. A row may carry the library's rule for its
+quantity restated in the flag's unit: `main` checks each such value as typed,
+and again once scaled to the library's unit, before the handler runs, so a
+refusal names the flag and its unit (`--freq-ghz must be > 0 GHz, got -5.0`).
+A group run without a subcommand prints its own help.
 
 `run` is the process entry point (`python -m satlink.cli` and the
 `satlink` console script): it calls `main`, flushes the output and ends
@@ -141,12 +145,18 @@ def _emit(args, result) -> None:
 # --- shared flag helpers ------------------------------------------------------
 
 
-# Each quantity given in a choice of units, as {flag key: scale to SI}. A subcommand takes one
-# quantity's flags as one mutually exclusive group; key order is the precedence in a --config.
-_UNITS = {"freq": {"freq_ghz": 1e9, "freq_mhz": 1e6, "freq_hz": 1.0},
-          "bw": {"bw_hz": 1.0, "bw_khz": 1e3, "bw_mhz": 1e6, "bw_ghz": 1e9}}
-_FREQ = tuple(_UNITS["freq"])
-_BW = tuple(_UNITS["bw"])
+# The flags checked as typed: {key: (its unit, the scale to the unit the library takes, that unit)}.
+_UNIT = {
+    "freq_ghz": ("GHz", 1e9, "Hz"), "freq_mhz": ("MHz", 1e6, "Hz"), "freq_hz": ("Hz", 1.0, "Hz"),
+    "bw_hz": ("Hz", 1.0, "Hz"), "bw_khz": ("kHz", 1e3, "Hz"),
+    "bw_mhz": ("MHz", 1e6, "Hz"), "bw_ghz": ("GHz", 1e9, "Hz"),
+    "distance_km": ("km", 1e3, "m"), "altitude_km": ("km", 1.0, "km"),
+    "elevation_deg": ("degrees", math.radians(1.0), "rad"), "rtt_ms": ("ms", 1e-3, "s"),
+}
+# Each quantity given in a choice of units. A subcommand takes one quantity's flags as one
+# mutually exclusive group; key order is the precedence in a --config.
+_FREQ = ("freq_ghz", "freq_mhz", "freq_hz")
+_BW = ("bw_hz", "bw_khz", "bw_mhz", "bw_ghz")
 _BUDGET_FREQ = ("freq_ghz", "freq_mhz")  # linkbudget takes no --freq-hz
 
 
@@ -154,9 +164,22 @@ def _flag(key: str) -> str:
     return "--" + key.replace("_", "-")
 
 
-def _si(values: dict, quantity: str) -> float | None:
-    """`quantity` in SI units from the first of its keys set in `values`, or None."""
-    return next((values[k] * scale for k, scale in _UNITS[quantity].items() if values.get(k) is not None), None)
+def _si(values: dict, *keys: str) -> float | None:
+    """A quantity in the library's unit, from the first of its `keys` set in `values`, or None."""
+    return next((values[k] * _UNIT[k][1] for k in keys if values.get(k) is not None), None)
+
+
+def _check_flags(args) -> None:
+    """Refuse a flag value outside its rule, or one that leaves the float range in
+    the library's unit, naming the flag and the unit it was typed in."""
+    for key, rule in args.rules:
+        value = getattr(args, key)
+        if value is not None:
+            unit, scale, library_unit = _UNIT[key]
+            quantities.require(_flag(key), value, rule)
+            scaled = value * scale
+            if not math.isfinite(scaled) or scaled == 0 != value:
+                raise DomainError(f"{_flag(key)} {value!r} {unit} is out of the float range in {library_unit}")
 
 
 def _constants_from_env() -> quantities.PhysicalConstants:
@@ -197,14 +220,14 @@ def _cmd_convert_noise_temp(args, constants) -> dict:
 
 
 def _cmd_convert_wavelength(args, constants) -> dict:
-    f = _si(vars(args), "freq")
+    f = _si(vars(args), *_FREQ)
     if f is None:
         raise _UsageError("freq_ghz (or --freq-mhz / --freq-hz)")
     return {"freq_hz": f, "wavelength_m": quantities.wavelength(f, constants)}
 
 
 def _cmd_convert_band(args, constants) -> list[dict]:
-    f = _si(vars(args), "freq")
+    f = _si(vars(args), *_FREQ)
     if f is None:
         raise _UsageError("freq_mhz (or --freq-ghz / --freq-hz)")
     band = quantities.band_lookup(f, args.direction, args.orbit)
@@ -305,17 +328,17 @@ def _cmd_linkbudget(args, constants) -> dict:
     cfg.update(flags)
 
     if "distance_km" in cfg:
-        distance_m = cfg["distance_km"] * 1e3
+        distance_m = _si(cfg, "distance_km")
     elif "altitude_km" in cfg and "elevation_deg" in cfg:
         distance_m = 1e3 * geometry.slant_range_exact(cfg["altitude_km"], math.radians(cfg["elevation_deg"]), constants)
     else:
         raise _UsageError("distance_km (or altitude_km + elevation_deg)")
 
-    freq_hz = _si(cfg, "freq")
+    freq_hz = _si(cfg, *_BUDGET_FREQ)
     if freq_hz is None:
         raise _UsageError("freq_ghz")
 
-    bw_hz = _si(cfg, "bw")
+    bw_hz = _si(cfg, *_BW)
     if bw_hz is None:
         raise _UsageError("bw_khz (or --bw-hz / --bw-mhz / --bw-ghz)")
 
@@ -350,7 +373,7 @@ def _cmd_linkbudget(args, constants) -> dict:
 
 
 def _cmd_capacity(args, constants) -> dict:
-    bw = _si(vars(args), "bw")
+    bw = _si(vars(args), *_BW)
     if bw is None:
         raise _UsageError("bw_khz (or --bw-hz / --bw-mhz / --bw-ghz)")
     if (args.snr_db is None) == (args.snr_linear is None):
@@ -379,7 +402,7 @@ def _cmd_modcod(args, constants) -> dict:
         "snr_qef_db": chosen.snr_qef_db,
         "margin_db": margin,
     }
-    bw = _si(vars(args), "bw")
+    bw = _si(vars(args), *_BW)
     if bw is not None:
         record["bitrate_bps"] = capacity.effective_bitrate(chosen.se_bps_hz, bw)
     return record
@@ -388,7 +411,7 @@ def _cmd_modcod(args, constants) -> dict:
 def _cmd_multibeam(args, constants) -> dict:
     cfg = capacity.MultiBeamConfig(
         se_bps_hz=args.se,
-        bandwidth_hz=_si(vars(args), "bw"),
+        bandwidth_hz=_si(vars(args), *_BW),
         polarizations=args.pol,
         beams=args.beams,
         colors=args.colors,
@@ -412,7 +435,7 @@ def _cmd_cost(args, constants) -> dict:
 def _cmd_tcp(args, constants) -> dict:
     model = capacity.TcpLinkModel(
         mss_bytes=args.mss,
-        rtt_s=args.rtt_ms * 1e-3,
+        rtt_s=_si(vars(args), "rtt_ms"),
         loss_probability=args.ploss,
         c_constant=args.c,
     )
@@ -576,6 +599,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 _REQUIRED = {"required": True}
+_POSITIVE = {"rule": "must be > 0 {}"}
+_ELEVATION = {"rule": "must lie in [0, 90] {}"}
 _OUTPUT = (
     ("format", None, {"choices": ("table", "json", "csv"), "default": "table"}),
     ("precise", None, {"action": "store_true", "help": "full 6-significant-digit tables"}),
@@ -584,7 +609,8 @@ _OUTPUT = (
 # Every subcommand: {name: (help, {name: ...})} for a group, {name: (help, handler, flags)}
 # for a leaf. A flag row is (key, type, argparse options); a tuple of keys is one
 # quantity's unit flags, one mutually exclusive group; "positional" makes the key an
-# argument, not a --flag.
+# argument, not a --flag. A "rule" is the library's rule for the quantity, restated in the
+# flag's unit ({}): main checks the value as typed against it before the handler runs.
 _COMMANDS = {
     "convert": ("unit conversions and the band chart", {
         "db": ("linear ratio to dB", _cmd_convert_db, (("linear", float, _REQUIRED), *_OUTPUT)),
@@ -593,9 +619,10 @@ _COMMANDS = {
                   (("watts", float), ("dbw", float), ("dbm", float), *_OUTPUT)),
         "noise-temp": ("noise figure to noise temperature", _cmd_convert_noise_temp,
                        (("nf_db", float, _REQUIRED), ("t_ref_k", float), *_OUTPUT)),
-        "wavelength": ("carrier frequency to wavelength", _cmd_convert_wavelength, ((_FREQ, float), *_OUTPUT)),
+        "wavelength": ("carrier frequency to wavelength", _cmd_convert_wavelength,
+                       ((_FREQ, float, _POSITIVE), *_OUTPUT)),
         "band": ("resolve a frequency to its ITU band", _cmd_convert_band, (
-            (("freq_mhz", "freq_ghz", "freq_hz"), float),
+            (("freq_mhz", "freq_ghz", "freq_hz"), float, _POSITIVE),
             ("direction", None, {"choices": (quantities.DOWNLINK, quantities.UPLINK), "required": True}),
             ("orbit", None, {"choices": (quantities.GEO, quantities.NON_GEO, quantities.ANY_ORBIT),
                              "default": quantities.ANY_ORBIT}),
@@ -605,36 +632,40 @@ _COMMANDS = {
     }),
     "geometry": ("slant range, footprints, beam cells", {
         "slant": ("slant range from altitude and elevation", _cmd_geometry_slant,
-                  (("altitude_km", float, _REQUIRED), ("elevation_deg", float, _REQUIRED), *_OUTPUT)),
+                  (("altitude_km", float, _REQUIRED | _POSITIVE), ("elevation_deg", float, _REQUIRED | _ELEVATION),
+                   *_OUTPUT)),
         "footprint": ("per-satellite footprint and coverage", _cmd_geometry_footprint,
                       (("sats_per_orbit", int, _REQUIRED), ("coverage_sats", int), *_OUTPUT)),
         "cell": ("cell radius after an equal-area beam split", _cmd_geometry_cell, (
-            ("parent_radius_km", float, _REQUIRED), ("beams", int, _REQUIRED), ("altitude_km", float), *_OUTPUT,
+            ("parent_radius_km", float, _REQUIRED), ("beams", int, _REQUIRED), ("altitude_km", float, _POSITIVE),
+            *_OUTPUT,
         )),
     }),
     "linkbudget": ("itemized dB ledger and SNR", _cmd_linkbudget, (
         ("config", None, {"help": "JSON file with the same keys as the flags"}),
-        ("distance_km", float), ("altitude_km", float), ("elevation_deg", float), (_BUDGET_FREQ, float),
+        ("distance_km", float, _POSITIVE), ("altitude_km", float, _POSITIVE), ("elevation_deg", float, _ELEVATION),
+        (_BUDGET_FREQ, float, _POSITIVE),
         ("eirp_dbw", float), ("power_w", float), ("gain_dbi", float),
         ("terminal", None, {"help": "receiver terminal preset (class3-ue, vsat, iot)"}),
-        ("rx_gain_dbi", float), ("nf_db", float), ("noise_temp_k", float), ("g_over_t_dbk", float), (_BW, float),
+        ("rx_gain_dbi", float), ("nf_db", float), ("noise_temp_k", float), ("g_over_t_dbk", float),
+        (_BW, float, _POSITIVE),
         ("atm_loss_db", float), ("ad_loss_db", float), ("margin_db", float),
         *_OUTPUT,
     )),
     "capacity": ("Shannon capacity and spectral efficiency", _cmd_capacity,
-                 (("snr_db", float), ("snr_linear", float), (_BW, float), *_OUTPUT)),
+                 (("snr_db", float), ("snr_linear", float), (_BW, float, _POSITIVE), *_OUTPUT)),
     "modcod": ("highest-rate scheme the SNR supports", _cmd_modcod, (
         ("snr_db", float, _REQUIRED), ("catalog", None, {"help": "CSV catalog (name, se_bps_hz, snr_qef_db)"}),
-        (_BW, float), *_OUTPUT,
+        (_BW, float, {"rule": "must be >= 0 {}"}), *_OUTPUT,
     )),
     "multibeam": ("total multi-beam satellite capacity", _cmd_multibeam, (
-        ("se", float, _REQUIRED), ("bw_ghz", float, _REQUIRED), ("pol", int, {"default": 1}),
+        ("se", float, _REQUIRED), ("bw_ghz", float, _REQUIRED | _POSITIVE), ("pol", int, {"default": 1}),
         ("beams", int, _REQUIRED), ("colors", int, _REQUIRED), ("guard", float, {"default": 0.0}), *_OUTPUT,
     )),
     "cost": ("cost per Gb/s power law", _cmd_cost, (("rtot_gbps", float, _REQUIRED), *_OUTPUT)),
     "tcp": ("loss-bounded TCP throughput", _cmd_tcp, (
-        ("mss", float, {"required": True, "help": "maximum segment size in bytes"}), ("rtt_ms", float, _REQUIRED),
-        ("ploss", float, _REQUIRED), ("c", float, {"default": 1.0}), *_OUTPUT,
+        ("mss", float, {"required": True, "help": "maximum segment size in bytes"}),
+        ("rtt_ms", float, _REQUIRED | _POSITIVE), ("ploss", float, _REQUIRED), ("c", float, {"default": 1.0}), *_OUTPUT,
     )),
     "antenna": ("phased-array patterns and selection", {
         "pattern": ("radiation-pattern cut as CSV", _cmd_antenna_pattern, (
@@ -643,7 +674,7 @@ _COMMANDS = {
             ("resolution_deg", float, {"default": 0.1}), ("out", None),
         )),
         "select": ("pick the catalog array nearest a target beamwidth", _cmd_antenna_select,
-                   (("hpbw_deg", float), ("cell_radius_km", float), ("altitude_km", float), *_OUTPUT)),
+                   (("hpbw_deg", float), ("cell_radius_km", float), ("altitude_km", float, _POSITIVE), *_OUTPUT)),
         "table": ("reference array catalog", _cmd_antenna_table, _OUTPUT),
     }),
     "constellation": ("LEO shell catalog and footprints", {
@@ -661,6 +692,7 @@ _COMMANDS = {
 
 def _add_commands(parser: argparse.ArgumentParser, commands: dict, dest: str) -> None:
     """Add the groups and leaves of `commands`, a level of _COMMANDS, under `parser`."""
+    parser.set_defaults(group=parser)  # a group run without a subcommand prints its own help
     sub = parser.add_subparsers(dest=dest)
     for name, (help_text, *entry) in commands.items():
         p = sub.add_parser(name, help=help_text)
@@ -668,13 +700,16 @@ def _add_commands(parser: argparse.ArgumentParser, commands: dict, dest: str) ->
             _add_commands(p, entry[0], "subcommand")
             continue
         handler, flags = entry
+        rules = []
         for key, kind, *options in flags:
             options = dict(*options, **({"type": kind} if kind else {}))
-            positional = options.pop("positional", False)
+            positional, rule = options.pop("positional", False), options.pop("rule", None)
             target = p.add_mutually_exclusive_group() if isinstance(key, tuple) else p
             for k in (key,) if isinstance(key, str) else key:
                 target.add_argument(k if positional else _flag(k), **options)
-        p.set_defaults(func=handler)
+                if rule:
+                    rules.append((k, rule.format(_UNIT[k][0])))
+        p.set_defaults(func=handler, rules=tuple(rules))
 
 
 def _keys(flags) -> tuple:
@@ -699,10 +734,11 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     if not hasattr(args, "func"):
-        parser.print_help(file=sys.stderr)
+        args.group.print_help(file=sys.stderr)
         return EXIT_USAGE
     try:
         constants = _constants_from_env()
+        _check_flags(args)
         _emit(args, args.func(args, constants))
     except BrokenPipeError:
         # the reader closed stdout: send what is left to devnull, so the flush at exit is silent
