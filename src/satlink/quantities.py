@@ -262,11 +262,13 @@ class PhysicalConstants:
 def check_keys(doc: dict, allowed: set, what: str, prefix: str = "") -> None:
     """Raise ValidationError when `doc` has a key outside `allowed`. Its field
     is `prefix` + the first unknown key, and its message names `what` and
-    lists every unknown key, sorted."""
+    lists every unknown key, sorted. A key that is not a string (a mapping
+    may hold any) is named, and sorted, by the text `_show` gives it."""
     if doc.keys() <= allowed:  # a subset test, without building a set
         return
-    unknown = sorted(doc.keys() - allowed)
-    raise ValidationError(prefix + unknown[0], f"unknown {what} keys: {unknown}")
+    texts = {key: key if isinstance(key, str) else _show(key) for key in doc.keys() - allowed}
+    unknown = sorted(texts, key=texts.get)
+    raise ValidationError(prefix + texts[unknown[0]], f"unknown {what} keys: [{', '.join(map(_show, unknown))}]")
 
 
 def _read_file(path) -> str:
@@ -377,16 +379,18 @@ def read_document(source) -> str:
 
     A string is read as a path only when it names an existing file; one that
     holds a newline, or is too long to be a file name, is the text. A file
-    that is not UTF-8 raises ParseError naming it.
+    that is not UTF-8 raises ParseError naming it, and so does a source of
+    any other type (bytes, a number) naming its type.
     """
     if isinstance(source, Path):
         return _read_file(source)
-    text = str(source)
+    if not isinstance(source, str):
+        raise ParseError(f"a document must be a Path or a str, got {type(source).__name__}")
     try:
-        is_file = "\n" not in text and Path(text).is_file()
+        is_file = "\n" not in source and Path(source).is_file()
     except OSError:  # e.g. ENAMETOOLONG
         is_file = False
-    return _read_file(text) if is_file else text
+    return _read_file(source) if is_file else source
 
 
 DEFAULT_CONSTANTS = PhysicalConstants()
