@@ -179,7 +179,7 @@ def _check_flags(args) -> None:
             quantities.require(_flag(key), value, rule)
             scaled = value * scale
             if not math.isfinite(scaled) or scaled == 0 != value:
-                raise DomainError(f"{_flag(key)} {value!r} {unit} is out of the float range in {library_unit}")
+                raise DomainError(f"{_flag(key)} must fit a float in {library_unit}, got {value!r} {unit}")
 
 
 def _constants_from_env() -> quantities.PhysicalConstants:

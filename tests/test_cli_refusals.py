@@ -67,13 +67,13 @@ def test_a_refused_flag_is_named_in_its_unit(leaf, base, flag):
     (["tcp", "--mss", "1500", "--rtt-ms=-5", "--ploss", "1e-6"], "--rtt-ms must be > 0 ms, got -5.0"),
     (["convert", "wavelength", "--freq-ghz=-5"], "--freq-ghz must be > 0 GHz, got -5.0"),
     (["convert", "wavelength", "--freq-mhz=nan"], "--freq-mhz must be > 0 MHz, got nan"),
-    (["convert", "wavelength", "--freq-ghz=1e308"], "--freq-ghz 1e+308 GHz is out of the float range in Hz"),
+    (["convert", "wavelength", "--freq-ghz=1e308"], "--freq-ghz must fit a float in Hz, got 1e+308 GHz"),
     (["tcp", "--mss", "1500", "--rtt-ms=5e-324", "--ploss", "1e-6"],
-     "--rtt-ms 5e-324 ms is out of the float range in s"),
+     "--rtt-ms must fit a float in s, got 5e-324 ms"),
     (["linkbudget", "--distance-km", "1000", "--freq-ghz", "2", "--eirp-dbw", "40", "--g-over-t-dbk", "1",
       "--bw-mhz=-5"], "--bw-mhz must be > 0 MHz, got -5.0"),
     (["linkbudget", "--distance-km=1e308", "--freq-ghz", "2", "--eirp-dbw", "40", "--g-over-t-dbk", "1",
-      "--bw-mhz", "1"], "--distance-km 1e+308 km is out of the float range in m"),
+      "--bw-mhz", "1"], "--distance-km must fit a float in m, got 1e+308 km"),
     (["geometry", "slant", "--altitude-km", "600", "--elevation-deg=90.00000000000001"],
      "--elevation-deg must lie in [0, 90] degrees, got 90.00000000000001"),
     (["modcod", "--snr-db", "5", "--bw-khz=-0.5"], "--bw-khz must be >= 0 kHz, got -0.5"),
