@@ -731,8 +731,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     if not hasattr(args, "func"):
         args.group.print_help(file=sys.stderr)
         return EXIT_USAGE

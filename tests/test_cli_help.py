@@ -54,10 +54,8 @@ def test_every_node_is_pinned():
 
 def test_help_and_usage_texts():
     expected = json.loads(GOLDEN.read_text())
-    diffs = [name for name, texts in help_texts().items() if texts != expected.get(name)]
-    assert not diffs, "\n".join(
-        f"{name!r}\n  want {expected.get(name)}\n  got  {help_texts()[name]}" for name in diffs[:3]
-    )
+    diffs = [(name, texts) for name, texts in help_texts().items() if texts != expected.get(name)]
+    assert not diffs, "\n".join(f"{name!r}\n  want {expected.get(name)}\n  got  {texts}" for name, texts in diffs[:3])
 
 
 if __name__ == "__main__":
