@@ -12,9 +12,11 @@ code, stdout, stderr, warnings and the text of any file they wrote.
 Outcomes that were Python errors other than SatlinkError are not recorded:
 they are faults, and a fix changes them.
 
-`python tests/test_golden.py` rewrites both files from the code it imports.
-Run it only at a commit whose behaviour is the reference, and review the
-diff.
+`python tests/test_golden.py` rewrites both files from the code it imports,
+and prints each case the re-capture changed: a guard expression with its old
+and new outcome, a CLI invocation with its old and new exit code and every
+other field that moved. Run it only at a commit whose behaviour is the
+reference, and review the diff.
 """
 
 from __future__ import annotations
@@ -171,6 +173,17 @@ def guard_outcome(expr: str) -> list:
         return [type(exc).__name__, str(exc), getattr(exc, "field", None)]
     text = repr(result)
     return ["ok", text if len(text) <= 120 else "sha256:" + hashlib.sha256(text.encode()).hexdigest()[:16]]
+
+
+def _guard_outcomes(corpus: dict) -> dict:
+    """{expression: outcome} of a guards.json document."""
+    return {
+        template.format(value): outcome
+        for module, templates in corpus.items()
+        if module != "values"
+        for template, outcomes in templates.items()
+        for value, outcome in zip(corpus["values"], outcomes)
+    }
 
 
 # --- CLI corpus -------------------------------------------------------------------
@@ -477,14 +490,7 @@ def test_guard_corpus(module):
 def test_guard_corpus_pins_every_outcome():
     """A null outcome is a fault the corpus skips; none is left."""
     corpus = _load("guards.json")
-    unpinned = [
-        template.format(value)
-        for module, templates in corpus.items()
-        if module != "values"
-        for template, outcomes in templates.items()
-        for value, outcome in zip(corpus["values"], outcomes)
-        if outcome is None
-    ]
+    unpinned = [expr for expr, outcome in _guard_outcomes(corpus).items() if outcome is None]
     assert not unpinned, unpinned
 
 
@@ -536,14 +542,49 @@ def test_cli_csv_output_parses(tmp_path, monkeypatch):
             assert rows and all(len(row) == len(rows[0]) for row in rows), (argv, record["stdout"])
 
 
+def _outcome_text(outcome) -> str:
+    if outcome is None:
+        return "skipped"
+    return outcome[1] if outcome[0] == "ok" else f"{outcome[0]}: {outcome[1]}"
+
+
+def _cli_label(record: dict) -> str:
+    env = f"SATLINK_CONSTANTS={record['constants']} " if record["constants"] else ""
+    return env + "satlink " + " ".join(record["argv"])
+
+
+def _cli_change(old: dict, new: dict) -> str:
+    """Old -> new exit code, and each other field of the record that moved."""
+    parts = [f"exit {old['code']} -> {new['code']}"]
+    for field in ("stdout", "stderr", "warnings", "written"):
+        if old.get(field) != new.get(field):
+            before, after = (text if len(text := repr(r.get(field))) <= 200 else text[:197] + "..." for r in (old, new))
+            parts.append(f"{field} {before} -> {after}")
+    return "; ".join(parts)
+
+
+def _report_changes(name: str, old: dict, new: dict, change) -> None:
+    """Print to stderr each case, by label, whose record differs between the
+    `old` and `new` {label: record} of golden/<name>, as `change(old, new)` words it."""
+    labels = [*new, *(label for label in old if label not in new)]
+    changed = [label for label in labels if old.get(label) != new.get(label)]
+    print(f"{name}: {len(changed)} of {len(new)} cases changed", file=sys.stderr)
+    for label in changed:
+        if label not in old or label not in new:
+            print(f"  {label}: {'added' if label in new else 'removed'}", file=sys.stderr)
+        else:
+            print(f"  {label}: {change(old[label], new[label])}", file=sys.stderr)
+
+
 def _capture() -> None:
-    """Write golden/guards.json and golden/cli.json from the imported satlink."""
+    """Write golden/guards.json and golden/cli.json from the imported satlink,
+    and report what changed in each."""
     values = [repr(v) for v in _VALUES]
-    lines = [f'"values": {json.dumps(values)}']
+    corpus = {"values": values}
     for module in sorted(_TEMPLATES):
-        rows = []
+        corpus[module] = {}
         for template in _TEMPLATES[module]:
-            outcomes = []
+            outcomes = corpus[module][template] = []
             for value in values:
                 expr = template.format(value)
                 try:
@@ -551,8 +592,6 @@ def _capture() -> None:
                 except Exception as exc:  # a fault, not a guard: left out and reported
                     outcomes.append(None)
                     print(f"skipped {expr}: {type(exc).__name__}: {exc}", file=sys.stderr)
-            rows.append(f"  {json.dumps(template)}: {json.dumps(outcomes)}")
-        lines.append(f'"{module}": {{\n' + ",\n".join(rows) + "\n}")
     records = []
     with tempfile.TemporaryDirectory() as tmp:
         cwd = os.getcwd()
@@ -567,6 +606,16 @@ def _capture() -> None:
         finally:
             os.chdir(cwd)
     GOLDEN.mkdir(exist_ok=True)
+    if (GOLDEN / "guards.json").is_file():
+        _report_changes("guards.json", _guard_outcomes(_load("guards.json")), _guard_outcomes(corpus),
+                        lambda old, new: f"{_outcome_text(old)} -> {_outcome_text(new)}")
+    if (GOLDEN / "cli.json").is_file():
+        _report_changes("cli.json", {_cli_label(r): r for r in _load("cli.json")},
+                        {_cli_label(r): r for r in json.loads(json.dumps(records))}, _cli_change)
+    lines = [f'"values": {json.dumps(values)}']
+    for module in sorted(_TEMPLATES):
+        rows = [f"  {json.dumps(template)}: {json.dumps(outcomes)}" for template, outcomes in corpus[module].items()]
+        lines.append(f'"{module}": {{\n' + ",\n".join(rows) + "\n}")
     (GOLDEN / "guards.json").write_text("{\n" + ",\n".join(lines) + "\n}\n")
     (GOLDEN / "cli.json").write_text(json.dumps(records, indent=1) + "\n")
     print(f"{len(values)} values, {len(records)} invocations", file=sys.stderr)
