@@ -160,9 +160,9 @@ def load_modcod_catalog(source) -> tuple[ModCod, ...]:
     """Load a MODCOD catalog from CSV text or a file path.
 
     Expected columns: name, se_bps_hz, snr_qef_db. The catalog is validated
-    before being returned.
+    before being returned; a missing file raises NotFoundError.
     """
-    reader = csv.DictReader(io.StringIO(read_document(source)))
+    reader = csv.DictReader(io.StringIO(read_document(source, "MODCOD catalog")[0]))
     required = {"name", "se_bps_hz", "snr_qef_db"}
     if reader.fieldnames is None or not required.issubset(reader.fieldnames):
         raise ParseError(f"MODCOD CSV must have columns {sorted(required)}, got {reader.fieldnames}")

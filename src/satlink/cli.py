@@ -307,10 +307,7 @@ _BUDGET_FORMS = (
 
 
 def _load_budget_config(path: str) -> dict:
-    try:
-        doc = quantities.read_object(path, "link budget config")
-    except FileNotFoundError:
-        raise _UsageError(f"config file {path!r} not found")
+    doc = quantities.read_object(path, "link budget config")
     quantities.check_keys(doc, set(_BUDGET_KEYS), "config")
     for key, value in doc.items():
         if key != "terminal":
@@ -533,12 +530,9 @@ def _cmd_scenario_run(args, constants) -> dict | list[dict]:
     try:
         s = scenario.fixture(name)
     except NotFoundError:
-        if Path(name).is_file():
-            s = scenario.load_scenario(Path(name))
-        elif name.endswith(".json"):
-            raise NotFoundError(f"scenario file {name!r} not found") from None
-        else:
+        if not (name.endswith(".json") or Path(name).is_file()):
             raise
+        s = scenario.load_scenario(Path(name))
     report = scenario.run_scenario(s)
     if args.format == "json":
         return report.to_doc()

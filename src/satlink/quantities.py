@@ -9,6 +9,7 @@ appear only at construction and display boundaries.
 from __future__ import annotations
 
 import csv
+import errno
 import io
 import json
 import math
@@ -19,7 +20,7 @@ from functools import cache, cached_property
 from json.encoder import encode_basestring_ascii as _json_str
 from pathlib import Path
 
-from .errors import DomainError, OutOfBandError, ParseError, ValidationError
+from .errors import DomainError, NotFoundError, OutOfBandError, ParseError, ValidationError
 
 _LN10 = math.log(10.0)
 _MAX = sys.float_info.max
@@ -256,7 +257,7 @@ class PhysicalConstants:
 
     @classmethod
     def from_file(cls, path) -> "PhysicalConstants":
-        return cls.from_mapping(read_object(path, "constants document"))
+        return cls.from_mapping(read_object(path, "constants"))
 
 
 def check_keys(doc: dict, allowed: set, what: str, prefix: str = "") -> None:
@@ -271,31 +272,36 @@ def check_keys(doc: dict, allowed: set, what: str, prefix: str = "") -> None:
     raise ValidationError(prefix + texts[unknown[0]], f"unknown {what} keys: [{', '.join(map(_show, unknown))}]")
 
 
-def _read_file(path) -> str:
+def _read_file(path, what: str) -> str:
+    """The text of the input file at `path`, the one place satlink opens one. A
+    missing file raises NotFoundError "<what> file '<path>' not found"."""
     try:
         return Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    except OSError as exc:
+        if exc.errno == errno.ENOENT:
+            raise NotFoundError(f"{what} file {str(path)!r} not found") from None
+        raise
 
 
 def read_object(path, what: str) -> dict:
     """The JSON object in the file at `path`. A document of another type raises
     ParseError "<path>: <what> must be a JSON object"."""
-    doc = parse_json(_read_file(path), path)
+    doc = parse_json(_read_file(path, what), path)
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: {what} must be a JSON object")
     return doc
 
 
-def parse_json(text: str, name, located: bool = False):
+def parse_json(text: str, name):
     """The JSON document in `text`. Any failure raises ParseError "<name>:
-    <reason>"; a syntax error carries its line and column, which `located`
-    also appends to the message."""
+    <reason>"; a syntax error ends in " (line l, column c)" and carries both."""
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
-        where = f" (line {exc.lineno}, column {exc.colno})" if located else ""
-        raise ParseError(f"{name}: {exc.msg}{where}", line=exc.lineno, column=exc.colno) from exc
+        where = f"(line {exc.lineno}, column {exc.colno})"
+        raise ParseError(f"{name}: {exc.msg} {where}", line=exc.lineno, column=exc.colno) from exc
     except (ValueError, RecursionError) as exc:  # an integer past the digit limit, or deep nesting
         raise ParseError(f"{name}: {str(exc).partition(';')[0]}") from None
 
@@ -373,24 +379,26 @@ def dump_csv(rows) -> str:
     return out.getvalue()
 
 
-def read_document(source) -> str:
+def read_document(source, what: str) -> tuple[str, str]:
     """The text of a document given as a Path, a file path string or the
-    text itself.
+    text itself, and the name its refusals go by: the path of a file, else
+    "<what> document".
 
     A string is read as a path only when it names an existing file; one that
     holds a newline, or is too long to be a file name, is the text. A file
     that is not UTF-8 raises ParseError naming it, and so does a source of
     any other type (bytes, a number) naming its type.
     """
-    if isinstance(source, Path):
-        return _read_file(source)
-    if not isinstance(source, str):
+    if isinstance(source, str):
+        try:
+            is_file = "\n" not in source and Path(source).is_file()
+        except OSError:  # e.g. ENAMETOOLONG
+            is_file = False
+        if not is_file:
+            return source, f"{what} document"
+    elif not isinstance(source, Path):
         raise ParseError(f"a document must be a Path or a str, got {type(source).__name__}")
-    try:
-        is_file = "\n" not in source and Path(source).is_file()
-    except OSError:  # e.g. ENAMETOOLONG
-        is_file = False
-    return _read_file(source) if is_file else source
+    return _read_file(source, what), str(source)
 
 
 DEFAULT_CONSTANTS = PhysicalConstants()

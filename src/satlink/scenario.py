@@ -318,12 +318,13 @@ def _scenario_from_doc(doc: dict) -> Scenario:
 def load_scenario(source) -> Scenario:
     """Load and validate a scenario from a mapping, JSON text or a file path.
 
-    Malformed JSON raises ParseError with the location; invariant violations
+    Malformed JSON raises ParseError naming the file (or "scenario document")
+    with the location, and a missing file NotFoundError; invariant violations
     raise ValidationError naming the offending field.
     """
     if isinstance(source, dict):
         return _scenario_from_doc(source)
-    return _scenario_from_doc(parse_json(read_document(source), "scenario document", located=True))
+    return _scenario_from_doc(parse_json(*read_document(source, "scenario")))
 
 
 def scenario_to_doc(s: Scenario) -> dict:

@@ -561,7 +561,7 @@ class TestRefusedDocumentsAndExtremes:
     def test_long_integer_in_scenario_file(self, capsys, tmp_path):
         path = tmp_path / "long.json"
         path.write_text(f'{{"name": "x", "orbit": "LEO", "altitude_km": {self.LONG}}}')
-        assert run(capsys, "scenario", "run", str(path)) == (1, "", f"error: scenario document: {self.DIGITS}")
+        assert run(capsys, "scenario", "run", str(path)) == (1, "", f"error: {path}: {self.DIGITS}")
 
     def test_long_integer_in_constants_file(self, capsys, tmp_path, monkeypatch):
         path = tmp_path / "constants.json"
