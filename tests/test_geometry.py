@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 
 import pytest
 from hypothesis import given
@@ -7,6 +8,7 @@ from pytest import approx
 
 from satlink import geometry as geo
 from satlink.errors import DomainError
+from satlink.quantities import PhysicalConstants
 
 altitudes = st.floats(min_value=1.0, max_value=50_000.0)
 elevations = st.floats(min_value=0.0, max_value=math.pi / 2)
@@ -24,6 +26,25 @@ class TestSlantRangeExact:
         d = geo.slant_range_exact(550.0, 0.0)
         assert d == approx(expected, rel=1e-12)
         assert d == approx(2703.81, abs=0.05)
+
+    @pytest.mark.parametrize("h, expected", [(1e-12, 2e-12), (5e-324, 1e-323)])
+    def test_tiny_altitude_keeps_its_digits(self, h, expected):
+        # d ~ h / sin(e) for h << Re: 2h at 30 degrees, with no cancellation against Re
+        assert geo.slant_range_exact(h, math.radians(30.0)) == approx(expected, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("h", [1e-9, 1e-3, 1.0, 550.0, 35_786.0])
+    @pytest.mark.parametrize("elev_deg", [0.0, 5.0, 30.0, 89.0])
+    def test_within_an_ulp_or_two_of_the_exact_distance(self, h, elev_deg):
+        with localcontext() as ctx:
+            ctx.prec = 60
+            rs = Decimal(6371.0) * Decimal(math.sin(math.radians(elev_deg)))
+            q = Decimal(h) * (Decimal(h) + 2 * Decimal(6371.0))
+            exact = float(q / ((rs * rs + q).sqrt() + rs))
+        assert geo.slant_range_exact(h, math.radians(elev_deg)) == approx(exact, rel=4e-16, abs=0.0)
+
+    def test_an_underflowing_altitude_and_radius_give_zero(self):
+        constants = PhysicalConstants(earth_radius_km=5e-324)
+        assert geo.slant_range_exact(5e-324, 0.0, constants) == 0.0
 
     @pytest.mark.parametrize("alt,elev", [(0.0, 0.5), (-1.0, 0.5), (600.0, -0.1), (600.0, 2.0)])
     def test_rejects(self, alt, elev):
