@@ -19,7 +19,8 @@ as one mutually exclusive group. The `linkbudget` row's keys are also the
 keys of its `--config` document. A row may carry the library's rule for its
 quantity restated in the flag's unit: `main` checks each such value as typed,
 and again once scaled to the library's unit, before the handler runs, so a
-refusal names the flag and its unit (`--freq-ghz must be > 0 GHz, got -5.0`).
+refusal names the flag and its unit (`--freq-ghz must be > 0 GHz, got -5.0`);
+a --config value is checked by the same rule, named by its key.
 A group run without a subcommand prints its own help.
 
 `run` is the process entry point (`python -m satlink.cli` and the
@@ -169,17 +170,17 @@ def _si(values: dict, *keys: str) -> float | None:
     return next((values[k] * _UNIT[k][1] for k in keys if values.get(k) is not None), None)
 
 
-def _check_flags(args) -> None:
-    """Refuse a flag value outside its rule, or one that leaves the float range in
-    the library's unit, naming the flag and the unit it was typed in."""
-    for key, rule in args.rules:
-        value = getattr(args, key)
+def _check_flags(values: dict, rules, name) -> None:
+    """Refuse a value in `values` outside its rule, or one that leaves the float
+    range in the library's unit, naming its key by `name` and the unit it was typed in."""
+    for key, rule in rules:
+        value = values.get(key)
         if value is not None:
             unit, scale, library_unit = _UNIT[key]
-            quantities.require(_flag(key), value, rule)
+            quantities.require(name(key), value, rule)
             scaled = value * scale
             if not math.isfinite(scaled) or scaled == 0 != value:
-                raise DomainError(f"{_flag(key)} must fit a float in {library_unit}, got {value!r} {unit}")
+                raise DomainError(f"{name(key)} must fit a float in {library_unit}, got {value!r} {unit}")
 
 
 def _constants_from_env() -> quantities.PhysicalConstants:
@@ -317,6 +318,7 @@ def _load_budget_config(path: str) -> dict:
 
 def _cmd_linkbudget(args, constants) -> dict:
     cfg = _load_budget_config(args.config) if args.config else {}
+    _check_flags(cfg, args.rules, str)  # as read: a value a flag overrides is still refused
     flags = {key: v for key in _BUDGET_KEYS if (v := getattr(args, key)) is not None}
     for forms in _BUDGET_FORMS:
         unflagged = [form for form in forms if not form & flags.keys()]
@@ -731,7 +733,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     try:
         constants = _constants_from_env()
-        _check_flags(args)
+        _check_flags(vars(args), args.rules, _flag)
         _emit(args, args.func(args, constants))
     except BrokenPipeError:
         # the reader closed stdout: send what is left to devnull, so the flush at exit is silent

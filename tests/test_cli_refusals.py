@@ -3,7 +3,9 @@
 The CLI checks every frequency, bandwidth, distance, altitude, elevation and
 RTT flag as typed, against the library's rule restated in the flag's unit,
 and once more after scaling it to the library's unit. So a refusal reads
-`--freq-ghz must be > 0 GHz, got -5.0`, never a rescaled number in Hz.
+`--freq-ghz must be > 0 GHz, got -5.0`, never a rescaled number in Hz. A
+`linkbudget --config` document is checked the same way, naming each key as
+written (`freq_ghz must be > 0 GHz, got -5.0`).
 """
 
 from __future__ import annotations
@@ -80,6 +82,28 @@ def test_a_refused_flag_is_named_in_its_unit(leaf, base, flag):
 ])
 def test_refusal_messages(argv, message):
     assert invoke(argv) == (1, "", f"error: {message}\n")
+
+
+_CONFIG = {"distance_km": 1000, "freq_ghz": 2, "eirp_dbw": 40, "g_over_t_dbk": 1, "bw_mhz": 1}
+
+
+@pytest.mark.parametrize("change, flags, message", [
+    ({"freq_ghz": -5}, [], "freq_ghz must be > 0 GHz, got -5.0"),
+    ({"bw_mhz": -5}, [], "bw_mhz must be > 0 MHz, got -5.0"),
+    ({"freq_mhz": 0, "freq_ghz": None}, [], "freq_mhz must be > 0 MHz, got 0.0"),
+    ({"bw_khz": float("nan"), "bw_mhz": None}, [], "bw_khz must be finite, got nan"),
+    ({"distance_km": 1e308}, [], "distance_km must fit a float in m, got 1e+308 km"),
+    ({"distance_km": None, "altitude_km": 600, "elevation_deg": 95}, [],
+     "elevation_deg must lie in [0, 90] degrees, got 95.0"),
+    # a value that a flag overrides is still refused: the document itself is invalid
+    ({"freq_ghz": -5}, ["--freq-ghz", "2"], "freq_ghz must be > 0 GHz, got -5.0"),
+    ({"bw_mhz": -5}, ["--bw-khz", "1"], "bw_mhz must be > 0 MHz, got -5.0"),
+])
+def test_a_config_value_is_refused_in_its_unit(change, flags, message, tmp_path):
+    path = tmp_path / "budget.json"
+    doc = {key: value for key, value in {**_CONFIG, **change}.items() if value is not None}
+    path.write_text(json.dumps(doc))
+    assert invoke(["linkbudget", "--config", str(path), *flags]) == (1, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("argv", [
