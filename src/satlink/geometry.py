@@ -17,8 +17,8 @@ def slant_range_exact(
     """Line-of-sight distance (km) from ground to spacecraft.
 
     Law-of-cosines solution on the spherical Earth, with q = h^2 + 2*Re*h:
-        d = -Re*sin(a) + sqrt(Re^2*sin(a)^2 + q) = q / (sqrt(Re^2*sin(a)^2 + q) + Re*sin(a))
-    The second form has no cancellation, so a tiny altitude keeps its digits.
+        d = -Re*sin(a) + sqrt(Re^2*sin(a)^2 + q) = q / (sqrt(Re^2*sin(a)^2 + q) + Re*sin(a)),
+    computed in the second form, which keeps the digits of a tiny altitude.
     It collapses to the altitude at zenith (a = 90 deg) and to the horizon
     radical at a = 0.
     """
@@ -27,11 +27,11 @@ def slant_range_exact(
     re = constants.earth_radius_km
     s = math.sin(elevation_rad)
     q = altitude_km * (altitude_km + 2.0 * re)
-    root = require_no_overflow(
-        math.sqrt(re * re * s * s + q),
+    denominator = require_no_overflow(
+        math.sqrt(re * re * s * s + q) + re * s,
         "altitude {!r} km and Earth radius {!r} km are too large for a slant range", altitude_km, re,
     )
-    return q / (root + re * s) if q else 0.0  # q underflows to 0 only when h and Re both do
+    return q / denominator if q else 0.0  # q underflows to 0 only when h and Re both do
 
 
 def slant_range_altitude_approx(altitude_km: float, elevation_rad: float) -> float:

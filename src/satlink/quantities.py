@@ -9,7 +9,6 @@ appear only at construction and display boundaries.
 from __future__ import annotations
 
 import csv
-import errno
 import io
 import json
 import math
@@ -275,14 +274,12 @@ def check_keys(doc: dict, allowed: set, what: str, prefix: str = "") -> None:
 def _read_file(path, what: str) -> str:
     """The text of the input file at `path`, the one place satlink opens one. A
     missing file raises NotFoundError "<what> file '<path>' not found"."""
+    if not Path(path).exists():  # a directory or an unreadable file fails below, with its OSError
+        raise NotFoundError(f"{what} file {str(path)!r} not found")
     try:
         return Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
-    except OSError as exc:
-        if exc.errno == errno.ENOENT:
-            raise NotFoundError(f"{what} file {str(path)!r} not found") from None
-        raise
 
 
 def read_object(path, what: str) -> dict:
@@ -300,8 +297,7 @@ def parse_json(text: str, name):
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
-        where = f"(line {exc.lineno}, column {exc.colno})"
-        raise ParseError(f"{name}: {exc.msg} {where}", line=exc.lineno, column=exc.colno) from exc
+        raise ParseError(f"{name}: {exc.msg} (line {exc.lineno}, column {exc.colno})", exc.lineno, exc.colno) from exc
     except (ValueError, RecursionError) as exc:  # an integer past the digit limit, or deep nesting
         raise ParseError(f"{name}: {str(exc).partition(';')[0]}") from None
 
@@ -385,20 +381,16 @@ def read_document(source, what: str) -> tuple[str, str]:
     "<what> document".
 
     A string is read as a path only when it names an existing file; one that
-    holds a newline, or is too long to be a file name, is the text. A file
-    that is not UTF-8 raises ParseError naming it, and so does a source of
-    any other type (bytes, a number) naming its type.
+    holds a newline, or is too long to be a file name, is the text. A source
+    of any other type (bytes, a number) raises ParseError naming its type.
     """
-    if isinstance(source, str):
-        try:
-            is_file = "\n" not in source and Path(source).is_file()
-        except OSError:  # e.g. ENAMETOOLONG
-            is_file = False
-        if not is_file:
-            return source, f"{what} document"
-    elif not isinstance(source, Path):
+    if not isinstance(source, (Path, str)):
         raise ParseError(f"a document must be a Path or a str, got {type(source).__name__}")
-    return _read_file(source, what), str(source)
+    try:
+        is_file = isinstance(source, Path) or ("\n" not in source and Path(source).is_file())
+    except OSError:  # e.g. ENAMETOOLONG
+        is_file = False
+    return (_read_file(source, what), str(source)) if is_file else (source, f"{what} document")
 
 
 DEFAULT_CONSTANTS = PhysicalConstants()

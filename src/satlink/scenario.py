@@ -318,9 +318,8 @@ def _scenario_from_doc(doc: dict) -> Scenario:
 def load_scenario(source) -> Scenario:
     """Load and validate a scenario from a mapping, JSON text or a file path.
 
-    Malformed JSON raises ParseError naming the file (or "scenario document")
-    with the location, and a missing file NotFoundError; invariant violations
-    raise ValidationError naming the offending field.
+    Malformed JSON raises ParseError naming the file (or "scenario document") and
+    the location; invariant violations raise ValidationError naming the field.
     """
     if isinstance(source, dict):
         return _scenario_from_doc(source)
