@@ -28,9 +28,11 @@ def _default_constants(monkeypatch):
     monkeypatch.delenv("SATLINK_CONSTANTS", raising=False)
 
 
-def satlink_process(*argv, cwd=None) -> subprocess.CompletedProcess:
+def satlink_process(*argv, cwd=None, constants=None) -> subprocess.CompletedProcess:
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     env.pop("SATLINK_CONSTANTS", None)
+    if constants:
+        env["SATLINK_CONSTANTS"] = constants
     env.pop("PYTHONUNBUFFERED", None)  # stdout is block-buffered, as in a user's shell
     return subprocess.run([sys.executable, "-m", "satlink.cli", *argv], capture_output=True, env=env,
                           cwd=cwd, stdin=subprocess.DEVNULL, timeout=120)
@@ -71,6 +73,12 @@ def test_a_process_ends_as_main_returns(code, argv, tmp_path, monkeypatch, capsy
     captured = capsys.readouterr()
     proc = satlink_process(*argv, cwd=tmp_path)
     assert (proc.returncode, proc.stdout.decode(), proc.stderr.decode()) == (code, captured.out, captured.err)
+
+
+def test_a_missing_constants_file_exits_2(tmp_path):
+    proc = satlink_process("convert", "db", "--linear", "2", cwd=tmp_path, constants="missing.json")
+    expected = (cli.EXIT_USAGE, b"", b"error: constants file 'missing.json' not found\n")
+    assert (proc.returncode, proc.stdout, proc.stderr) == expected
 
 
 def test_a_usage_error_keeps_the_normal_exit(capsys):
