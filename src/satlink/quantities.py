@@ -273,7 +273,8 @@ def check_keys(doc: dict, allowed: set, what: str, prefix: str = "") -> None:
 
 def _read_file(path, what: str) -> str:
     """The text of the input file at `path`, the one place satlink opens one. A
-    missing file raises NotFoundError "<what> file '<path>' not found"."""
+    missing file raises NotFoundError "<what> file '<path>' not found", and one
+    that is not UTF-8 a ParseError naming it."""
     if not Path(path).exists():  # a directory or an unreadable file fails below, with its OSError
         raise NotFoundError(f"{what} file {str(path)!r} not found")
     try:

@@ -175,17 +175,6 @@ def guard_outcome(expr: str) -> list:
     return ["ok", text if len(text) <= 120 else "sha256:" + hashlib.sha256(text.encode()).hexdigest()[:16]]
 
 
-def _guard_outcomes(corpus: dict) -> dict:
-    """{expression: outcome} of a guards.json document."""
-    return {
-        template.format(value): outcome
-        for module, templates in corpus.items()
-        if module != "values"
-        for template, outcomes in templates.items()
-        for value, outcome in zip(corpus["values"], outcomes)
-    }
-
-
 # --- CLI corpus -------------------------------------------------------------------
 
 _SCENARIO_DOC = {
@@ -490,7 +479,14 @@ def test_guard_corpus(module):
 def test_guard_corpus_pins_every_outcome():
     """A null outcome is a fault the corpus skips; none is left."""
     corpus = _load("guards.json")
-    unpinned = [expr for expr, outcome in _guard_outcomes(corpus).items() if outcome is None]
+    unpinned = [
+        template.format(value)
+        for module, templates in corpus.items()
+        if module != "values"
+        for template, outcomes in templates.items()
+        for value, outcome in zip(corpus["values"], outcomes)
+        if outcome is None
+    ]
     assert not unpinned, unpinned
 
 
@@ -542,6 +538,19 @@ def test_cli_csv_output_parses(tmp_path, monkeypatch):
             assert rows and all(len(row) == len(rows[0]) for row in rows), (argv, record["stdout"])
 
 
+def test_a_recapture_reports_each_changed_case(capsys):
+    _report_changes("x.json", {"same": 1, "moved": 2, "gone": 3}, {"same": 1, "moved": 5, "new": 4},
+                    lambda old, new: f"{old} -> {new}")
+    assert capsys.readouterr().err == "x.json: 3 of 3 cases changed\n  moved: 2 -> 5\n  new: added\n  gone: removed\n"
+
+
+def test_a_cli_change_names_the_exit_codes_and_each_field_that_moved():
+    old = {"code": 4, "stdout": "", "stderr": "error: a\n", "warnings": []}
+    assert _cli_change(old, {**old, "code": 2, "stderr": "error: b\n"}) == (
+        "exit 4 -> 2; stderr 'error: a\\n' -> 'error: b\\n'")
+    assert _cli_change(old, {**old, "stdout": "x" * 300}) == f"exit 4 -> 4; stdout '' -> '{'x' * 196}..."
+
+
 def _outcome_text(outcome) -> str:
     if outcome is None:
         return "skipped"
@@ -553,13 +562,17 @@ def _cli_label(record: dict) -> str:
     return env + "satlink " + " ".join(record["argv"])
 
 
+def _clip(value) -> str:
+    text = repr(value)
+    return text if len(text) <= 200 else text[:197] + "..."
+
+
 def _cli_change(old: dict, new: dict) -> str:
     """Old -> new exit code, and each other field of the record that moved."""
     parts = [f"exit {old['code']} -> {new['code']}"]
     for field in ("stdout", "stderr", "warnings", "written"):
         if old.get(field) != new.get(field):
-            before, after = (text if len(text := repr(r.get(field))) <= 200 else text[:197] + "..." for r in (old, new))
-            parts.append(f"{field} {before} -> {after}")
+            parts.append(f"{field} {_clip(old.get(field))} -> {_clip(new.get(field))}")
     return "; ".join(parts)
 
 
@@ -574,6 +587,17 @@ def _report_changes(name: str, old: dict, new: dict, change) -> None:
             print(f"  {label}: {'added' if label in new else 'removed'}", file=sys.stderr)
         else:
             print(f"  {label}: {change(old[label], new[label])}", file=sys.stderr)
+
+
+def _guard_outcomes(corpus: dict) -> dict:
+    """{expression: outcome} of a guards.json document."""
+    return {
+        template.format(value): outcome
+        for module, templates in corpus.items()
+        if module != "values"
+        for template, outcomes in templates.items()
+        for value, outcome in zip(corpus["values"], outcomes)
+    }
 
 
 def _capture() -> None:
