@@ -14,7 +14,8 @@ they are faults, and a fix changes them.
 
 `python tests/test_golden.py` rewrites both files from the code it imports,
 and prints each case the re-capture changed: a guard expression with its old
-and new outcome, a CLI invocation with its old and new exit code and every
+and new outcome (a template added or removed whole is one line, with its
+number of values), a CLI invocation with its old and new exit code and every
 other field that moved. Run it only at a commit whose behaviour is the
 reference, and review the diff.
 """
@@ -30,6 +31,7 @@ import os
 import sys
 import tempfile
 import warnings
+from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -544,6 +546,22 @@ def test_a_recapture_reports_each_changed_case(capsys):
     assert capsys.readouterr().err == "x.json: 3 of 3 cases changed\n  moved: 2 -> 5\n  new: added\n  gone: removed\n"
 
 
+def test_a_recapture_reports_a_template_added_or_removed_whole_in_one_line(capsys):
+    old = {"f(1)": 1, "f(2)": 2, "g(1)": 3, "g(2)": 4, "h(1)": 5}
+    new = {"f(1)": 1, "f(2)": 7, "f(3)": 8, "k(1)": 3, "k(2)": 4, "k(3)": 6}
+    template = {label: label[0] + "({})" for label in (*old, *new)}
+    _report_changes("x.json", old, new, lambda old, new: f"{old} -> {new}", template)
+    assert capsys.readouterr().err == (
+        "x.json: 8 of 6 cases changed\n  f(2): 2 -> 7\n  f(3): added\n  k({}): added, 3 values\n"
+        "  g({}): removed, 2 values\n  h({}): removed, 1 values\n")
+
+
+def test_the_guard_cases_carry_their_templates():
+    corpus = {"values": ["1", "nan"], "m": {"f({})": [["ok", "1"], ["DomainError", "x", None]]}}
+    assert _guard_cases(corpus) == (
+        {"f(1)": ["ok", "1"], "f(nan)": ["DomainError", "x", None]}, {"f(1)": "f({})", "f(nan)": "f({})"})
+
+
 def test_a_cli_change_names_the_exit_codes_and_each_field_that_moved():
     old = {"code": 4, "stdout": "", "stderr": "error: a\n", "warnings": []}
     assert _cli_change(old, {**old, "code": 2, "stderr": "error: b\n"}) == (
@@ -576,28 +594,38 @@ def _cli_change(old: dict, new: dict) -> str:
     return "; ".join(parts)
 
 
-def _report_changes(name: str, old: dict, new: dict, change) -> None:
+def _report_changes(name: str, old: dict, new: dict, change, template=None) -> None:
     """Print to stderr each case, by label, whose record differs between the
-    `old` and `new` {label: record} of golden/<name>, as `change(old, new)` words it."""
+    `old` and `new` {label: record} of golden/<name>, as `change(old, new)` words it.
+    `template` maps each label to the template it comes from: a template that
+    only one side holds is one line with its number of cases."""
     labels = [*new, *(label for label in old if label not in new)]
     changed = [label for label in labels if old.get(label) != new.get(label)]
     print(f"{name}: {len(changed)} of {len(new)} cases changed", file=sys.stderr)
+    template = template or {}
+    kept = {template.get(label) for label in old} & {template.get(label) for label in new}
+    whole = Counter(template[label] for label in changed if label in template and template[label] not in kept)
     for label in changed:
-        if label not in old or label not in new:
+        if label in template and template[label] not in kept:
+            if template[label] in whole:  # the first case of a template only one side holds
+                side = "added" if label in new else "removed"
+                print(f"  {template[label]}: {side}, {whole.pop(template[label])} values", file=sys.stderr)
+        elif label not in old or label not in new:
             print(f"  {label}: {'added' if label in new else 'removed'}", file=sys.stderr)
         else:
             print(f"  {label}: {change(old[label], new[label])}", file=sys.stderr)
 
 
-def _guard_outcomes(corpus: dict) -> dict:
-    """{expression: outcome} of a guards.json document."""
-    return {
-        template.format(value): outcome
-        for module, templates in corpus.items()
-        if module != "values"
-        for template, outcomes in templates.items()
-        for value, outcome in zip(corpus["values"], outcomes)
-    }
+def _guard_cases(corpus: dict) -> tuple[dict, dict]:
+    """{expression: outcome} and {expression: template} of a guards.json document."""
+    outcomes, templates = {}, {}
+    for module, rows in corpus.items():
+        if module != "values":
+            for template, results in rows.items():
+                for value, outcome in zip(corpus["values"], results):
+                    expr = template.format(value)
+                    outcomes[expr], templates[expr] = outcome, template
+    return outcomes, templates
 
 
 def _capture() -> None:
@@ -631,8 +659,9 @@ def _capture() -> None:
             os.chdir(cwd)
     GOLDEN.mkdir(exist_ok=True)
     if (GOLDEN / "guards.json").is_file():
-        _report_changes("guards.json", _guard_outcomes(_load("guards.json")), _guard_outcomes(corpus),
-                        lambda old, new: f"{_outcome_text(old)} -> {_outcome_text(new)}")
+        (old, old_templates), (new, new_templates) = _guard_cases(_load("guards.json")), _guard_cases(corpus)
+        _report_changes("guards.json", old, new, lambda old, new: f"{_outcome_text(old)} -> {_outcome_text(new)}",
+                        {**old_templates, **new_templates})
     if (GOLDEN / "cli.json").is_file():
         _report_changes("cli.json", {_cli_label(r): r for r in _load("cli.json")},
                         {_cli_label(r): r for r in json.loads(json.dumps(records))}, _cli_change)
