@@ -21,10 +21,8 @@ from .errors import (
 )
 from .quantities import (
     DEFAULT_CONSTANTS,
-    AntennaGain,
     PhysicalConstants,
     Power,
-    PowerRatio,
     band_lookup,
     db_from_linear,
     linear_from_db,
@@ -40,7 +38,6 @@ __all__ = [
     "linkbudget",
     "quantities",
     "scenario",
-    "AntennaGain",
     "DEFAULT_CONSTANTS",
     "DomainError",
     "NoFeasibleModcodError",
@@ -50,7 +47,6 @@ __all__ = [
     "ParseError",
     "PhysicalConstants",
     "Power",
-    "PowerRatio",
     "SatlinkError",
     "ValidationError",
     "band_lookup",

@@ -17,7 +17,7 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from .errors import DomainError, NoSidelobeError
-from .quantities import AntennaGain, _show, require, require_count, require_no_overflow
+from .quantities import _show, db_from_linear, require, require_count, require_no_overflow
 
 LINEAR = "linear"
 PLANAR = "planar"
@@ -121,20 +121,20 @@ def psi_from_incidence(spacing_wavelengths: float, theta_rad: float) -> float:
     return require_no_overflow(psi, "spacing {!r} wavelengths is too large for a phase psi", spacing_wavelengths)
 
 
-def directivity(spec: ArraySpec) -> AntennaGain:
-    """Maximum directivity: N for a linear array, N*pi for a planar one."""
+def directivity(spec: ArraySpec) -> float:
+    """Maximum directivity, linear: N for a linear array, N*pi for a planar one."""
     if spec.topology == LINEAR:
-        return AntennaGain(float(spec.elements))
-    return AntennaGain(require_no_overflow(
+        return float(spec.elements)
+    return require_no_overflow(
         spec.elements * math.pi, "element count {!r} is too large for a planar directivity", spec.elements
-    ))
+    )
 
 
-def gain_from_directivity(directivity_linear: float, efficiency: float) -> AntennaGain:
-    """Realized gain: directivity scaled by the radiation efficiency."""
+def gain_from_directivity(directivity_linear: float, efficiency: float) -> float:
+    """Realized linear gain: directivity scaled by the radiation efficiency."""
     require("directivity", directivity_linear, "must be > 0")
     require("efficiency", efficiency, "must lie in (0, 1]")
-    return AntennaGain(efficiency * directivity_linear)
+    return require("antenna gain", efficiency * directivity_linear, "must be finite and > 0")
 
 
 def effective_aperture(wavelength_m: float, gain_linear: float) -> float:
@@ -238,19 +238,6 @@ def amplitude_db_power(amplitude: float) -> float:
     return 10.0 * math.log10(require("amplitude", amplitude, "must be > 0"))
 
 
-@dataclass(frozen=True)
-class RadiationSample:
-    """One point of a radiation pattern cut."""
-
-    theta_rad: float
-    psi_rad: float
-    amplitude: float
-    power_db: float
-
-    def __post_init__(self):
-        require("normalized amplitude", self.amplitude, "must lie in [0, 1]")
-
-
 # The most rows a pattern cut may have: one per millidegree, 100 times finer
 # than the default resolution. A finer cut is refused before anything is
 # allocated.
@@ -278,15 +265,6 @@ def _pattern_cut(spec: ArraySpec, resolution_deg: float):
     with np.errstate(divide="ignore"):
         power_db = 20.0 * np.log10(amps)
     return thetas, psis, amps, power_db
-
-
-def pattern_samples(spec: ArraySpec, resolution_deg: float = 0.1) -> list[RadiationSample]:
-    """Pattern cut of a linear array for theta in [0, 180] degrees.
-
-    power_db is the field level 20*log10(amplitude); exact nulls map to -inf.
-    """
-    columns = (c.tolist() for c in _pattern_cut(spec, resolution_deg))
-    return [RadiationSample(*row) for row in zip(*columns)]
 
 
 _PATTERN_HEADER = "theta_deg,psi_rad,amplitude,power_db\n"
@@ -331,7 +309,7 @@ def select_array(
         raise DomainError("array catalog has no directive entries")
     best = min(
         candidates,
-        key=lambda s: abs(hpbw_from_directivity(directivity(s).linear) - required_hpbw_deg),
+        key=lambda s: abs(hpbw_from_directivity(directivity(s)) - required_hpbw_deg),
     )
-    peak_dbi = directivity(best).dbi
+    peak_dbi = db_from_linear(directivity(best))
     return best, peak_dbi, peak_dbi - _EDGE_DROP_DB

@@ -177,40 +177,30 @@ def load_modcod_catalog(source) -> tuple[ModCod, ...]:
     return validate_catalog(entries)
 
 
-@dataclass(frozen=True)
-class MultiBeamConfig:
-    """Multi-beam payload: polarizations, spot beams, frequency colors,
-    guard-band overhead, per-color bandwidth and spectral efficiency."""
-
-    se_bps_hz: float
-    bandwidth_hz: float
-    polarizations: int = 1
-    beams: int = 1
-    colors: int = 1
-    guard_fraction: float = 0.0
-
-    def __post_init__(self):
-        require_count("polarizations", self.polarizations, "must be 1 or 2", top=2)
-        require_count("beams", self.beams)
-        require_count("colors", self.colors)
-        require("guard fraction", self.guard_fraction, "must lie in [0, 1]")
-        require("spectral efficiency", self.se_bps_hz, "must be >= 0")
-        require("bandwidth", self.bandwidth_hz, "must be > 0 Hz")
-
-
-def multibeam_capacity(cfg: MultiBeamConfig) -> float:
-    """Total satellite throughput in bps across all beams and polarizations.
+def multibeam_capacity(
+    se_bps_hz: float, bandwidth_hz: float, polarizations: int = 1, beams: int = 1, colors: int = 1,
+    guard_fraction: float = 0.0,
+) -> float:
+    """Total satellite throughput in bps across all beams and polarizations of
+    a multi-beam payload, from the spectral efficiency, the per-color
+    bandwidth, the frequency colors and the guard-band overhead.
 
     R = se * B * (N_pol * N_beams / N_colors) * (1 - guard).
     """
+    require_count("polarizations", polarizations, "must be 1 or 2", top=2)
+    require_count("beams", beams)
+    require_count("colors", colors)
+    require("guard fraction", guard_fraction, "must lie in [0, 1]")
+    require("spectral efficiency", se_bps_hz, "must be >= 0")
+    require("bandwidth", bandwidth_hz, "must be > 0 Hz")
     try:
-        share = cfg.polarizations * cfg.beams / cfg.colors
+        share = polarizations * beams / colors
     except OverflowError:  # a beam count past the float range
         share = math.inf
     return require_no_overflow(
-        cfg.se_bps_hz * cfg.bandwidth_hz * share * (1.0 - cfg.guard_fraction),
+        se_bps_hz * bandwidth_hz * share * (1.0 - guard_fraction),
         "spectral efficiency {!r} bps/Hz, bandwidth {!r} Hz and {!r} beams are too large for a multi-beam capacity",
-        cfg.se_bps_hz, cfg.bandwidth_hz, cfg.beams,
+        se_bps_hz, bandwidth_hz, beams,
     )
 
 
@@ -225,33 +215,16 @@ def satellite_cost_per_gbps(r_tot_gbps: float) -> float:
     return COST_COEFFICIENT * require("total rate", r_tot_gbps, "must be > 0 Gb/s") ** COST_EXPONENT
 
 
-@dataclass(frozen=True)
-class TcpLinkModel:
-    """Inputs of the classic loss-bounded TCP throughput formula."""
-
-    mss_bytes: float
-    rtt_s: float
-    loss_probability: float
-    c_constant: float = 1.0
-
-    def __post_init__(self):
-        require("MSS", self.mss_bytes, "must be > 0 bytes")
-        require("RTT", self.rtt_s, "must be > 0 s")
-        require(
-            "loss probability", self.loss_probability,
-            "must lie in (0, 1]; the bound diverges at 0 (supply a loss floor)",
-        )
-        require("C", self.c_constant, "must lie in (0, 2]")
-        if not 1.0 <= self.c_constant <= 1.5:
-            warnings.warn(
-                f"C={self.c_constant:g} is outside the typical 1-1.5 range",
-                stacklevel=3,
-            )
-
-
-def tcp_throughput_bound(model: TcpLinkModel) -> float:
-    """Upper bound on TCP throughput in bps: (MSS*8/RTT) * C/sqrt(p_loss)."""
+def tcp_throughput_bound(mss_bytes: float, rtt_s: float, loss_probability: float, c_constant: float = 1.0) -> float:
+    """Classic loss-bounded upper bound on TCP throughput in bps:
+    (MSS*8/RTT) * C/sqrt(p_loss). A C outside the typical 1-1.5 warns."""
+    require("MSS", mss_bytes, "must be > 0 bytes")
+    require("RTT", rtt_s, "must be > 0 s")
+    require("loss probability", loss_probability, "must lie in (0, 1]; the bound diverges at 0 (supply a loss floor)")
+    require("C", c_constant, "must lie in (0, 2]")
+    if not 1.0 <= c_constant <= 1.5:
+        warnings.warn(f"C={c_constant:g} is outside the typical 1-1.5 range", stacklevel=2)
     return require_no_overflow(
-        (model.mss_bytes * 8.0 / model.rtt_s) * model.c_constant / math.sqrt(model.loss_probability),
-        "MSS {!r} bytes over RTT {!r} s is too large for a TCP throughput bound", model.mss_bytes, model.rtt_s,
+        (mss_bytes * 8.0 / rtt_s) * c_constant / math.sqrt(loss_probability),
+        "MSS {!r} bytes over RTT {!r} s is too large for a TCP throughput bound", mss_bytes, rtt_s,
     )

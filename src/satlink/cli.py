@@ -408,22 +408,15 @@ def _cmd_modcod(args, constants) -> dict:
 
 
 def _cmd_multibeam(args, constants) -> dict:
-    cfg = capacity.MultiBeamConfig(
-        se_bps_hz=args.se,
-        bandwidth_hz=_si(vars(args), *_BW),
-        polarizations=args.pol,
-        beams=args.beams,
-        colors=args.colors,
-        guard_fraction=args.guard,
-    )
+    bw = _si(vars(args), *_BW)
     return {
-        "se_bps_hz": cfg.se_bps_hz,
-        "bw_hz": cfg.bandwidth_hz,
-        "polarizations": cfg.polarizations,
-        "beams": cfg.beams,
-        "colors": cfg.colors,
-        "guard_fraction": cfg.guard_fraction,
-        "capacity_bps": capacity.multibeam_capacity(cfg),
+        "se_bps_hz": args.se,
+        "bw_hz": bw,
+        "polarizations": args.pol,
+        "beams": args.beams,
+        "colors": args.colors,
+        "guard_fraction": args.guard,
+        "capacity_bps": capacity.multibeam_capacity(args.se, bw, args.pol, args.beams, args.colors, args.guard),
     }
 
 
@@ -432,18 +425,12 @@ def _cmd_cost(args, constants) -> dict:
 
 
 def _cmd_tcp(args, constants) -> dict:
-    model = capacity.TcpLinkModel(
-        mss_bytes=args.mss,
-        rtt_s=_si(vars(args), "rtt_ms"),
-        loss_probability=args.ploss,
-        c_constant=args.c,
-    )
     return {
-        "mss_bytes": model.mss_bytes,
+        "mss_bytes": args.mss,
         "rtt_ms": args.rtt_ms,
-        "loss_probability": model.loss_probability,
-        "c_constant": model.c_constant,
-        "throughput_bps": capacity.tcp_throughput_bound(model),
+        "loss_probability": args.ploss,
+        "c_constant": args.c,
+        "throughput_bps": capacity.tcp_throughput_bound(args.mss, _si(vars(args), "rtt_ms"), args.ploss, args.c),
     }
 
 
@@ -470,7 +457,7 @@ def _cmd_antenna_select(args, constants) -> dict:
         "required_hpbw_deg": required,
         "array": spec.label,
         "elements": spec.elements,
-        "hpbw_deg": antenna.hpbw_from_directivity(antenna.directivity(spec).linear),
+        "hpbw_deg": antenna.hpbw_from_directivity(antenna.directivity(spec)),
         "peak_gain_dbi": peak_dbi,
         "edge_gain_dbi": edge_dbi,
     }
@@ -480,14 +467,12 @@ def _cmd_antenna_table(args, constants) -> list[dict]:
     rows = []
     for spec in antenna.ARRAY_CATALOG:
         d = antenna.directivity(spec)
-        rows.append(
-            {
-                "antenna": spec.label,
-                "directivity_linear": d.linear,
-                "directivity_dbi": d.dbi,
-                "hpbw_deg": None if spec.elements == 1 else antenna.hpbw_from_directivity(d.linear),
-            }
-        )
+        rows.append({
+            "antenna": spec.label,
+            "directivity_linear": d,
+            "directivity_dbi": quantities.db_from_linear(d),
+            "hpbw_deg": None if spec.elements == 1 else antenna.hpbw_from_directivity(d),
+        })
     return rows
 
 

@@ -16,7 +16,6 @@ from .errors import DomainError, ValidationError
 from .quantities import (
     DEFAULT_CONSTANTS,
     PhysicalConstants,
-    PowerRatio,
     linear_from_db,
     noise_figure_from_temperature,
     noise_temperature_from_nf,
@@ -211,10 +210,6 @@ class LinkBudgetResult:
     snr_db: float
     received_power_w: float | None = None
     noise_power_w: float | None = None
-
-    @property
-    def snr(self) -> PowerRatio:
-        return PowerRatio.from_db(self.snr_db)
 
     def breakdown(self) -> list[tuple[str, float]]:
         """Signed ledger items; their sum is the SNR in dB."""

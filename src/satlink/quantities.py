@@ -160,24 +160,6 @@ def require_number(key: str, value, kind: str) -> float:
 
 
 @dataclass(frozen=True)
-class PowerRatio:
-    """Dimensionless power ratio (SNR, SIR, SINR, ...) stored in linear form."""
-
-    linear: float
-
-    def __post_init__(self):
-        require("power ratio", self.linear, "must be finite and >= 0")
-
-    @classmethod
-    def from_db(cls, value_db: float) -> "PowerRatio":
-        return cls(linear_from_db(value_db))
-
-    @property
-    def db(self) -> float:
-        return db_from_linear(self.linear)
-
-
-@dataclass(frozen=True)
 class Power:
     """A power level in watts with dBW and dBm views."""
 
@@ -202,27 +184,6 @@ class Power:
     def dbm(self) -> float:
         # exact +30 offset by construction
         return self.dbw + 30.0
-
-
-@dataclass(frozen=True)
-class AntennaGain:
-    """Antenna gain relative to isotropic, stored linear, viewed in dBi."""
-
-    linear: float
-
-    def __post_init__(self):
-        require("antenna gain", self.linear, "must be finite and > 0")
-
-    @classmethod
-    def from_dbi(cls, dbi: float) -> "AntennaGain":
-        return cls(linear_from_db(dbi))
-
-    @property
-    def dbi(self) -> float:
-        return db_from_linear(self.linear)
-
-
-ISOTROPIC = AntennaGain(1.0)
 
 
 @dataclass(frozen=True)

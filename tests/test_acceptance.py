@@ -37,12 +37,12 @@ def _within_rel(value: float, target: float, rel: float) -> bool:
 
 def test_criterion_01_tcp_bound():
     failures = []
-    fast = cap.tcp_throughput_bound(cap.TcpLinkModel(1500, 0.2, 1e-9, 1.0))
+    fast = cap.tcp_throughput_bound(1500, 0.2, 1e-9, 1.0)
     _check(failures, _within_rel(fast, 1.9e9, 0.01), f"200 ms case: {fast:.4g}")
     _check(failures, _within_rel(fast, 1.897e9, 0.001), f"200 ms exact: {fast:.6g}")
-    slow = cap.tcp_throughput_bound(cap.TcpLinkModel(1500, 0.4, 1e-9, 1.0))
+    slow = cap.tcp_throughput_bound(1500, 0.4, 1e-9, 1.0)
     _check(failures, _within_rel(slow, 950e6, 0.01), f"400 ms case: {slow:.4g}")
-    lossy = cap.tcp_throughput_bound(cap.TcpLinkModel(1500, 0.4, 1e-6, 1.0))
+    lossy = cap.tcp_throughput_bound(1500, 0.4, 1e-6, 1.0)
     _check(failures, _within_rel(lossy, 30e6, 0.01), f"1e-6 loss case: {lossy:.4g}")
     _report(1, "TCP throughput bound reproduces the three worked rates", failures)
 
@@ -95,10 +95,9 @@ def test_criterion_04_first_shell_footprint():
 
 def test_criterion_05_multibeam_capacity():
     failures = []
-    cfg = cap.MultiBeamConfig(
+    total = cap.multibeam_capacity(
         se_bps_hz=2.0, bandwidth_hz=1.5e9, polarizations=2, beams=60, colors=7, guard_fraction=0.1
     )
-    total = cap.multibeam_capacity(cfg)
     product = 2.0 * 1.5e9 * (2 * 60 / 7) * 0.9
     _check(failures, total == product, f"product mismatch: {total!r} vs {product!r}")
     _check(failures, round(total / 1e9, 2) == 46.29, f"rounded: {total / 1e9:.4f}")
@@ -158,9 +157,9 @@ def test_criterion_09_array_catalog_regression():
            f"catalog has {len(ant.ARRAY_CATALOG)} rows")
     for spec, dbi, hpbw in expectations:
         d = ant.directivity(spec)
-        _check(failures, _within(d.dbi, dbi, 0.1), f"{spec.label}: {d.dbi:.3f} dBi vs {dbi}")
+        _check(failures, _within(db_from_linear(d), dbi, 0.1), f"{spec.label}: {db_from_linear(d):.3f} dBi vs {dbi}")
         if hpbw is not None:
-            w = ant.hpbw_from_directivity(d.linear)
+            w = ant.hpbw_from_directivity(d)
             _check(failures, _within(w, hpbw, 0.5), f"{spec.label}: {w:.3f} deg vs {hpbw}")
     _report(9, "All 8 catalog arrays reproduce directivity (0.1 dB) and HPBW (0.5 deg)", failures)
 

@@ -147,25 +147,23 @@ class TestEffectiveBitrate:
 
 class TestMultibeam:
     def test_worked_case(self):
-        cfg = cap.MultiBeamConfig(
+        total = cap.multibeam_capacity(
             se_bps_hz=2.0, bandwidth_hz=1.5e9, polarizations=2, beams=60, colors=7, guard_fraction=0.1
         )
-        total = cap.multibeam_capacity(cfg)
         assert total == approx(46.286e9, rel=1e-4)
         assert float(f"{total / 1e9:.2g}") == 46.0
 
     def test_all_guard_band(self):
-        cfg = cap.MultiBeamConfig(se_bps_hz=2.0, bandwidth_hz=1e9, guard_fraction=1.0)
-        assert cap.multibeam_capacity(cfg) == 0.0
+        assert cap.multibeam_capacity(se_bps_hz=2.0, bandwidth_hz=1e9, guard_fraction=1.0) == 0.0
 
     def test_single_reuse_collapses(self):
-        cfg = cap.MultiBeamConfig(se_bps_hz=2.0, bandwidth_hz=1e9, polarizations=1, beams=4, colors=4)
-        assert cap.multibeam_capacity(cfg) == approx(2e9, rel=1e-12)
+        total = cap.multibeam_capacity(se_bps_hz=2.0, bandwidth_hz=1e9, polarizations=1, beams=4, colors=4)
+        assert total == approx(2e9, rel=1e-12)
 
     @given(st.integers(min_value=1, max_value=500))
     def test_linear_in_beams(self, n):
-        one = cap.multibeam_capacity(cap.MultiBeamConfig(se_bps_hz=1.5, bandwidth_hz=1e9, beams=1, colors=3))
-        many = cap.multibeam_capacity(cap.MultiBeamConfig(se_bps_hz=1.5, bandwidth_hz=1e9, beams=n, colors=3))
+        one = cap.multibeam_capacity(se_bps_hz=1.5, bandwidth_hz=1e9, beams=1, colors=3)
+        many = cap.multibeam_capacity(se_bps_hz=1.5, bandwidth_hz=1e9, beams=n, colors=3)
         assert many == approx(n * one, rel=1e-12)
 
     @pytest.mark.parametrize(
@@ -183,7 +181,7 @@ class TestMultibeam:
         base = {"se_bps_hz": 2.0, "bandwidth_hz": 1e9}
         base.update(kwargs)
         with pytest.raises(DomainError):
-            cap.MultiBeamConfig(**base)
+            cap.multibeam_capacity(**base)
 
 
 class TestCostLaw:
@@ -204,43 +202,40 @@ class TestCostLaw:
 
 class TestTcpBound:
     def test_worked_cases(self):
-        fast = cap.TcpLinkModel(1500, 0.2, 1e-9)
-        assert cap.tcp_throughput_bound(fast) == approx(1.897e9, rel=1e-3)
-        slow = cap.TcpLinkModel(1500, 0.4, 1e-9)
-        assert cap.tcp_throughput_bound(slow) == approx(948.7e6, rel=1e-3)
-        lossy = cap.TcpLinkModel(1500, 0.4, 1e-6)
-        assert cap.tcp_throughput_bound(lossy) == approx(30e6, rel=1e-9)
+        assert cap.tcp_throughput_bound(1500, 0.2, 1e-9) == approx(1.897e9, rel=1e-3)
+        assert cap.tcp_throughput_bound(1500, 0.4, 1e-9) == approx(948.7e6, rel=1e-3)
+        assert cap.tcp_throughput_bound(1500, 0.4, 1e-6) == approx(30e6, rel=1e-9)
 
     def test_rtt_doubling_halves(self):
-        base = cap.tcp_throughput_bound(cap.TcpLinkModel(1500, 0.1, 1e-6))
-        assert cap.tcp_throughput_bound(cap.TcpLinkModel(1500, 0.2, 1e-6)) == approx(base / 2, rel=1e-12)
+        base = cap.tcp_throughput_bound(1500, 0.1, 1e-6)
+        assert cap.tcp_throughput_bound(1500, 0.2, 1e-6) == approx(base / 2, rel=1e-12)
 
     @given(st.floats(min_value=1.1, max_value=1e3))
     def test_loss_scaling(self, k):
-        base = cap.tcp_throughput_bound(cap.TcpLinkModel(1500, 0.1, 1e-6))
-        scaled = cap.tcp_throughput_bound(cap.TcpLinkModel(1500, 0.1, k * 1e-6))
+        base = cap.tcp_throughput_bound(1500, 0.1, 1e-6)
+        scaled = cap.tcp_throughput_bound(1500, 0.1, k * 1e-6)
         assert scaled == approx(base / math.sqrt(k), rel=1e-9)
 
     def test_zero_loss_diverges(self):
         with pytest.raises(DomainError):
-            cap.TcpLinkModel(1500, 0.2, 0.0)
+            cap.tcp_throughput_bound(1500, 0.2, 0.0)
 
     @pytest.mark.parametrize("c", [0.0, -1.0, 2.5])
     def test_c_outside_valid_range(self, c):
         with pytest.raises(DomainError):
-            cap.TcpLinkModel(1500, 0.2, 1e-6, c_constant=c)
+            cap.tcp_throughput_bound(1500, 0.2, 1e-6, c_constant=c)
 
     def test_c_outside_typical_range_warns(self):
         with pytest.warns(UserWarning):
-            cap.TcpLinkModel(1500, 0.2, 1e-6, c_constant=1.8)
+            cap.tcp_throughput_bound(1500, 0.2, 1e-6, c_constant=1.8)
 
     def test_typical_range_warning_names_the_caller(self):
         with pytest.warns(UserWarning) as caught:
-            cap.TcpLinkModel(1500, 0.2, 1e-6, c_constant=1.8)
+            cap.tcp_throughput_bound(1500, 0.2, 1e-6, c_constant=1.8)
         assert [w.filename for w in caught] == [__file__]
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(DomainError):
-            cap.TcpLinkModel(0, 0.2, 1e-6)
+            cap.tcp_throughput_bound(0, 0.2, 1e-6)
         with pytest.raises(DomainError):
-            cap.TcpLinkModel(1500, 0.0, 1e-6)
+            cap.tcp_throughput_bound(1500, 0.0, 1e-6)

@@ -62,31 +62,6 @@ class TestPower:
             q.Power(0.0).dbw
 
 
-class TestPowerRatio:
-    def test_round_trip(self):
-        assert q.PowerRatio.from_db(1.5).linear == approx(1.41, abs=5e-3)
-        assert q.PowerRatio(2.0).db == approx(3.0103, abs=1e-4)
-
-    def test_rejects(self):
-        with pytest.raises(DomainError):
-            q.PowerRatio(-0.5)
-        with pytest.raises(DomainError):
-            q.PowerRatio(0.0).db
-
-
-class TestAntennaGain:
-    def test_isotropic_is_0_dbi(self):
-        assert q.ISOTROPIC.linear == 1.0
-        assert q.ISOTROPIC.dbi == 0.0
-
-    def test_from_dbi(self):
-        assert q.AntennaGain.from_dbi(13.0).linear == approx(19.95, abs=5e-3)
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(DomainError):
-            q.AntennaGain(0.0)
-
-
 class TestConstants:
     def test_defaults(self):
         c = q.DEFAULT_CONSTANTS
@@ -367,14 +342,14 @@ class TestRequireCount:
         ("a.ArraySpec.planar(4, True)", "cols must be an integer >= 1, got True"),
         ("a.normalized_array_factor(True, 0.3)", "element count must be an integer >= 1, got True"),
         ("a.array_factor_magnitude(False, 0.3)", "element count must be an integer >= 1, got False"),
-        ("c.MultiBeamConfig(1.0, 1e6, polarizations=True, beams=True, colors=True)",
+        ("c.multibeam_capacity(1.0, 1e6, polarizations=True, beams=True, colors=True)",
          "polarizations must be 1 or 2, got True"),
-        ("c.MultiBeamConfig(1.0, 1e6, polarizations=2.0)", "polarizations must be 1 or 2, got 2.0"),
-        ("c.MultiBeamConfig(1.0, 1e6, polarizations=3)", "polarizations must be 1 or 2, got 3"),
-        ("c.MultiBeamConfig(1.0, 1e6, beams=True)", "beams must be an integer >= 1, got True"),
-        ("c.MultiBeamConfig(1.0, 1e6, beams=0)", "beams must be an integer >= 1, got 0"),
-        ("c.MultiBeamConfig(1.0, 1e6, colors=True)", "colors must be an integer >= 1, got True"),
-        ("c.MultiBeamConfig(1.0, 1e6, colors=0)", "colors must be an integer >= 1, got 0"),
+        ("c.multibeam_capacity(1.0, 1e6, polarizations=2.0)", "polarizations must be 1 or 2, got 2.0"),
+        ("c.multibeam_capacity(1.0, 1e6, polarizations=3)", "polarizations must be 1 or 2, got 3"),
+        ("c.multibeam_capacity(1.0, 1e6, beams=True)", "beams must be an integer >= 1, got True"),
+        ("c.multibeam_capacity(1.0, 1e6, beams=0)", "beams must be an integer >= 1, got 0"),
+        ("c.multibeam_capacity(1.0, 1e6, colors=True)", "colors must be an integer >= 1, got True"),
+        ("c.multibeam_capacity(1.0, 1e6, colors=0)", "colors must be an integer >= 1, got 0"),
         ("k.Shell('c', 's', 500.0, True, True, 50.0)", "orbit count must be >= 1, got True"),
         ("k.Shell('c', 's', 500.0, 1, True, 50.0)", "satellites per orbit must be >= 1, got True"),
     ])
@@ -397,7 +372,7 @@ class TestLongIntegers:
         (lambda n: antenna.ArraySpec.linear(n), "got an integer of 5001 digits"),
         (lambda n: geometry.cell_radius_from_split(1.0, n), "got an integer of 5001 digits"),
         (lambda n: geometry.footprint_diameter(n), "got an integer of 5001 digits"),
-        (lambda n: capacity.multibeam_capacity(capacity.MultiBeamConfig(1.0, 1e6, beams=n)),
+        (lambda n: capacity.multibeam_capacity(1.0, 1e6, beams=n),
          "and an integer of 5001 digits beams are too large"),
     ], ids=["ArraySpec.linear", "cell_radius_from_split", "footprint_diameter", "multibeam_capacity"])
     def test_a_refusal_of_a_long_integer_is_a_satlink_error(self, call, shown):
