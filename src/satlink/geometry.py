@@ -90,7 +90,7 @@ class Footprint:
 
     def __post_init__(self):
         expected = footprint_area(self.diameter_km)
-        if abs(self.area_km2 - expected) > 1e-9 * expected:
+        if abs(require("area", self.area_km2, "must be > 0 km^2") - expected) > 1e-9 * expected:
             raise DomainError(f"area {self.area_km2} km^2 does not match diameter {self.diameter_km} km")
         require("coverage fraction", self.coverage_fraction, "must lie in (0, 1]")
 

@@ -124,6 +124,14 @@ class TestFootprint:
         with pytest.raises(DomainError):
             geo.Footprint(diameter_km=100.0, area_km2=1.0, coverage_fraction=0.5)
 
+    @pytest.mark.parametrize("area, shown", [
+        (math.nan, "nan"), (10**400, "1" + "0" * 400), ("x", "'x'"),
+    ], ids=["nan", "int past the float range", "str"])
+    def test_record_checks_the_area_before_comparing(self, area, shown):
+        with pytest.raises(DomainError) as err:
+            geo.Footprint(2.0, area, 0.5)
+        assert str(err.value) == f"area must be > 0 km^2, got {shown}"
+
 
 class TestCellSplit:
     def test_goldens(self):
