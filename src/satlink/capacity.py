@@ -162,10 +162,12 @@ def load_modcod_catalog(source) -> tuple[ModCod, ...]:
     Expected columns: name, se_bps_hz, snr_qef_db. The catalog is validated
     before being returned; a missing file raises NotFoundError.
     """
-    reader = csv.DictReader(io.StringIO(read_document(source, "MODCOD catalog")[0]))
+    text, path = read_document(source, "MODCOD catalog")
+    where = f"{path}: " if path else ""  # a file's refusals name it, and a bad row its line
+    reader = csv.DictReader(io.StringIO(text))
     required = {"name", "se_bps_hz", "snr_qef_db"}
     if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-        raise ParseError(f"MODCOD CSV must have columns {sorted(required)}, got {reader.fieldnames}")
+        raise ParseError(f"{where}MODCOD CSV must have columns {sorted(required)}, got {reader.fieldnames}")
     entries = []
     for i, row in enumerate(reader, start=2):
         try:
@@ -173,7 +175,8 @@ def load_modcod_catalog(source) -> tuple[ModCod, ...]:
         except (TypeError, ValueError) as exc:
             if isinstance(exc, DomainError):
                 raise
-            raise ParseError(f"bad MODCOD row: {row}", line=i) from exc
+            at = f" (line {i})" if path else ""
+            raise ParseError(f"{where}bad MODCOD row: {row}{at}", line=i) from exc
     return validate_catalog(entries)
 
 

@@ -337,10 +337,9 @@ def dump_csv(rows) -> str:
     return out.getvalue()
 
 
-def read_document(source, what: str) -> tuple[str, str]:
+def read_document(source, what: str) -> tuple[str, str | None]:
     """The text of a document given as a Path, a file path string or the
-    text itself, and the name its refusals go by: the path of a file, else
-    "<what> document".
+    text itself, and the path of the file it was read from (None for text).
 
     A string is read as a path only when it names an existing file; one that
     holds a newline, or is too long to be a file name, is the text. A source
@@ -352,7 +351,7 @@ def read_document(source, what: str) -> tuple[str, str]:
         is_file = isinstance(source, Path) or ("\n" not in source and Path(source).is_file())
     except OSError:  # e.g. ENAMETOOLONG
         is_file = False
-    return (_read_file(source, what), str(source)) if is_file else (source, f"{what} document")
+    return (_read_file(source, what), str(source)) if is_file else (source, None)
 
 
 DEFAULT_CONSTANTS = PhysicalConstants()

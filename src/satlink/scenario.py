@@ -319,11 +319,16 @@ def load_scenario(source) -> Scenario:
     """Load and validate a scenario from a mapping, JSON text or a file path.
 
     Malformed JSON raises ParseError naming the file (or "scenario document") and
-    the location; invariant violations raise ValidationError naming the field.
+    the location, as does a file holding another JSON type; invariant
+    violations raise ValidationError naming the field.
     """
     if isinstance(source, dict):
         return _scenario_from_doc(source)
-    return _scenario_from_doc(parse_json(*read_document(source, "scenario")))
+    text, path = read_document(source, "scenario")
+    doc = parse_json(text, path or "scenario document")
+    if path and not isinstance(doc, dict):
+        raise ParseError(f"{path}: scenario must be a JSON object")
+    return _scenario_from_doc(doc)
 
 
 def scenario_to_doc(s: Scenario) -> dict:

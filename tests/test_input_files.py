@@ -4,7 +4,8 @@ The four inputs are a scenario (`scenario run`), a MODCOD catalog
 (`modcod --catalog`), a link budget config (`linkbudget --config`) and a
 constants file (`SATLINK_CONSTANTS`). A missing one exits 2 with
 `error: <what> file '<path>' not found`, and the library loaders raise the
-same text as a NotFoundError. A directory exits 4 with one error line.
+same text as a NotFoundError. A directory exits 4 with one error line. A
+file of the wrong shape is refused with a message that starts with its path.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import pytest
 
 from satlink import capacity, cli, quantities, scenario
-from satlink.errors import NotFoundError
+from satlink.errors import NotFoundError, ParseError
 from test_cli_fuzz import invoke
 
 # {noun: (SATLINK_CONSTANTS, argv)}, where "{}" stands for the path of the file
@@ -62,3 +63,28 @@ def test_a_scenario_name_that_is_no_file_and_no_json_is_an_unknown_fixture(tmp_p
     code, _, err = invoke(["scenario", "run", "folder"])
     assert code == cli.EXIT_USAGE
     assert err.startswith("error: unknown fixture 'folder'; available: ")
+
+
+# (load, file text, refusal after "<path>: "), and the refusal of the same text given as text
+_SHAPES = [
+    (scenario.load_scenario, "[1, 2]", "scenario must be a JSON object", "scenario document must be a JSON object"),
+    (capacity.load_modcod_catalog, "name,se\nx,1\n",
+     "MODCOD CSV must have columns ['name', 'se_bps_hz', 'snr_qef_db'], got ['name', 'se']",
+     "MODCOD CSV must have columns ['name', 'se_bps_hz', 'snr_qef_db'], got ['name', 'se']"),
+    (capacity.load_modcod_catalog, "name,se_bps_hz,snr_qef_db\nx,abc,1\n",
+     "bad MODCOD row: {'name': 'x', 'se_bps_hz': 'abc', 'snr_qef_db': '1'} (line 2)",
+     "bad MODCOD row: {'name': 'x', 'se_bps_hz': 'abc', 'snr_qef_db': '1'}"),
+]
+
+
+@pytest.mark.parametrize("load, text, refusal, text_refusal", _SHAPES, ids=["scenario", "columns", "row"])
+def test_a_file_of_the_wrong_shape_is_named_in_its_refusal(load, text, refusal, text_refusal, tmp_path):
+    path = tmp_path / "doc.txt"
+    path.write_text(text)
+    for source in (path, str(path)):
+        with pytest.raises(ParseError) as caught:
+            load(source)
+        assert str(caught.value) == f"{path}: {refusal}"
+    with pytest.raises(ParseError) as caught:
+        load(text)
+    assert str(caught.value) == text_refusal
