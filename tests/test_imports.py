@@ -56,6 +56,13 @@ def test_star_import_binds_antenna():
     assert out == "satlink.antenna"
 
 
+def test_every_exported_name_resolves():
+    """A name deleted from the package cannot stay in `__all__`; the lazy
+    `antenna` resolves through the module `__getattr__`."""
+    assert "antenna" in satlink.__all__
+    assert [name for name in satlink.__all__ if not hasattr(satlink, name)] == []
+
+
 def test_unknown_attribute_is_still_missing():
     out = python(
         "import satlink\n"
