@@ -169,14 +169,15 @@ def load_modcod_catalog(source) -> tuple[ModCod, ...]:
     if reader.fieldnames is None or not required.issubset(reader.fieldnames):
         raise ParseError(f"{where}MODCOD CSV must have columns {sorted(required)}, got {reader.fieldnames}")
     entries = []
-    for i, row in enumerate(reader, start=2):
+    for row in reader:
         try:
             entries.append(ModCod(row["name"], float(row["se_bps_hz"]), float(row["snr_qef_db"])))
         except (TypeError, ValueError) as exc:
             if isinstance(exc, DomainError):
                 raise
-            at = f" (line {i})" if path else ""
-            raise ParseError(f"{where}bad MODCOD row: {row}{at}", line=i) from exc
+            line = reader.line_num  # the row's last line, as a quoted field may span lines
+            at = f" (line {line})" if path else ""
+            raise ParseError(f"{where}bad MODCOD row: {row}{at}", line=line) from exc
     return validate_catalog(entries)
 
 

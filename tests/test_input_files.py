@@ -88,3 +88,11 @@ def test_a_file_of_the_wrong_shape_is_named_in_its_refusal(load, text, refusal, 
     with pytest.raises(ParseError) as caught:
         load(text)
     assert str(caught.value) == text_refusal
+
+
+def test_a_bad_catalog_row_is_located_by_its_line_in_the_file(tmp_path):
+    path = tmp_path / "cat.csv"
+    path.write_text('name,se_bps_hz,snr_qef_db\n"two\nlines",0.5,5\n\nx,abc,1\n')
+    with pytest.raises(ParseError) as caught:
+        capacity.load_modcod_catalog(path)
+    assert (str(caught.value).endswith(" (line 5)"), caught.value.line) == (True, 5)
