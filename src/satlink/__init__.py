@@ -4,63 +4,36 @@ Orbit geometry, RF link budgets, Shannon/MODCOD capacity, multi-beam
 throughput, phased-array figures, constellation footprints and NTN project
 scenario checks, with a CLI front end (`satlink`).
 
-`satlink.antenna` is the only module that needs numpy and scipy; it loads on
-first use, so `import satlink` for the other modules does not pay for them.
+`import satlink` loads nothing until a name is used: each submodule and each
+re-exported name loads on first access. `satlink.antenna` is the only module
+that needs numpy and scipy, so the others never pay for them.
 """
-
-from . import capacity, constellation, geometry, linkbudget, quantities, scenario
-from .errors import (
-    DomainError,
-    NoFeasibleModcodError,
-    NoSidelobeError,
-    NotFoundError,
-    OutOfBandError,
-    ParseError,
-    SatlinkError,
-    ValidationError,
-)
-from .quantities import (
-    DEFAULT_CONSTANTS,
-    PhysicalConstants,
-    Power,
-    band_lookup,
-    db_from_linear,
-    linear_from_db,
-)
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "antenna",
-    "capacity",
-    "constellation",
-    "geometry",
-    "linkbudget",
-    "quantities",
-    "scenario",
-    "DEFAULT_CONSTANTS",
-    "DomainError",
-    "NoFeasibleModcodError",
-    "NoSidelobeError",
-    "NotFoundError",
-    "OutOfBandError",
-    "ParseError",
-    "PhysicalConstants",
-    "Power",
-    "SatlinkError",
-    "ValidationError",
-    "band_lookup",
-    "db_from_linear",
-    "linear_from_db",
-    "__version__",
-]
+# Each exported name -> the submodule that defines it; a submodule maps to itself.
+_HOME = {
+    **{name: name for name in ("antenna", "capacity", "constellation", "errors", "geometry", "linkbudget",
+                               "quantities", "scenario")},
+    **dict.fromkeys(("DEFAULT_CONSTANTS", "PhysicalConstants", "Power", "band_lookup", "db_from_linear",
+                     "linear_from_db"), "quantities"),
+    **dict.fromkeys(("DomainError", "NoFeasibleModcodError", "NoSidelobeError", "NotFoundError", "OutOfBandError",
+                     "ParseError", "SatlinkError", "ValidationError"), "errors"),
+}
+
+__all__ = [name for name in _HOME if name != "errors"] + ["__version__"]
 
 
 def __getattr__(name):
-    if name == "antenna":
-        # An import statement, unlike importlib.import_module, shows in
-        # `python -X importtime`; `from . import antenna` would re-enter here.
-        import satlink.antenna
+    home = _HOME.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # `__import__`, unlike importlib.import_module, shows in `python -X importtime`;
+    # given a fromlist, it returns the submodule rather than this package.
+    module = __import__(f"{__name__}.{home}", fromlist=["*"])
+    value = globals()[name] = module if home == name else getattr(module, name)
+    return value
 
-        return satlink.antenna
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+def __dir__():
+    return sorted({*globals(), *_HOME})

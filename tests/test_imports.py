@@ -1,7 +1,8 @@
-"""The package import leaves numpy and scipy to `satlink.antenna`.
+"""`import satlink` loads each submodule on first use, so numpy and scipy
+stay with `satlink.antenna`.
 
 Each check runs in a fresh interpreter, since this test process has long
-since imported numpy.
+since imported every submodule and numpy.
 """
 
 import importlib
@@ -16,13 +17,26 @@ SRC = str(Path(satlink.__file__).resolve().parents[1])
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def python(code: str) -> str:
+SUBMODULES = ("antenna", "capacity", "constellation", "geometry", "linkbudget", "quantities", "scenario")
+REEXPORTED = {
+    "errors": ("DomainError", "NoFeasibleModcodError", "NoSidelobeError", "NotFoundError",
+               "OutOfBandError", "ParseError", "SatlinkError", "ValidationError"),
+    "quantities": ("DEFAULT_CONSTANTS", "PhysicalConstants", "Power", "band_lookup",
+                   "db_from_linear", "linear_from_db"),
+}
+
+
+def interpreter(*args: str) -> subprocess.CompletedProcess:
     env = {**os.environ, "PYTHONPATH": SRC}
     proc = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
-    return proc.stdout.strip()
+    return proc
+
+
+def python(code: str) -> str:
+    return interpreter("-c", code).stdout.strip()
 
 
 def test_core_modules_run_without_numpy_or_scipy():
@@ -88,3 +102,63 @@ def test_benchmark_import_probe_times_every_module(monkeypatch):
                 del sys.modules[name]
     assert set(times) == {f"import.{name}_ms" for name in run.IMPORTED}
     assert all(ms > 0 for ms in times.values())
+
+
+def test_bare_import_loads_no_submodule():
+    out = python("import sys\nimport satlink\nprint(sorted(m for m in sys.modules if m.startswith('satlink.')))\n")
+    assert out == "[]"
+
+
+def test_a_reexported_name_loads_only_its_submodule():
+    out = python(
+        "import sys\n"
+        "import satlink\n"
+        "satlink.PhysicalConstants\n"
+        "print(' '.join(sorted(m for m in sys.modules if m.startswith('satlink.'))))\n"
+    )
+    assert out.split() == ["satlink.errors", "satlink.quantities"]
+
+
+def test_every_exported_name_is_its_submodules_object():
+    names = [name for names in REEXPORTED.values() for name in names]
+    assert sorted(satlink.__all__) == sorted([*SUBMODULES, *names, "__version__"])
+    out = python(
+        "import sys\n"
+        "import satlink\n"
+        f"for home, names in {REEXPORTED!r}.items():\n"
+        "    for name in names:\n"
+        "        print(getattr(satlink, name) is getattr(sys.modules['satlink.' + home], name))\n"
+        f"for name in {SUBMODULES!r}:\n"
+        "    print(getattr(satlink, name) is sys.modules['satlink.' + name])\n"
+        "print(satlink.DomainError is satlink.errors.DomainError)\n"
+    )
+    assert out.split() == ["True"] * (len(names) + len(SUBMODULES) + 1)
+
+
+def test_a_name_is_a_module_global_after_its_first_access():
+    out = python(
+        "import satlink\n"
+        "print(sorted(set(satlink.__all__) & set(vars(satlink))))\n"
+        "for name in satlink.__all__:\n"
+        "    getattr(satlink, name)\n"
+        "print(sorted(set(satlink.__all__) - set(vars(satlink))))\n"
+    )
+    assert out.splitlines() == ["['__version__']", "[]"]
+
+
+def test_dir_lists_every_exported_name_before_any_loads():
+    out = python(
+        "import sys\n"
+        "import satlink\n"
+        "print(set(satlink.__all__) <= set(dir(satlink)))\n"
+        "print(sorted(m for m in sys.modules if m.startswith('satlink.')))\n"
+    )
+    assert out.split() == ["True", "[]"]
+
+
+def test_lazily_loaded_modules_show_in_importtime():
+    """The benchmark's import probe reads `-X importtime`, which records
+    only modules loaded through `__import__`, not `importlib.import_module`."""
+    proc = interpreter("-X", "importtime", "-c", "import satlink; satlink.scenario; satlink.DomainError")
+    listed = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines() if line.startswith("import time:")}
+    assert {"satlink", "satlink.scenario", "satlink.errors"} <= listed
