@@ -5,8 +5,10 @@ throughput, phased-array figures, constellation footprints and NTN project
 scenario checks, with a CLI front end (`satlink`).
 
 `import satlink` loads nothing until a name is used: each submodule and each
-re-exported name loads on first access. `satlink.antenna` is the only module
-that needs numpy and scipy, so the others never pay for them.
+re-exported name loads on first access. Only the antenna pattern cut and
+sidelobe search need numpy and scipy: they live in `satlink._pattern`, which
+loads on the first use of `antenna.pattern_csv` or `antenna.sidelobe_level`,
+so the rest of satlink never pays for them.
 """
 
 __version__ = "0.1.0"

@@ -5,6 +5,11 @@ numeric half-power beamwidth, sidelobe search); planar rectangular arrays are
 characterized by their maximum directivity N*pi and the symmetric-beam
 HPBW approximation, which is how the reference catalog below is generated.
 All arrays are untapered (uniformly weighted).
+
+Only the pattern cut and the sidelobe search need numpy and scipy. They live
+in `satlink._pattern`, whose names (`_PATTERN_NAMES` below) load through this
+module on first access, so array selection, directivity and the beamwidths
+load neither library.
 """
 
 from __future__ import annotations
@@ -13,10 +18,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-import numpy as np
-from scipy.optimize import minimize_scalar
-
-from .errors import DomainError, NoSidelobeError
+from .errors import DomainError
 from .quantities import _show, db_from_linear, require, require_count, require_no_overflow
 
 LINEAR = "linear"
@@ -103,13 +105,6 @@ def _af(n: int, psi: float) -> float:
     if den == 0.0:
         return 1.0
     return min(1.0, abs(math.sin(n * psi / 2.0) / den) / n)
-
-
-def _normalized_af_vec(n: int, psi: np.ndarray) -> np.ndarray:
-    den = n * np.sin(psi / 2.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        vals = np.abs(np.where(den == 0.0, 1.0, np.sin(n * psi / 2.0) / den))
-    return np.minimum(vals, 1.0)
 
 
 def psi_from_incidence(spacing_wavelengths: float, theta_rad: float) -> float:
@@ -200,29 +195,6 @@ def hpbw_numeric(spec: ArraySpec) -> float:
     return math.degrees(2.0 * (math.pi / 2.0 - theta_half))
 
 
-def sidelobe_level(spec: ArraySpec) -> float:
-    """Peak pattern amplitude outside the main lobe of a linear array.
-
-    The largest sidelobe of an untapered linear array is its first one, the
-    single peak of |AF| between the nulls at psi = 2*pi/N and 4*pi/N; a
-    bounded search over that bracket finds it. Returns the amplitude ratio
-    (1.0 = main-lobe peak).
-    """
-    if spec.topology != LINEAR:
-        raise DomainError("sidelobe scan is defined for linear arrays only")
-    n = spec.elements
-    if n < 3:
-        raise NoSidelobeError(f"an N={n} array has no sidelobe between its null and the grating lobe")
-    res = minimize_scalar(
-        lambda p: -_af(n, p),
-        bounds=(2.0 * math.pi / n, 4.0 * math.pi / n),
-        method="bounded",
-        # the bracket shrinks as 1/N, so the tolerance must too beyond N = 1000
-        options={"xatol": min(1e-12, 1e-9 / n)},
-    )
-    return float(-res.fun)
-
-
 def amplitude_db_field(amplitude: float) -> float:
     """Amplitude ratio in dB under the field convention, 20*log10."""
     return 20.0 * math.log10(require("amplitude", amplitude, "must be > 0"))
@@ -236,47 +208,6 @@ def amplitude_db_power(amplitude: float) -> float:
     available, neither endorsed.
     """
     return 10.0 * math.log10(require("amplitude", amplitude, "must be > 0"))
-
-
-# The most rows a pattern cut may have: one per millidegree, 100 times finer
-# than the default resolution. A finer cut is refused before anything is
-# allocated.
-MAX_PATTERN_ROWS = 180_001
-_RESOLUTION = ("must lie in (0, 90] degrees", f"must be >= {180.0 / (MAX_PATTERN_ROWS - 1)} degrees")
-
-
-def _pattern_cut(spec: ArraySpec, resolution_deg: float):
-    """Columns (theta_rad, psi_rad, amplitude, power_db) of a linear array's
-    pattern cut for theta in [0, 180] degrees, as arrays."""
-    if spec.topology != LINEAR:
-        raise DomainError("pattern cuts are defined for linear arrays only")
-    steps = int(round(180.0 / require("resolution", resolution_deg, _RESOLUTION)))
-    spacing = spec.spacing_wavelengths
-    two_pi_sp = require_no_overflow(
-        2.0 * math.pi * spacing, "spacing {!r} wavelengths is too large for a pattern cut", spacing
-    )
-    require_no_overflow(  # N*psi at endfire
-        spec.elements * two_pi_sp,
-        "element count {!r} and spacing {!r} wavelengths are too large for a pattern cut", spec.elements, spacing,
-    )
-    thetas = np.linspace(0.0, math.pi, steps + 1)
-    psis = two_pi_sp * np.cos(thetas)
-    amps = _normalized_af_vec(spec.elements, psis)
-    with np.errstate(divide="ignore"):
-        power_db = 20.0 * np.log10(amps)
-    return thetas, psis, amps, power_db
-
-
-_PATTERN_HEADER = "theta_deg,psi_rad,amplitude,power_db\n"
-_PATTERN_ROW = "%.4f,%.9g,%.9g,%.6g\n"  # '%.6g' renders an exact null as -inf
-
-
-def pattern_csv(spec: ArraySpec, resolution_deg: float = 0.1) -> str:
-    """Pattern cut as CSV (theta_deg, psi_rad, amplitude, power_db)."""
-    thetas, psis, amps, power_db = _pattern_cut(spec, resolution_deg)
-    # one format operation over the row-major flattening of the four columns
-    cells = np.column_stack((np.degrees(thetas), psis, amps, power_db)).ravel().tolist()
-    return _PATTERN_HEADER + (_PATTERN_ROW * len(thetas)) % tuple(cells)
 
 
 # Reference catalog of untapered array configurations.
@@ -313,3 +244,21 @@ def select_array(
     )
     peak_dbi = db_from_linear(directivity(best))
     return best, peak_dbi, peak_dbi - _EDGE_DROP_DB
+
+
+# The names defined in `_pattern`, the one antenna module that needs numpy and scipy.
+_PATTERN_NAMES = ("MAX_PATTERN_ROWS", "_pattern_cut", "pattern_csv", "sidelobe_level")
+
+
+def __getattr__(name):
+    if name not in _PATTERN_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # an import statement, unlike importlib.import_module, shows in `python -X importtime`
+    from . import _pattern
+
+    value = globals()[name] = getattr(_pattern, name)
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_PATTERN_NAMES})

@@ -43,7 +43,7 @@ import re
 import sys
 from pathlib import Path
 
-from . import antenna, capacity, constellation, geometry, linkbudget, quantities, scenario
+from . import _pattern, antenna, capacity, constellation, geometry, linkbudget, quantities, scenario
 from .errors import (
     DomainError,
     NoFeasibleModcodError,
@@ -439,7 +439,7 @@ def _cmd_tcp(args, constants) -> dict:
 
 def _cmd_antenna_pattern(args, constants) -> str:
     spec = antenna.ArraySpec.linear(args.elements, spacing_wavelengths=args.spacing)
-    return antenna.pattern_csv(spec, args.resolution_deg)
+    return _pattern.pattern_csv(spec, args.resolution_deg)
 
 
 def _cmd_antenna_select(args, constants) -> dict:

@@ -14,6 +14,7 @@ import json
 import math
 import re
 import sys
+from collections.abc import Mapping
 from dataclasses import dataclass, fields
 from functools import cache, cached_property
 from json.encoder import encode_basestring_ascii as _json_str
@@ -212,6 +213,8 @@ class PhysicalConstants:
 
     @classmethod
     def from_mapping(cls, overrides) -> "PhysicalConstants":
+        if not isinstance(overrides, Mapping):
+            raise ParseError(f"constant overrides must be a mapping, got {type(overrides).__name__}")
         check_keys(overrides, {f.name for f in fields(cls)}, "constant")
         return cls(**{k: require_number(k, v, "finite") for k, v in overrides.items()})
 

@@ -15,6 +15,7 @@ conversion to SI happens only inside the computations.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import NotFoundError, OutOfBandError, ParseError, ValidationError
@@ -286,6 +287,7 @@ def _scenario_from_doc(doc: dict) -> Scenario:
     for key in _COUNT_FIELDS:
         if key in doc:
             values[key] = require_count(key, doc[key], field=key)
+            require_count(key, doc[key], "must lie within the float range", key, top=sys.float_info.max)
 
     if "terminal" in doc and doc["terminal"] is not None:
         values["terminal"] = terminal_profile(doc["terminal"])

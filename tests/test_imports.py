@@ -1,10 +1,12 @@
-"""`import satlink` loads each submodule on first use, so numpy and scipy
-stay with `satlink.antenna`.
+"""`import satlink` loads each submodule on first use, and `satlink.antenna`
+loads its pattern module on first use, so numpy and scipy stay with the
+antenna pattern cut and sidelobe search (`satlink._pattern`).
 
 Each check runs in a fresh interpreter, since this test process has long
 since imported every submodule and numpy.
 """
 
+import ast
 import importlib
 import os
 import subprocess
@@ -162,3 +164,86 @@ def test_lazily_loaded_modules_show_in_importtime():
     proc = interpreter("-X", "importtime", "-c", "import satlink; satlink.scenario; satlink.DomainError")
     listed = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines() if line.startswith("import time:")}
     assert {"satlink", "satlink.scenario", "satlink.errors"} <= listed
+
+
+# --- the antenna pattern module ----------------------------------------------
+
+PATTERN_NAMES = ("MAX_PATTERN_ROWS", "_pattern_cut", "pattern_csv", "sidelobe_level")
+NUMERIC = "sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy') or m == 'satlink._pattern')"
+
+
+def test_the_antenna_layer_without_its_pattern_loads_neither_numpy_nor_scipy():
+    out = python(
+        "import sys\n"
+        "from satlink import antenna as a\n"
+        "spec = a.ArraySpec.linear(8)\n"
+        "a.select_array(5.0, a.ARRAY_CATALOG)\n"
+        "a.hpbw_from_directivity(a.directivity(a.ArraySpec.planar(4, 4)))\n"
+        "a.hpbw_numeric(spec)\n"
+        "a.normalized_array_factor(8, 0.3)\n"
+        f"print({NUMERIC})\n"
+    )
+    assert out == "[]"
+
+
+def test_the_first_pattern_access_loads_the_pattern_module():
+    out = python(
+        "import sys\n"
+        "import satlink\n"
+        "from satlink import antenna\n"
+        "pattern_csv = satlink.antenna.pattern_csv\n"
+        "print({'numpy', 'scipy.optimize', 'satlink._pattern'} <= set(sys.modules))\n"
+        "print(pattern_csv is sys.modules['satlink._pattern'].pattern_csv)\n"
+        "print('pattern_csv' in vars(antenna))\n"
+        f"print(all(getattr(antenna, n) is getattr(sys.modules['satlink._pattern'], n) for n in {PATTERN_NAMES!r}))\n"
+    )
+    assert out.split() == ["True"] * 4
+
+
+def test_a_pattern_name_imports_from_the_antenna_module():
+    out = python(
+        "from satlink.antenna import ArraySpec, sidelobe_level\n"
+        "print(round(sidelobe_level(ArraySpec.linear(10)), 6))\n"
+    )
+    assert out == "0.224746"
+
+
+def test_dir_lists_the_pattern_names_before_they_load():
+    out = python(
+        "import sys\n"
+        "from satlink import antenna\n"
+        f"print(set({PATTERN_NAMES!r}) <= set(dir(antenna)))\n"
+        f"print({NUMERIC})\n"
+    )
+    assert out.split() == ["True", "[]"]
+
+
+def test_an_unknown_antenna_attribute_is_still_missing():
+    out = python(
+        "import sys\n"
+        "from satlink import antenna\n"
+        "print(getattr(antenna, 'nope', None), hasattr(antenna, '_normalized_af_vec'))\n"
+        "try:\n"
+        "    from satlink.antenna import nope\n"
+        "except ImportError as exc:\n"
+        "    print(type(exc).__name__)\n"
+        f"print({NUMERIC})\n"
+    )
+    assert out.split() == ["None", "False", "ImportError", "[]"]
+
+
+def test_the_cli_still_loads_every_module_the_benchmark_times():
+    """perfbench's import probe reads each name in its `IMPORTED` from one
+    `-X importtime -c "import satlink.cli"` process."""
+    tree = ast.parse((PERFBENCH / "run.py").read_text())
+    imported = next(ast.literal_eval(node.value) for node in tree.body
+                    if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "IMPORTED")
+    assert "scipy.optimize" in imported
+    out = python(f"import sys\nimport satlink.cli\nprint([m for m in {imported!r} if m not in sys.modules])\n")
+    assert out == "[]"
+
+
+def test_the_pattern_module_shows_in_importtime():
+    proc = interpreter("-X", "importtime", "-c", "import satlink; satlink.antenna.pattern_csv")
+    listed = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines() if line.startswith("import time:")}
+    assert {"satlink.antenna", "satlink._pattern", "numpy", "scipy.optimize"} <= listed

@@ -96,3 +96,12 @@ def test_a_bad_catalog_row_is_located_by_its_line_in_the_file(tmp_path):
     with pytest.raises(ParseError) as caught:
         capacity.load_modcod_catalog(path)
     assert (str(caught.value).endswith(" (line 5)"), caught.value.line) == (True, 5)
+
+
+@pytest.mark.parametrize("key", ["beams", "reuse"])
+def test_a_scenario_count_past_the_float_range_exits_1_naming_its_field(key, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    count = "1" + "0" * 400
+    (tmp_path / "big.json").write_text(f'{{"name": "big", "orbit": "LEO", "footprint_radius_km": 500, "{key}": {count}}}')
+    refusal = f"error: {key} must lie within the float range, got {count}\n"
+    assert _run("scenario", "big.json") == (cli.EXIT_DOMAIN, "", refusal)

@@ -8,6 +8,8 @@ TypeError or ValueError.
 
 from __future__ import annotations
 
+from types import MappingProxyType
+
 import pytest
 
 from satlink import capacity, quantities, scenario
@@ -45,3 +47,17 @@ def test_a_str_source_is_still_a_path_or_the_text(tmp_path):
     path.write_text(capacity.modcod_catalog_csv())
     assert capacity.load_modcod_catalog(str(path)) == capacity.load_modcod_catalog(path)
     assert capacity.load_modcod_catalog(path.read_text()) == capacity.load_modcod_catalog(path)
+
+
+@pytest.mark.parametrize("overrides, kind", [
+    (None, "NoneType"), (1.5, "float"), pytest.param(10**5000, "int", id="long-int"), ("c_m_per_s", "str"),
+    ([("c_m_per_s", 3e8)], "list"),
+])
+def test_constant_overrides_that_are_no_mapping_are_refused(overrides, kind):
+    with pytest.raises(ParseError, match=rf"^constant overrides must be a mapping, got {kind}$"):
+        quantities.PhysicalConstants.from_mapping(overrides)
+
+
+def test_constant_overrides_may_be_any_mapping():
+    constants = quantities.PhysicalConstants.from_mapping(MappingProxyType({"c_m_per_s": 3e8}))
+    assert constants.c_m_per_s == 3e8

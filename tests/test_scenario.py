@@ -149,6 +149,18 @@ class TestLoadScenario:
         with pytest.raises(ValidationError):
             sc.load_scenario({"name": "x", "orbit": "LEO", "reuse": 2.5})
 
+    @pytest.mark.parametrize("key", ["reuse", "beams"])
+    @pytest.mark.parametrize("count, shown", [(10**400, repr(10**400)), (10**5000, "an integer of 5001 digits")],
+                             ids=["400-digits", "5001-digits"])
+    def test_a_count_past_the_float_range_is_refused_at_load(self, key, count, shown):
+        with pytest.raises(ValidationError) as err:
+            sc.load_scenario({"name": "x", "orbit": "LEO", "footprint_radius_km": 500.0, key: count})
+        assert (err.value.field, str(err.value)) == (key, f"{key} must lie within the float range, got {shown}")
+
+    @pytest.mark.parametrize("key", ["reuse", "beams"])
+    def test_a_count_at_the_float_range_still_loads(self, key):
+        assert getattr(sc.load_scenario({"name": "x", "orbit": "LEO", key: 10**308}), key) == 10**308
+
     def test_from_file(self, tmp_path):
         path = tmp_path / "s.json"
         path.write_text(json.dumps({"name": "filed", "orbit": "GEO", "altitude_km": 35786.0}))
