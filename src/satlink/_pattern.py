@@ -1,9 +1,9 @@
 """The pattern cut and the sidelobe search of a linear array: the only parts
 of satlink that need numpy and scipy.
 
-Library callers reach these names through `satlink.antenna`, which loads
-this module on their first access, so the rest of the antenna layer loads
-neither library.
+Every caller, the CLI included, reaches these names through
+`satlink.antenna`, which loads this module on their first access, so the
+rest of the antenna layer loads neither library.
 """
 
 from __future__ import annotations

@@ -246,8 +246,19 @@ def select_array(
     return best, peak_dbi, peak_dbi - _EDGE_DROP_DB
 
 
-# The names defined in `_pattern`, the one antenna module that needs numpy and scipy.
+# The names defined in `_pattern`, the one antenna module that needs numpy and
+# scipy. `_pattern_cut` is the pattern cut as arrays, finer than its CSV.
 _PATTERN_NAMES = ("MAX_PATTERN_ROWS", "_pattern_cut", "pattern_csv", "sidelobe_level")
+
+# A star import copies only names already in the module globals unless
+# `__all__` lists them, so the public pattern names are listed here too.
+__all__ = [
+    "LINEAR", "PLANAR", "HPBW_APPROX_COEFFICIENT", "ArraySpec", "array_factor_magnitude",
+    "normalized_array_factor", "psi_from_incidence", "directivity", "gain_from_directivity",
+    "effective_aperture", "hpbw_from_directivity", "hpbw_numeric", "amplitude_db_field",
+    "amplitude_db_power", "ARRAY_CATALOG", "select_array", "MAX_PATTERN_ROWS", "pattern_csv",
+    "sidelobe_level",
+]
 
 
 def __getattr__(name):

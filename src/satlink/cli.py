@@ -43,7 +43,11 @@ import re
 import sys
 from pathlib import Path
 
-from . import _pattern, antenna, capacity, constellation, geometry, linkbudget, quantities, scenario
+# Handlers reach the pattern cut through `antenna`. `_pattern` is imported
+# here only so that `import satlink.cli` keeps loading numpy and
+# scipy.optimize, whose import times perfbench/run.py's probe reads.
+from . import _pattern  # noqa: F401
+from . import antenna, capacity, constellation, geometry, linkbudget, quantities, scenario
 from .errors import (
     DomainError,
     NoFeasibleModcodError,
@@ -439,7 +443,7 @@ def _cmd_tcp(args, constants) -> dict:
 
 def _cmd_antenna_pattern(args, constants) -> str:
     spec = antenna.ArraySpec.linear(args.elements, spacing_wavelengths=args.spacing)
-    return _pattern.pattern_csv(spec, args.resolution_deg)
+    return antenna.pattern_csv(spec, args.resolution_deg)
 
 
 def _cmd_antenna_select(args, constants) -> dict:

@@ -218,6 +218,22 @@ def test_dir_lists_the_pattern_names_before_they_load():
     assert out.split() == ["True", "[]"]
 
 
+def test_a_star_import_brings_every_public_antenna_name():
+    """A star import copies only names in the module globals unless
+    `__all__` lists them, so the pattern names need their entries."""
+    out = python(
+        "import sys, types\n"
+        "from satlink import antenna\n"
+        "own = {n for n, v in vars(antenna).items() if not n.startswith('_') and not isinstance(v, types.ModuleType)\n"
+        "       and getattr(v, '__module__', antenna.__name__) == antenna.__name__}\n"
+        "ns = {}\n"
+        "exec('from satlink.antenna import *', ns)\n"
+        "print(sorted(ns.keys() - {'__builtins__'}) == sorted(own | {'MAX_PATTERN_ROWS', 'pattern_csv', 'sidelobe_level'}))\n"
+        "print(ns['pattern_csv'] is sys.modules['satlink._pattern'].pattern_csv)\n"
+    )
+    assert out.split() == ["True", "True"]
+
+
 def test_an_unknown_antenna_attribute_is_still_missing():
     out = python(
         "import sys\n"
