@@ -1,5 +1,5 @@
 """The pattern cut and the sidelobe search of a linear array: the only parts
-of satlink that need numpy and scipy.
+of satlink that need numpy. Neither needs scipy.
 
 Every caller, the CLI included, reaches these names through
 `satlink.antenna`, which loads this module on their first access, so the
@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .antenna import LINEAR, ArraySpec, _af
 from .errors import DomainError, NoSidelobeError
@@ -25,27 +24,40 @@ def _normalized_af_vec(n: int, psi: np.ndarray) -> np.ndarray:
     return np.minimum(vals, 1.0)
 
 
+_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0  # 1/phi, the golden-section step
+
+
 def sidelobe_level(spec: ArraySpec) -> float:
     """Peak pattern amplitude outside the main lobe of a linear array.
 
     The largest sidelobe of an untapered linear array is its first one, the
     single peak of |AF| between the nulls at psi = 2*pi/N and 4*pi/N; a
-    bounded search over that bracket finds it. Returns the amplitude ratio
-    (1.0 = main-lobe peak).
+    golden-section search over that bracket finds it. Returns the amplitude
+    ratio (1.0 = main-lobe peak).
     """
     if spec.topology != LINEAR:
         raise DomainError("sidelobe scan is defined for linear arrays only")
     n = spec.elements
     if n < 3:
         raise NoSidelobeError(f"an N={n} array has no sidelobe between its null and the grating lobe")
-    res = minimize_scalar(
-        lambda p: -_af(n, p),
-        bounds=(2.0 * math.pi / n, 4.0 * math.pi / n),
-        method="bounded",
-        # the bracket shrinks as 1/N, so the tolerance must too beyond N = 1000
-        options={"xatol": min(1e-12, 1e-9 / n)},
-    )
-    return float(-res.fun)
+    a, b = 2.0 * math.pi / n, 4.0 * math.pi / n
+    # The bracket shrinks as 1/N, so the tolerance must too beyond N = 1000.
+    # It stays 1,000 or more float spacings of the (always normal) bracket for
+    # every N, so each step shrinks the bracket and the loop ends, even where
+    # `tol` itself is subnormal (N > 4.5e298).
+    tol = min(1e-12, 1e-9 / n)
+    c, d = b - _INV_PHI * (b - a), a + _INV_PHI * (b - a)
+    fc, fd = _af(n, c), _af(n, d)
+    while b - a > tol:
+        if fc > fd:
+            b, d, fd = d, c, fc
+            c = b - _INV_PHI * (b - a)
+            fc = _af(n, c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _INV_PHI * (b - a)
+            fd = _af(n, d)
+    return max(fc, fd)
 
 
 # The most rows a pattern cut may have: one per millidegree, 100 times finer

@@ -6,10 +6,10 @@ characterized by their maximum directivity N*pi and the symmetric-beam
 HPBW approximation, which is how the reference catalog below is generated.
 All arrays are untapered (uniformly weighted).
 
-Only the pattern cut and the sidelobe search need numpy and scipy. They live
-in `satlink._pattern`, whose names (`_PATTERN_NAMES` below) load through this
-module on first access, so array selection, directivity and the beamwidths
-load neither library.
+Only the pattern cut and the sidelobe search need numpy, and neither needs
+scipy. They live in `satlink._pattern`, whose names (`_PATTERN_NAMES` below)
+load through this module on first access, so array selection, directivity
+and the beamwidths load no numpy.
 """
 
 from __future__ import annotations
@@ -246,8 +246,8 @@ def select_array(
     return best, peak_dbi, peak_dbi - _EDGE_DROP_DB
 
 
-# The names defined in `_pattern`, the one antenna module that needs numpy and
-# scipy. `_pattern_cut` is the pattern cut as arrays, finer than its CSV.
+# The names defined in `_pattern`, the one antenna module that needs numpy.
+# `_pattern_cut` is the pattern cut as arrays, finer than its CSV.
 _PATTERN_NAMES = ("MAX_PATTERN_ROWS", "_pattern_cut", "pattern_csv", "sidelobe_level")
 
 # A star import copies only names already in the module globals unless

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -235,6 +236,22 @@ class TestSidelobeLevel:
             )
             expected = max(float(vals[i]), -res.fun)
             assert ant.sidelobe_level(ant.ArraySpec.linear(n)) == approx(expected, abs=1e-10), n
+
+    def test_matches_scipys_bounded_search_over_the_same_bracket(self):
+        for n in range(3, 513):
+            res = minimize_scalar(
+                lambda p: -ant.normalized_array_factor(n, float(p)),
+                bounds=(2 * math.pi / n, 4 * math.pi / n),
+                method="bounded",
+                options={"xatol": min(1e-12, 1e-9 / n)},
+            )
+            assert ant.sidelobe_level(ant.ArraySpec.linear(n)) == approx(-res.fun, abs=1e-15), n
+
+    @pytest.mark.parametrize("n", [10**15, 10**100, 10**300, int(sys.float_info.max)])
+    def test_ends_at_the_continuum_limit_where_the_tolerance_is_subnormal(self, n):
+        # the first sidelobe of sin(x)/x; the search tolerance 1e-9/N is
+        # subnormal for the last two counts
+        assert ant.sidelobe_level(ant.ArraySpec.linear(n)) == approx(0.21723362821122164, abs=1e-15)
 
 
 class TestSelectArray:

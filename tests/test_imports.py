@@ -1,6 +1,7 @@
 """`import satlink` loads each submodule on first use, and `satlink.antenna`
-loads its pattern module on first use, so numpy and scipy stay with the
-antenna pattern cut and sidelobe search (`satlink._pattern`).
+loads its pattern module on first use, so numpy stays with the antenna
+pattern cut and sidelobe search (`satlink._pattern`), and only the CLI loads
+scipy.
 
 Each check runs in a fresh interpreter, since this test process has long
 since imported every submodule and numpy.
@@ -192,12 +193,24 @@ def test_the_first_pattern_access_loads_the_pattern_module():
         "import satlink\n"
         "from satlink import antenna\n"
         "pattern_csv = satlink.antenna.pattern_csv\n"
-        "print({'numpy', 'scipy.optimize', 'satlink._pattern'} <= set(sys.modules))\n"
+        "print({'numpy', 'satlink._pattern'} <= set(sys.modules))\n"
+        "print(not any(m.split('.')[0] == 'scipy' for m in sys.modules))\n"
         "print(pattern_csv is sys.modules['satlink._pattern'].pattern_csv)\n"
         "print('pattern_csv' in vars(antenna))\n"
         f"print(all(getattr(antenna, n) is getattr(sys.modules['satlink._pattern'], n) for n in {PATTERN_NAMES!r}))\n"
     )
-    assert out.split() == ["True"] * 4
+    assert out.split() == ["True"] * 5
+
+
+def test_the_pattern_cut_and_the_sidelobe_search_load_no_scipy():
+    out = python(
+        "import sys\n"
+        "from satlink.antenna import ArraySpec, pattern_csv, sidelobe_level\n"
+        "sidelobe_level(ArraySpec.linear(16))\n"
+        "pattern_csv(ArraySpec.linear(16), 1.0)\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+    )
+    assert out == "[]"
 
 
 def test_a_pattern_name_imports_from_the_antenna_module():
@@ -262,4 +275,5 @@ def test_the_cli_still_loads_every_module_the_benchmark_times():
 def test_the_pattern_module_shows_in_importtime():
     proc = interpreter("-X", "importtime", "-c", "import satlink; satlink.antenna.pattern_csv")
     listed = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines() if line.startswith("import time:")}
-    assert {"satlink.antenna", "satlink._pattern", "numpy", "scipy.optimize"} <= listed
+    assert {"satlink.antenna", "satlink._pattern", "numpy"} <= listed
+    assert "scipy.optimize" not in listed
