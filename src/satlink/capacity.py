@@ -3,8 +3,6 @@ the satellite cost power-law and the classic TCP throughput bound."""
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 import warnings
 from bisect import bisect_right
@@ -162,6 +160,9 @@ def load_modcod_catalog(source) -> tuple[ModCod, ...]:
     Expected columns: name, se_bps_hz, snr_qef_db. The catalog is validated
     before being returned; a missing file raises NotFoundError.
     """
+    import csv
+    import io
+
     text, path = read_document(source, "MODCOD catalog")
     where = f"{path}: " if path else ""  # a file's refusals name it, and a bad row its line
     reader = csv.DictReader(io.StringIO(text))

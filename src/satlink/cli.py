@@ -28,6 +28,12 @@ A group run without a subcommand prints its own help.
 the process without the interpreter's teardown. `main` returns the exit
 code and never exits, for callers in the same process.
 
+Importing this module sets OPENBLAS_NUM_THREADS to 1 unless the caller set
+it: the OpenBLAS copies bundled with numpy and scipy would each start a pool
+of worker threads that compete with the import for the CPUs, and no satlink
+code calls a BLAS routine. The library (`import satlink` and its
+submodules) changes no process setting.
+
 The environment variable SATLINK_CONSTANTS may point to a JSON document
 overriding physical constants (keys of PhysicalConstants, e.g. c_m_per_s,
 boltzmann_j_per_k, earth_radius_km).
@@ -42,6 +48,9 @@ import os
 import re
 import sys
 from pathlib import Path
+
+# Must run before numpy or scipy loads; the module docstring says why.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 # Handlers reach the pattern cut through `antenna`, and no satlink module
 # needs scipy. scipy.optimize and `_pattern` (numpy) are imported here only
@@ -755,11 +764,11 @@ def run() -> None:
     the process with main's exit code.
 
     The process ends with os._exit, which skips the interpreter's teardown:
-    freeing numpy and scipy there takes about 100 ms of every run, after the
-    output is written and with nobody to read the result (mypy's
-    util.hard_exit does the same). A SystemExit from argparse (usage errors,
-    --help) or an unexpected exception escapes `main` and takes the normal
-    exit path.
+    freeing numpy and scipy there takes about 100 ms of every run with
+    OpenBLAS on one thread, after the output is written and with nobody to
+    read the result (mypy's util.hard_exit does the same). A SystemExit
+    from argparse (usage errors, --help) or an unexpected exception escapes
+    `main` and takes the normal exit path.
     """
     code = main()
     for stream in (sys.stdout, sys.stderr):

@@ -8,16 +8,13 @@ appear only at construction and display boundaries.
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 import math
 import re
 import sys
+from _json import encode_basestring_ascii as _json_str  # json's C escaper, without the json package
 from collections.abc import Mapping
 from dataclasses import dataclass, fields
 from functools import cache, cached_property
-from json.encoder import encode_basestring_ascii as _json_str
 from pathlib import Path
 
 from .errors import DomainError, NotFoundError, OutOfBandError, ParseError, ValidationError
@@ -259,6 +256,8 @@ def read_object(path, what: str) -> dict:
 def parse_json(text: str, name):
     """The JSON document in `text`. Any failure raises ParseError "<name>:
     <reason>"; a syntax error ends in " (line l, column c)" and carries both."""
+    import json  # loaded by the first document read, not by `import satlink`
+
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
@@ -335,6 +334,9 @@ def _none_defaults(cls) -> tuple[str, ...]:
 
 def dump_csv(rows) -> str:
     """Rows of cells as CSV text, quoted as the csv module quotes."""
+    import csv
+    import io
+
     out = io.StringIO()
     csv.writer(out, lineterminator="\n").writerows(rows)
     return out.getvalue()

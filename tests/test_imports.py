@@ -1,7 +1,9 @@
 """`import satlink` loads each submodule on first use, and `satlink.antenna`
 loads its pattern module on first use, so numpy stays with the antenna
 pattern cut and sidelobe search (`satlink._pattern`), and only the CLI loads
-scipy.
+scipy. json and csv load with the first document read or written. The CLI
+runs OpenBLAS on one thread unless the caller chose a count; the library
+changes no process setting.
 
 Each check runs in a fresh interpreter, since this test process has long
 since imported every submodule and numpy.
@@ -10,6 +12,7 @@ since imported every submodule and numpy.
 import ast
 import importlib
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -29,8 +32,10 @@ REEXPORTED = {
 }
 
 
-def interpreter(*args: str) -> subprocess.CompletedProcess:
-    env = {**os.environ, "PYTHONPATH": SRC}
+def interpreter(*args: str, env: dict | None = None) -> subprocess.CompletedProcess:
+    """A fresh interpreter with satlink's sources on the path, run with `env`
+    over this process's environment (a None value unsets that variable)."""
+    env = {k: v for k, v in {**os.environ, "PYTHONPATH": SRC, **(env or {})}.items() if v is not None}
     proc = subprocess.run(
         [sys.executable, *args], env=env, capture_output=True, text=True, timeout=120
     )
@@ -38,8 +43,8 @@ def interpreter(*args: str) -> subprocess.CompletedProcess:
     return proc
 
 
-def python(code: str) -> str:
-    return interpreter("-c", code).stdout.strip()
+def python(code: str, env: dict | None = None) -> str:
+    return interpreter("-c", code, env=env).stdout.strip()
 
 
 def test_core_modules_run_without_numpy_or_scipy():
@@ -277,3 +282,51 @@ def test_the_pattern_module_shows_in_importtime():
     listed = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines() if line.startswith("import time:")}
     assert {"satlink.antenna", "satlink._pattern", "numpy"} <= listed
     assert "scipy.optimize" not in listed
+
+
+# --- what a process starts ----------------------------------------------------
+
+def test_the_cli_runs_openblas_on_one_thread():
+    """numpy's and scipy's OpenBLAS copies would each start a worker pool."""
+    out = python(
+        "import os\n"
+        "import satlink.cli\n"
+        "print(os.environ.get('OPENBLAS_NUM_THREADS'))\n"
+        "print(len(os.listdir('/proc/self/task')) if os.path.isdir('/proc/self/task') else 'unknown')\n",
+        env={"OPENBLAS_NUM_THREADS": None},
+    )
+    value, threads = out.split()
+    assert value == "1"
+    if threads != "unknown":  # no /proc/self/task to count threads in
+        assert threads == "1"
+
+
+def test_the_cli_keeps_a_thread_count_the_caller_set():
+    out = python("import os\nimport satlink.cli\nprint(os.environ['OPENBLAS_NUM_THREADS'])\n",
+                 env={"OPENBLAS_NUM_THREADS": "2"})
+    assert out == "2"
+
+
+def test_the_library_changes_no_process_setting():
+    out = python(
+        "import os\n"
+        "import satlink\n"
+        "satlink.antenna.pattern_csv(satlink.antenna.ArraySpec.linear(8))\n"
+        "print('OPENBLAS_NUM_THREADS' in os.environ)\n",
+        env={"OPENBLAS_NUM_THREADS": None},
+    )
+    assert out == "False"
+
+
+def test_the_library_loads_json_and_csv_only_for_a_document():
+    modules = sorted(m.name for m in pkgutil.iter_modules(satlink.__path__) if m.name not in ("cli", "_pattern"))
+    assert {"quantities", "capacity", "scenario"} <= set(modules)
+    out = python(
+        "import sys\n"
+        "import satlink\n"
+        f"for name in {modules!r}:\n"
+        "    __import__('satlink.' + name)\n"
+        "satlink.PhysicalConstants()\n"
+        "print(sorted(m for m in ('json', 'csv') if m in sys.modules))\n"
+    )
+    assert out == "[]"
