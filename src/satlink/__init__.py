@@ -5,12 +5,10 @@ throughput, phased-array figures, constellation footprints and NTN project
 scenario checks, with a CLI front end (`satlink`).
 
 `import satlink` loads nothing until a name is used: each submodule and each
-re-exported name loads on first access. Only the antenna pattern cut and
-sidelobe search need numpy, and no satlink module needs scipy: they live in
-`satlink._pattern`, which loads on the first use of `antenna.pattern_csv` or
-`antenna.sidelobe_level`, so the rest of satlink never pays for numpy. The
-`satlink` CLI alone still imports scipy, only for the benchmark's import
-probe.
+re-exported name loads on first access. Only the antenna pattern cut needs
+numpy, which `antenna.pattern_csv` imports when it runs, so the rest of
+satlink never pays for numpy; no satlink module needs scipy. The `satlink`
+CLI alone still imports both, only for the benchmark's import probe.
 """
 
 __version__ = "0.1.0"

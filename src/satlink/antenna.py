@@ -6,10 +6,10 @@ characterized by their maximum directivity N*pi and the symmetric-beam
 HPBW approximation, which is how the reference catalog below is generated.
 All arrays are untapered (uniformly weighted).
 
-Only the pattern cut and the sidelobe search need numpy, and neither needs
-scipy. They live in `satlink._pattern`, whose names (`_PATTERN_NAMES` below)
-load through this module on first access, so array selection, directivity
-and the beamwidths load no numpy.
+Only the pattern cut needs numpy, which `pattern_csv`, `_pattern_cut` and
+`_normalized_af_vec` import when they run. The sidelobe search, both
+beamwidths, directivity and array selection are pure Python, and nothing
+here needs scipy.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .errors import DomainError
+from .errors import DomainError, NoSidelobeError
 from .quantities import _show, db_from_linear, require, require_count, require_no_overflow
 
 LINEAR = "linear"
@@ -105,6 +105,15 @@ def _af(n: int, psi: float) -> float:
     if den == 0.0:
         return 1.0
     return min(1.0, abs(math.sin(n * psi / 2.0) / den) / n)
+
+
+def _normalized_af_vec(n: int, psi: np.ndarray) -> np.ndarray:
+    import numpy as np
+
+    den = n * np.sin(psi / 2.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        vals = np.abs(np.where(den == 0.0, 1.0, np.sin(n * psi / 2.0) / den))
+    return np.minimum(vals, 1.0)
 
 
 def psi_from_incidence(spacing_wavelengths: float, theta_rad: float) -> float:
@@ -195,6 +204,42 @@ def hpbw_numeric(spec: ArraySpec) -> float:
     return math.degrees(2.0 * (math.pi / 2.0 - theta_half))
 
 
+_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0  # 1/phi, the golden-section step
+
+
+def sidelobe_level(spec: ArraySpec) -> float:
+    """Peak pattern amplitude outside the main lobe of a linear array.
+
+    The largest sidelobe of an untapered linear array is its first one, the
+    single peak of |AF| between the nulls at psi = 2*pi/N and 4*pi/N; a
+    golden-section search over that bracket finds it. Returns the amplitude
+    ratio (1.0 = main-lobe peak).
+    """
+    if spec.topology != LINEAR:
+        raise DomainError("sidelobe scan is defined for linear arrays only")
+    n = spec.elements
+    if n < 3:
+        raise NoSidelobeError(f"an N={n} array has no sidelobe between its null and the grating lobe")
+    a, b = 2.0 * math.pi / n, 4.0 * math.pi / n
+    # The bracket shrinks as 1/N, so the tolerance must too beyond N = 1000.
+    # It stays 1,000 or more float spacings of the (always normal) bracket for
+    # every N, so each step shrinks the bracket and the loop ends, even where
+    # `tol` itself is subnormal (N > 4.5e298).
+    tol = min(1e-12, 1e-9 / n)
+    c, d = b - _INV_PHI * (b - a), a + _INV_PHI * (b - a)
+    fc, fd = _af(n, c), _af(n, d)
+    while b - a > tol:
+        if fc > fd:
+            b, d, fd = d, c, fc
+            c = b - _INV_PHI * (b - a)
+            fc = _af(n, c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _INV_PHI * (b - a)
+            fd = _af(n, d)
+    return max(fc, fd)
+
+
 def amplitude_db_field(amplitude: float) -> float:
     """Amplitude ratio in dB under the field convention, 20*log10."""
     return 20.0 * math.log10(require("amplitude", amplitude, "must be > 0"))
@@ -208,6 +253,51 @@ def amplitude_db_power(amplitude: float) -> float:
     available, neither endorsed.
     """
     return 10.0 * math.log10(require("amplitude", amplitude, "must be > 0"))
+
+
+# The most rows a pattern cut may have: one per millidegree, 100 times finer
+# than the default resolution. A finer cut is refused before anything is
+# allocated.
+MAX_PATTERN_ROWS = 180_001
+_RESOLUTION = ("must lie in (0, 90] degrees", f"must be >= {180.0 / (MAX_PATTERN_ROWS - 1)} degrees")
+
+
+def _pattern_cut(spec: ArraySpec, resolution_deg: float):
+    """Columns (theta_rad, psi_rad, amplitude, power_db) of a linear array's
+    pattern cut for theta in [0, 180] degrees, as arrays."""
+    import numpy as np
+
+    if spec.topology != LINEAR:
+        raise DomainError("pattern cuts are defined for linear arrays only")
+    steps = int(round(180.0 / require("resolution", resolution_deg, _RESOLUTION)))
+    spacing = spec.spacing_wavelengths
+    two_pi_sp = require_no_overflow(
+        2.0 * math.pi * spacing, "spacing {!r} wavelengths is too large for a pattern cut", spacing
+    )
+    require_no_overflow(  # N*psi at endfire
+        spec.elements * two_pi_sp,
+        "element count {!r} and spacing {!r} wavelengths are too large for a pattern cut", spec.elements, spacing,
+    )
+    thetas = np.linspace(0.0, math.pi, steps + 1)
+    psis = two_pi_sp * np.cos(thetas)
+    amps = _normalized_af_vec(spec.elements, psis)
+    with np.errstate(divide="ignore"):
+        power_db = 20.0 * np.log10(amps)
+    return thetas, psis, amps, power_db
+
+
+_PATTERN_HEADER = "theta_deg,psi_rad,amplitude,power_db\n"
+_PATTERN_ROW = "%.4f,%.9g,%.9g,%.6g\n"  # '%.6g' renders an exact null as -inf
+
+
+def pattern_csv(spec: ArraySpec, resolution_deg: float = 0.1) -> str:
+    """Pattern cut as CSV (theta_deg, psi_rad, amplitude, power_db)."""
+    import numpy as np
+
+    thetas, psis, amps, power_db = _pattern_cut(spec, resolution_deg)
+    # one format operation over the row-major flattening of the four columns
+    cells = np.column_stack((np.degrees(thetas), psis, amps, power_db)).ravel().tolist()
+    return _PATTERN_HEADER + (_PATTERN_ROW * len(thetas)) % tuple(cells)
 
 
 # Reference catalog of untapered array configurations.
@@ -246,12 +336,8 @@ def select_array(
     return best, peak_dbi, peak_dbi - _EDGE_DROP_DB
 
 
-# The names defined in `_pattern`, the one antenna module that needs numpy.
-# `_pattern_cut` is the pattern cut as arrays, finer than its CSV.
-_PATTERN_NAMES = ("MAX_PATTERN_ROWS", "_pattern_cut", "pattern_csv", "sidelobe_level")
-
-# A star import copies only names already in the module globals unless
-# `__all__` lists them, so the public pattern names are listed here too.
+# A star import without `__all__` would also bind the names this module
+# imports (`math`, `dataclass`, `require`, ...).
 __all__ = [
     "LINEAR", "PLANAR", "HPBW_APPROX_COEFFICIENT", "ArraySpec", "array_factor_magnitude",
     "normalized_array_factor", "psi_from_incidence", "directivity", "gain_from_directivity",
@@ -259,17 +345,3 @@ __all__ = [
     "amplitude_db_power", "ARRAY_CATALOG", "select_array", "MAX_PATTERN_ROWS", "pattern_csv",
     "sidelobe_level",
 ]
-
-
-def __getattr__(name):
-    if name not in _PATTERN_NAMES:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    # an import statement, unlike importlib.import_module, shows in `python -X importtime`
-    from . import _pattern
-
-    value = globals()[name] = getattr(_pattern, name)
-    return value
-
-
-def __dir__():
-    return sorted({*globals(), *_PATTERN_NAMES})

@@ -52,13 +52,13 @@ from pathlib import Path
 # Must run before numpy or scipy loads; the module docstring says why.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-# Handlers reach the pattern cut through `antenna`, and no satlink module
-# needs scipy. scipy.optimize and `_pattern` (numpy) are imported here only
-# so that `import satlink.cli` keeps loading every module whose import time
-# perfbench/run.py's probe reads.
+# No satlink module needs scipy, and only `antenna.pattern_csv` needs numpy,
+# which it imports when it runs. numpy and scipy.optimize are imported here
+# only so that `import satlink.cli` keeps loading every module whose import
+# time perfbench/run.py's probe reads.
+import numpy  # noqa: F401  # for the benchmark's import probe only
 import scipy.optimize  # noqa: F401  # for the benchmark's import probe only
 
-from . import _pattern  # noqa: F401
 from . import antenna, capacity, constellation, geometry, linkbudget, quantities, scenario
 from .errors import (
     DomainError,
@@ -533,7 +533,7 @@ def _cmd_scenario_run(args, constants) -> dict | list[dict]:
     try:
         s = scenario.fixture(name)
     except NotFoundError:
-        if not (name.endswith(".json") or Path(name).is_file()):
+        if not (name.endswith(".json") or os.path.isfile(name)):
             raise
         s = scenario.load_scenario(Path(name))
     report = scenario.run_scenario(s)

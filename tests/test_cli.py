@@ -380,6 +380,12 @@ class TestScenario:
         assert code == 2
         assert "thales" in err
 
+    def test_a_name_too_long_for_a_file_is_an_unknown_fixture(self, capsys):
+        name = "z" * 300  # longer than a file name may be (ENAMETOOLONG)
+        code, _, err = run(capsys, "scenario", "run", name)
+        assert code == 2
+        assert err.startswith(f"error: unknown fixture '{name}'; available: ")
+
     def test_list(self, capsys):
         code, out, _ = run(capsys, "scenario", "list", "--format", "csv")
         assert code == 0

@@ -1,6 +1,5 @@
-"""`import satlink` loads each submodule on first use, and `satlink.antenna`
-loads its pattern module on first use, so numpy stays with the antenna
-pattern cut and sidelobe search (`satlink._pattern`), and only the CLI loads
+"""`import satlink` loads each submodule on first use, numpy loads only when
+the antenna pattern cut (`antenna.pattern_csv`) runs, and only the CLI loads
 scipy. json and csv load with the first document read or written. The CLI
 runs OpenBLAS on one thread unless the caller chose a count; the library
 changes no process setting.
@@ -172,10 +171,10 @@ def test_lazily_loaded_modules_show_in_importtime():
     assert {"satlink", "satlink.scenario", "satlink.errors"} <= listed
 
 
-# --- the antenna pattern module ----------------------------------------------
+# --- the antenna pattern cut -------------------------------------------------
 
 PATTERN_NAMES = ("MAX_PATTERN_ROWS", "_pattern_cut", "pattern_csv", "sidelobe_level")
-NUMERIC = "sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy') or m == 'satlink._pattern')"
+NUMERIC = "sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy'))"
 
 
 def test_the_antenna_layer_without_its_pattern_loads_neither_numpy_nor_scipy():
@@ -192,19 +191,29 @@ def test_the_antenna_layer_without_its_pattern_loads_neither_numpy_nor_scipy():
     assert out == "[]"
 
 
-def test_the_first_pattern_access_loads_the_pattern_module():
+def test_the_sidelobe_search_and_the_beamwidths_load_no_numpy():
     out = python(
         "import sys\n"
-        "import satlink\n"
-        "from satlink import antenna\n"
-        "pattern_csv = satlink.antenna.pattern_csv\n"
-        "print({'numpy', 'satlink._pattern'} <= set(sys.modules))\n"
-        "print(not any(m.split('.')[0] == 'scipy' for m in sys.modules))\n"
-        "print(pattern_csv is sys.modules['satlink._pattern'].pattern_csv)\n"
-        "print('pattern_csv' in vars(antenna))\n"
-        f"print(all(getattr(antenna, n) is getattr(sys.modules['satlink._pattern'], n) for n in {PATTERN_NAMES!r}))\n"
+        "from satlink.antenna import ArraySpec, hpbw_numeric, select_array, sidelobe_level\n"
+        "spec = ArraySpec.linear(16)\n"
+        "sidelobe_level(spec)\n"
+        "hpbw_numeric(spec)\n"
+        "select_array(5.0)\n"
+        f"print({NUMERIC})\n"
     )
-    assert out.split() == ["True"] * 5
+    assert out == "[]"
+
+
+def test_the_first_pattern_csv_call_loads_numpy_and_no_scipy():
+    out = python(
+        "import sys\n"
+        "from satlink import antenna\n"
+        f"print({NUMERIC})\n"
+        "antenna.pattern_csv(antenna.ArraySpec.linear(8), 1.0)\n"
+        "print('numpy' in sys.modules)\n"
+        "print(not any(m.split('.')[0] == 'scipy' for m in sys.modules))\n"
+    )
+    assert out.split() == ["[]", "True", "True"]
 
 
 def test_the_pattern_cut_and_the_sidelobe_search_load_no_scipy():
@@ -237,26 +246,25 @@ def test_dir_lists_the_pattern_names_before_they_load():
 
 
 def test_a_star_import_brings_every_public_antenna_name():
-    """A star import copies only names in the module globals unless
-    `__all__` lists them, so the pattern names need their entries."""
+    """`__all__` lists the module's own public names, the pattern names
+    among them, and none that it imports."""
     out = python(
-        "import sys, types\n"
+        "import types\n"
         "from satlink import antenna\n"
         "own = {n for n, v in vars(antenna).items() if not n.startswith('_') and not isinstance(v, types.ModuleType)\n"
         "       and getattr(v, '__module__', antenna.__name__) == antenna.__name__}\n"
         "ns = {}\n"
         "exec('from satlink.antenna import *', ns)\n"
         "print(sorted(ns.keys() - {'__builtins__'}) == sorted(own | {'MAX_PATTERN_ROWS', 'pattern_csv', 'sidelobe_level'}))\n"
-        "print(ns['pattern_csv'] is sys.modules['satlink._pattern'].pattern_csv)\n"
     )
-    assert out.split() == ["True", "True"]
+    assert out == "True"
 
 
 def test_an_unknown_antenna_attribute_is_still_missing():
     out = python(
         "import sys\n"
         "from satlink import antenna\n"
-        "print(getattr(antenna, 'nope', None), hasattr(antenna, '_normalized_af_vec'))\n"
+        "print(getattr(antenna, 'nope', None), hasattr(antenna, 'nope'))\n"
         "try:\n"
         "    from satlink.antenna import nope\n"
         "except ImportError as exc:\n"
@@ -277,10 +285,11 @@ def test_the_cli_still_loads_every_module_the_benchmark_times():
     assert out == "[]"
 
 
-def test_the_pattern_module_shows_in_importtime():
-    proc = interpreter("-X", "importtime", "-c", "import satlink; satlink.antenna.pattern_csv")
+def test_a_pattern_call_shows_numpy_in_importtime():
+    proc = interpreter("-X", "importtime", "-c",
+                       "import satlink; satlink.antenna.pattern_csv(satlink.antenna.ArraySpec.linear(8), 1.0)")
     listed = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines() if line.startswith("import time:")}
-    assert {"satlink.antenna", "satlink._pattern", "numpy"} <= listed
+    assert {"satlink.antenna", "numpy"} <= listed
     assert "scipy.optimize" not in listed
 
 
@@ -319,7 +328,7 @@ def test_the_library_changes_no_process_setting():
 
 
 def test_the_library_loads_json_and_csv_only_for_a_document():
-    modules = sorted(m.name for m in pkgutil.iter_modules(satlink.__path__) if m.name not in ("cli", "_pattern"))
+    modules = sorted(m.name for m in pkgutil.iter_modules(satlink.__path__) if m.name != "cli")
     assert {"quantities", "capacity", "scenario"} <= set(modules)
     out = python(
         "import sys\n"
