@@ -17,8 +17,8 @@ __version__ = "0.1.0"
 _HOME = {
     **{name: name for name in ("antenna", "capacity", "constellation", "errors", "geometry", "linkbudget",
                                "quantities", "scenario")},
-    **dict.fromkeys(("DEFAULT_CONSTANTS", "PhysicalConstants", "Power", "band_lookup", "db_from_linear",
-                     "linear_from_db"), "quantities"),
+    **dict.fromkeys(("DEFAULT_CONSTANTS", "PhysicalConstants", "band_lookup", "db_from_linear", "linear_from_db"),
+                    "quantities"),
     **dict.fromkeys(("DomainError", "NoFeasibleModcodError", "NoSidelobeError", "NotFoundError", "OutOfBandError",
                      "ParseError", "SatlinkError", "ValidationError"), "errors"),
 }

@@ -222,12 +222,13 @@ def _cmd_convert_power(args, constants) -> dict:
     if len(given) != 1:
         raise _UsageError("exactly one of --watts, --dbw, --dbm")
     if args.watts is not None:
-        p = quantities.Power(args.watts)
+        watts = quantities.require("power", args.watts, "must be finite and >= 0 W")
     elif args.dbw is not None:
-        p = quantities.Power.from_dbw(args.dbw)
+        watts = quantities.linear_from_db(args.dbw)
     else:
-        p = quantities.Power.from_dbm(args.dbm)
-    return {"watts": p.watts, "power_dbw": p.dbw, "power_dbm": p.dbm}
+        watts = quantities.linear_from_db(args.dbm) * 1e-3
+    dbw = quantities.db_from_linear(watts)
+    return {"watts": watts, "power_dbw": dbw, "power_dbm": dbw + 30.0}
 
 
 def _cmd_convert_noise_temp(args, constants) -> dict:

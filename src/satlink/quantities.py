@@ -1,5 +1,4 @@
-"""dB/linear algebra, dimension-tagged scalars, physical constants and the
-ITU satellite band chart.
+"""dB/linear algebra, physical constants and the ITU satellite band chart.
 
 Everything downstream (geometry, link budgets, capacity, antennas) builds on
 this module. Internal computation is always in SI linear units; decibels
@@ -9,6 +8,7 @@ appear only at construction and display boundaries.
 from __future__ import annotations
 
 import math
+import os
 import re
 import sys
 from _json import encode_basestring_ascii as _json_str  # json's C escaper, without the json package
@@ -158,33 +158,6 @@ def require_number(key: str, value, kind: str) -> float:
 
 
 @dataclass(frozen=True)
-class Power:
-    """A power level in watts with dBW and dBm views."""
-
-    watts: float
-
-    def __post_init__(self):
-        require("power", self.watts, "must be finite and >= 0 W")
-
-    @classmethod
-    def from_dbw(cls, dbw: float) -> "Power":
-        return cls(linear_from_db(dbw))
-
-    @classmethod
-    def from_dbm(cls, dbm: float) -> "Power":
-        return cls(linear_from_db(dbm) * 1e-3)
-
-    @property
-    def dbw(self) -> float:
-        return db_from_linear(self.watts)
-
-    @property
-    def dbm(self) -> float:
-        # exact +30 offset by construction
-        return self.dbw + 30.0
-
-
-@dataclass(frozen=True)
 class PhysicalConstants:
     """Physical and Earth constants used throughout the toolkit.
 
@@ -236,7 +209,7 @@ def _read_file(path, what: str) -> str:
     """The text of the input file at `path`, the one place satlink opens one. A
     missing file raises NotFoundError "<what> file '<path>' not found", and one
     that is not UTF-8 a ParseError naming it."""
-    if not Path(path).exists():  # a directory or an unreadable file fails below, with its OSError
+    if not os.path.exists(path):  # False for a name too long to exist; a directory or an unreadable file fails below
         raise NotFoundError(f"{what} file {str(path)!r} not found")
     try:
         return Path(path).read_text(encoding="utf-8")
@@ -435,15 +408,6 @@ class BandAllocation:
                     "intervals_mhz", f"intervals overlap: ({_show(alo)}, {_show(ahi)}) and ({_show(blo)}, {_show(bhi)})"
                 )
 
-    def contains(self, freq_mhz: float) -> bool:
-        return any(lo <= freq_mhz <= hi for lo, hi in self.intervals_mhz)
-
-    def distance_mhz(self, freq_mhz: float) -> float:
-        return min(
-            0.0 if lo <= freq_mhz <= hi else min(abs(freq_mhz - lo), abs(freq_mhz - hi))
-            for lo, hi in self.intervals_mhz
-        )
-
 
 BAND_CATALOG: tuple[BandAllocation, ...] = (
     BandAllocation("L", GEO, DOWNLINK, ((1518.0, 1559.0),)),
@@ -477,23 +441,23 @@ def _check_query(freq_hz: float, direction: str, orbit: str) -> float:
     return freq_hz / 1e6
 
 
-# Allocations and their (low_MHz, high_MHz, band) rows per (direction, orbit) query, in
-# catalog order, so the first row containing a frequency is its first matching allocation.
-_QUERY_ALLOCATIONS = {
-    (d, o): tuple(a for a in BAND_CATALOG if a.direction == d and (o == ANY_ORBIT or a.orbit in (ANY_ORBIT, o)))
+# The (low_MHz, high_MHz, allocation) rows of each (direction, orbit) query, in catalog
+# order, so the first row containing a frequency is its first matching allocation.
+_BAND_ROWS = {
+    (d, o): tuple(
+        (lo, hi, a) for a in BAND_CATALOG if a.direction == d and (o == ANY_ORBIT or a.orbit in (ANY_ORBIT, o))
+        for lo, hi in a.intervals_mhz
+    )
     for d in _DIRECTIONS
     for o in _ORBITS
-}
-_BAND_ROWS = {
-    query: tuple((lo, hi, a.band) for a in allocations for lo, hi in a.intervals_mhz)
-    for query, allocations in _QUERY_ALLOCATIONS.items()
 }
 
 
 def matching_allocations(freq_hz: float, direction: str, orbit: str = ANY_ORBIT) -> list[BandAllocation]:
     """All catalog rows containing the frequency for the direction/orbit."""
     freq_mhz = _check_query(freq_hz, direction, orbit)
-    return [a for a in _QUERY_ALLOCATIONS[direction, orbit] if a.contains(freq_mhz)]
+    # no bundled allocation has two intervals that touch, so none is listed twice
+    return [a for lo, hi, a in _BAND_ROWS[direction, orbit] if lo <= freq_mhz <= hi]
 
 
 def band_lookup(freq_hz: float, direction: str, orbit: str = ANY_ORBIT) -> str:
@@ -503,10 +467,12 @@ def band_lookup(freq_hz: float, direction: str, orbit: str = ANY_ORBIT) -> str:
     for the given direction/orbit contains the frequency.
     """
     freq_mhz = _check_query(freq_hz, direction, orbit)
-    for lo, hi, band in _BAND_ROWS[direction, orbit]:
+    rows = _BAND_ROWS[direction, orbit]
+    for lo, hi, allocation in rows:
         if lo <= freq_mhz <= hi:
-            return band
-    nearest = min(_QUERY_ALLOCATIONS[direction, orbit], key=lambda a: a.distance_mhz(freq_mhz))
+            return allocation.band
+    # the first row at the least distance belongs to the first allocation at that distance
+    nearest = min(rows, key=lambda r: min(abs(freq_mhz - r[0]), abs(freq_mhz - r[1])))[2]
     raise OutOfBandError(
         f"{freq_mhz:g} MHz ({direction}, orbit={orbit}) is outside every allocation; "
         f"nearest is {nearest.band} band ({nearest.orbit}) at {nearest.intervals_mhz} MHz",

@@ -72,7 +72,7 @@ _SCENARIO = "s.load_scenario({{{{'name': 'x', 'orbit': 'LEO', {}}}}})"
 
 _TEMPLATES = {
     "quantities": (
-        "q.db_from_linear({})", "q.linear_from_db({})", "q.Power({})", "q.Power.from_dbm({})", "q.Power({}).dbm",
+        "q.db_from_linear({})", "q.linear_from_db({})",
         "q.PhysicalConstants(c_m_per_s={})", "q.PhysicalConstants(t_ref_k={})",
         "q.PhysicalConstants.from_mapping({{'earth_radius_km': {}}})",
         "q.noise_temperature_from_nf({})", "q.noise_temperature_from_nf(3.0, {})",

@@ -26,8 +26,7 @@ SUBMODULES = ("antenna", "capacity", "constellation", "geometry", "linkbudget", 
 REEXPORTED = {
     "errors": ("DomainError", "NoFeasibleModcodError", "NoSidelobeError", "NotFoundError",
                "OutOfBandError", "ParseError", "SatlinkError", "ValidationError"),
-    "quantities": ("DEFAULT_CONSTANTS", "PhysicalConstants", "Power", "band_lookup",
-                   "db_from_linear", "linear_from_db"),
+    "quantities": ("DEFAULT_CONSTANTS", "PhysicalConstants", "band_lookup", "db_from_linear", "linear_from_db"),
 }
 
 

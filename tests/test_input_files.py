@@ -25,6 +25,10 @@ INPUTS = {
 }
 
 
+# an ordinary name, and one too long for the file system to look up (ENAMETOOLONG)
+MISSING_NAMES = ("missing.json", "z" * 300 + ".json")
+
+
 def _run(what: str, path: str) -> tuple[int, str, str]:
     constants, argv = INPUTS[what]
     return invoke([token.replace("{}", path) for token in argv], constants and path)
@@ -33,7 +37,8 @@ def _run(what: str, path: str) -> tuple[int, str, str]:
 @pytest.mark.parametrize("what", INPUTS)
 def test_a_missing_file_exits_2_with_one_message(what, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    assert _run(what, "missing.json") == (cli.EXIT_USAGE, "", f"error: {what} file 'missing.json' not found\n")
+    for name in MISSING_NAMES:
+        assert _run(what, name) == (cli.EXIT_USAGE, "", f"error: {what} file '{name}' not found\n")
 
 
 @pytest.mark.parametrize("what", INPUTS)
@@ -51,10 +56,11 @@ def test_a_directory_exits_4_with_one_error_line(what, tmp_path, monkeypatch):
     ("constants", quantities.PhysicalConstants.from_file),
 ])
 def test_a_library_loader_raises_the_same_text(what, load, tmp_path):
-    path = tmp_path / "missing.json"
-    with pytest.raises(NotFoundError) as caught:
-        load(path)
-    assert str(caught.value) == f"{what} file {str(path)!r} not found"
+    for name in MISSING_NAMES:
+        path = tmp_path / name
+        with pytest.raises(NotFoundError) as caught:
+            load(path)
+        assert str(caught.value) == f"{what} file {str(path)!r} not found"
 
 
 def test_a_scenario_name_that_is_no_file_and_no_json_is_an_unknown_fixture(tmp_path, monkeypatch):

@@ -38,30 +38,6 @@ class TestDbConversions:
         assert q.linear_from_db(q.db_from_linear(x)) == approx(x, rel=1e-12)
 
 
-class TestPower:
-    def test_views(self):
-        p = q.Power(26.6)
-        assert p.dbw == approx(14.249, abs=1e-3)
-        assert p.dbm == p.dbw + 30.0
-
-    @given(st.floats(min_value=-18.0, max_value=12.0))
-    def test_dbm_offset_exact(self, exponent):
-        p = q.Power(10.0**exponent)
-        assert p.dbm == p.dbw + 30.0
-
-    def test_from_db_round_trips(self):
-        assert q.Power.from_dbw(14.0).dbw == approx(14.0, rel=1e-12)
-        assert q.Power.from_dbm(23.0).watts == approx(0.199526, rel=1e-5)
-
-    def test_rejects_negative(self):
-        with pytest.raises(DomainError):
-            q.Power(-1.0)
-
-    def test_zero_watts_has_no_db_view(self):
-        with pytest.raises(DomainError):
-            q.Power(0.0).dbw
-
-
 class TestConstants:
     def test_defaults(self):
         c = q.DEFAULT_CONSTANTS
@@ -241,6 +217,36 @@ class TestBandChart:
             for blo, bhi, bband in rows[i + 1 :]:
                 if aband != bband:
                     assert ahi < blo or bhi < alo, f"{aband} and {bband} share [{max(alo, blo)}, {min(ahi, bhi)}] MHz"
+
+    @pytest.mark.parametrize("direction,orbit", _QUERIES)
+    def test_nearest_is_the_first_allocation_at_the_least_distance(self, direction, orbit):
+        allocations = [
+            a for a in q.BAND_CATALOG
+            if a.direction == direction and (orbit == q.ANY_ORBIT or a.orbit in (q.ANY_ORBIT, orbit))
+        ]
+        intervals = sorted(interval for a in allocations for interval in a.intervals_mhz)
+        probes, reach = [intervals[0][0] / 2, intervals[-1][1] * 2], intervals[0][1]
+        for lo, hi in intervals[1:]:
+            if lo > reach:
+                probes.append((reach + lo) / 2)  # the exact middle of a gap
+            reach = max(reach, hi)
+        for freq_mhz in probes:
+            assert freq_mhz * 1e6 / 1e6 == freq_mhz
+
+            def distance(a):
+                return min(min(abs(freq_mhz - lo), abs(freq_mhz - hi)) for lo, hi in a.intervals_mhz)
+
+            least = min(map(distance, allocations))
+            with pytest.raises(OutOfBandError) as err:
+                q.band_lookup(freq_mhz * 1e6, direction, orbit)
+            assert err.value.nearest is next(a for a in allocations if distance(a) == least), freq_mhz
+
+    def test_a_tie_in_distance_goes_to_the_earlier_allocation(self):
+        # 2950 MHz is 450 MHz from S (ending at 2500) and from C (starting at 3400)
+        with pytest.raises(OutOfBandError) as err:
+            q.band_lookup(2950e6, q.DOWNLINK)
+        assert err.value.nearest.band == "S"
+        assert "nearest is S band (any) at ((2160.0, 2200.0), (2483.5, 2500.0)) MHz" in str(err.value)
 
 
 class TestBandAllocationInvariants:
