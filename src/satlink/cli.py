@@ -36,7 +36,11 @@ submodules) changes no process setting.
 
 The environment variable SATLINK_CONSTANTS may point to a JSON document
 overriding physical constants (keys of PhysicalConstants, e.g. c_m_per_s,
-boltzmann_j_per_k, earth_radius_km).
+boltzmann_j_per_k, earth_radius_km). The six handlers that use constants
+read it themselves: `convert noise-temp` (unless --t-ref-k is given),
+`convert wavelength`, `geometry slant`, `geometry footprint`, `linkbudget`
+and `constellation stats`. Every other command ignores it, `scenario run`
+included, which runs a scenario on the default constants.
 """
 
 from __future__ import annotations
@@ -209,20 +213,20 @@ def _constants_from_env() -> quantities.PhysicalConstants:
 # --- convert ------------------------------------------------------------------
 
 
-def _cmd_convert_db(args, constants) -> dict:
+def _cmd_convert_db(args) -> dict:
     return {"linear": args.linear, "db": quantities.db_from_linear(args.linear)}
 
 
-def _cmd_convert_linear(args, constants) -> dict:
+def _cmd_convert_linear(args) -> dict:
     return {"db": args.db, "linear": quantities.linear_from_db(args.db)}
 
 
-def _cmd_convert_power(args, constants) -> dict:
+def _cmd_convert_power(args) -> dict:
     given = [v for v in (args.watts, args.dbw, args.dbm) if v is not None]
     if len(given) != 1:
         raise _UsageError("exactly one of --watts, --dbw, --dbm")
     if args.watts is not None:
-        watts = quantities.require("power", args.watts, "must be finite and >= 0 W")
+        watts = quantities.require("power", args.watts, "must be finite and > 0 W")
     elif args.dbw is not None:
         watts = quantities.linear_from_db(args.dbw)
     else:
@@ -231,20 +235,21 @@ def _cmd_convert_power(args, constants) -> dict:
     return {"watts": watts, "power_dbw": dbw, "power_dbm": dbw + 30.0}
 
 
-def _cmd_convert_noise_temp(args, constants) -> dict:
-    t_ref = args.t_ref_k if args.t_ref_k is not None else constants.t_ref_k
+def _cmd_convert_noise_temp(args) -> dict:
+    t_ref = args.t_ref_k if args.t_ref_k is not None else _constants_from_env().t_ref_k
     t = quantities.noise_temperature_from_nf(args.nf_db, t_ref)
     return {"nf_db": args.nf_db, "t_ref_k": t_ref, "noise_temp_k": t}
 
 
-def _cmd_convert_wavelength(args, constants) -> dict:
+def _cmd_convert_wavelength(args) -> dict:
+    constants = _constants_from_env()
     f = _si(vars(args), *_FREQ)
     if f is None:
         raise _UsageError("freq_ghz (or --freq-mhz / --freq-hz)")
     return {"freq_hz": f, "wavelength_m": quantities.wavelength(f, constants)}
 
 
-def _cmd_convert_band(args, constants) -> list[dict]:
+def _cmd_convert_band(args) -> list[dict]:
     f = _si(vars(args), *_FREQ)
     if f is None:
         raise _UsageError("freq_mhz (or --freq-ghz / --freq-hz)")
@@ -263,14 +268,15 @@ def _cmd_convert_band(args, constants) -> list[dict]:
     return rows
 
 
-def _cmd_convert_bands(args, constants) -> str:
+def _cmd_convert_bands(args) -> str:
     return quantities.band_catalog_csv()
 
 
 # --- geometry -------------------------------------------------------------------
 
 
-def _cmd_geometry_slant(args, constants) -> dict:
+def _cmd_geometry_slant(args) -> dict:
+    constants = _constants_from_env()
     elev_rad = math.radians(args.elevation_deg)
     record = {
         "altitude_km": args.altitude_km,
@@ -284,7 +290,8 @@ def _cmd_geometry_slant(args, constants) -> dict:
     return record
 
 
-def _cmd_geometry_footprint(args, constants) -> dict:
+def _cmd_geometry_footprint(args) -> dict:
+    constants = _constants_from_env()
     fp = geometry.satellite_footprint(args.sats_per_orbit, args.coverage_sats, constants)
     return {
         "sats_per_orbit": args.sats_per_orbit,
@@ -295,7 +302,7 @@ def _cmd_geometry_footprint(args, constants) -> dict:
     }
 
 
-def _cmd_geometry_cell(args, constants) -> dict:
+def _cmd_geometry_cell(args) -> dict:
     r = geometry.cell_radius_from_split(args.parent_radius_km, args.beams)
     record = {
         "parent_radius_km": args.parent_radius_km,
@@ -333,7 +340,8 @@ def _load_budget_config(path: str) -> dict:
     return doc
 
 
-def _cmd_linkbudget(args, constants) -> dict:
+def _cmd_linkbudget(args) -> dict:
+    constants = _constants_from_env()
     cfg = _load_budget_config(args.config) if args.config else {}
     _check_flags(cfg, args.rules, str)  # as read: a value a flag overrides is still refused
     flags = {key: v for key in _BUDGET_KEYS if (v := getattr(args, key)) is not None}
@@ -388,7 +396,7 @@ def _cmd_linkbudget(args, constants) -> dict:
 # --- capacity family ---------------------------------------------------------------
 
 
-def _cmd_capacity(args, constants) -> dict:
+def _cmd_capacity(args) -> dict:
     bw = _si(vars(args), *_BW)
     if bw is None:
         raise _UsageError("bw_khz (or --bw-hz / --bw-mhz / --bw-ghz)")
@@ -408,7 +416,7 @@ def _cmd_capacity(args, constants) -> dict:
     }
 
 
-def _cmd_modcod(args, constants) -> dict:
+def _cmd_modcod(args) -> dict:
     catalog = capacity.load_modcod_catalog(Path(args.catalog)) if args.catalog else capacity.MODCOD_TABLE
     chosen, margin = capacity.select_modcod(args.snr_db, catalog)
     record = {
@@ -424,7 +432,7 @@ def _cmd_modcod(args, constants) -> dict:
     return record
 
 
-def _cmd_multibeam(args, constants) -> dict:
+def _cmd_multibeam(args) -> dict:
     bw = _si(vars(args), *_BW)
     return {
         "se_bps_hz": args.se,
@@ -437,11 +445,11 @@ def _cmd_multibeam(args, constants) -> dict:
     }
 
 
-def _cmd_cost(args, constants) -> dict:
+def _cmd_cost(args) -> dict:
     return {"rtot_gbps": args.rtot_gbps, "cost_per_gbps": capacity.satellite_cost_per_gbps(args.rtot_gbps)}
 
 
-def _cmd_tcp(args, constants) -> dict:
+def _cmd_tcp(args) -> dict:
     return {
         "mss_bytes": args.mss,
         "rtt_ms": args.rtt_ms,
@@ -454,12 +462,12 @@ def _cmd_tcp(args, constants) -> dict:
 # --- antenna -------------------------------------------------------------------------
 
 
-def _cmd_antenna_pattern(args, constants) -> str:
+def _cmd_antenna_pattern(args) -> str:
     spec = antenna.ArraySpec.linear(args.elements, spacing_wavelengths=args.spacing)
     return antenna.pattern_csv(spec, args.resolution_deg)
 
 
-def _cmd_antenna_select(args, constants) -> dict:
+def _cmd_antenna_select(args) -> dict:
     if args.hpbw_deg is not None:
         required = args.hpbw_deg
         extra = {}
@@ -480,7 +488,7 @@ def _cmd_antenna_select(args, constants) -> dict:
     }
 
 
-def _cmd_antenna_table(args, constants) -> list[dict]:
+def _cmd_antenna_table(args) -> list[dict]:
     rows = []
     for spec in antenna.ARRAY_CATALOG:
         d = antenna.directivity(spec)
@@ -496,7 +504,7 @@ def _cmd_antenna_table(args, constants) -> list[dict]:
 # --- constellation ----------------------------------------------------------------------
 
 
-def _cmd_constellation_list(args, constants) -> list[dict]:
+def _cmd_constellation_list(args) -> list[dict]:
     return [
         {
             "constellation": s.constellation,
@@ -511,7 +519,8 @@ def _cmd_constellation_list(args, constants) -> list[dict]:
     ]
 
 
-def _cmd_constellation_stats(args, constants) -> dict:
+def _cmd_constellation_stats(args) -> dict:
+    constants = _constants_from_env()
     stats = constellation.shell_stats(args.shell, constants)
     shell = constellation.get_shell(args.shell)
     return {
@@ -529,7 +538,7 @@ def _cmd_constellation_stats(args, constants) -> dict:
 # --- scenario -------------------------------------------------------------------------------
 
 
-def _cmd_scenario_run(args, constants) -> dict | list[dict]:
+def _cmd_scenario_run(args) -> dict | list[dict]:
     name = args.scenario
     try:
         s = scenario.fixture(name)
@@ -564,7 +573,7 @@ def _cmd_scenario_run(args, constants) -> dict | list[dict]:
     ]
 
 
-def _cmd_scenario_list(args, constants) -> list[dict]:
+def _cmd_scenario_list(args) -> list[dict]:
     return [
         {
             "name": s.name,
@@ -734,9 +743,8 @@ def main(argv=None) -> int:
         args.group.print_help(file=sys.stderr)
         return EXIT_USAGE
     try:
-        constants = _constants_from_env()
         _check_flags(vars(args), args.rules, _flag)
-        _emit(args, args.func(args, constants))
+        _emit(args, args.func(args))
     except BrokenPipeError:
         # the reader closed stdout: send what is left to devnull, so the flush at exit is silent
         devnull = os.open(os.devnull, os.O_WRONLY)

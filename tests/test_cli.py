@@ -573,7 +573,7 @@ class TestRefusedDocumentsAndExtremes:
         path = tmp_path / "constants.json"
         path.write_text(f'{{"c_m_per_s": {self.LONG}}}')
         monkeypatch.setenv("SATLINK_CONSTANTS", str(path))
-        assert run(capsys, "convert", "db", "--linear", "2") == (1, "", f"error: {path}: {self.DIGITS}")
+        assert run(capsys, "convert", "wavelength", "--freq-ghz", "2") == (1, "", f"error: {path}: {self.DIGITS}")
 
     def test_long_integer_in_budget_config(self, capsys, tmp_path):
         path = tmp_path / "budget.json"

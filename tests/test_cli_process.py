@@ -76,7 +76,7 @@ def test_a_process_ends_as_main_returns(code, argv, tmp_path, monkeypatch, capsy
 
 
 def test_a_missing_constants_file_exits_2(tmp_path):
-    proc = satlink_process("convert", "db", "--linear", "2", cwd=tmp_path, constants="missing.json")
+    proc = satlink_process("convert", "wavelength", "--freq-ghz", "2", cwd=tmp_path, constants="missing.json")
     expected = (cli.EXIT_USAGE, b"", b"error: constants file 'missing.json' not found\n")
     assert (proc.returncode, proc.stdout, proc.stderr) == expected
 

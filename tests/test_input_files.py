@@ -21,7 +21,7 @@ INPUTS = {
     "scenario": (None, ["scenario", "run", "{}"]),
     "MODCOD catalog": (None, ["modcod", "--snr-db", "3", "--catalog", "{}"]),
     "link budget config": (None, ["linkbudget", "--config", "{}"]),
-    "constants": ("{}", ["convert", "db", "--linear", "2"]),
+    "constants": ("{}", ["convert", "wavelength", "--freq-ghz", "2"]),
 }
 
 

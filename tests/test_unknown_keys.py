@@ -71,7 +71,7 @@ def test_unknown_keys_name_the_first_and_list_all(tmp_path, read, field, message
 @pytest.mark.parametrize("what, argv", [
     ("scenario", ["scenario", "run", "doc.json"]),
     ("config", ["linkbudget", "--config", "doc.json"]),
-    ("constant", ["cost", "--rtot-gbps", "46"]),
+    ("constant", ["convert", "wavelength", "--freq-ghz", "2"]),
 ])
 def test_cli_exits_1_on_unknown_keys(tmp_path, monkeypatch, capsys, what, argv):
     doc = {"name": "x", "orbit": "LEO", **EXTRA} if what == "scenario" else EXTRA
