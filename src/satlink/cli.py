@@ -36,11 +36,10 @@ submodules) changes no process setting.
 
 The environment variable SATLINK_CONSTANTS may point to a JSON document
 overriding physical constants (keys of PhysicalConstants, e.g. c_m_per_s,
-boltzmann_j_per_k, earth_radius_km). The six handlers that use constants
+boltzmann_j_per_k, earth_radius_km). The seven handlers that use constants
 read it themselves: `convert noise-temp` (unless --t-ref-k is given),
-`convert wavelength`, `geometry slant`, `geometry footprint`, `linkbudget`
-and `constellation stats`. Every other command ignores it, `scenario run`
-included, which runs a scenario on the default constants.
+`convert wavelength`, `geometry slant`, `geometry footprint`, `linkbudget`,
+`constellation stats` and `scenario run`. Every other command ignores it.
 """
 
 from __future__ import annotations
@@ -292,13 +291,15 @@ def _cmd_geometry_slant(args) -> dict:
 
 def _cmd_geometry_footprint(args) -> dict:
     constants = _constants_from_env()
-    fp = geometry.satellite_footprint(args.sats_per_orbit, args.coverage_sats, constants)
+    diameter = geometry.footprint_diameter(args.sats_per_orbit, constants)
+    area = geometry.footprint_area(diameter)
+    sats = args.sats_per_orbit if args.coverage_sats is None else args.coverage_sats
     return {
         "sats_per_orbit": args.sats_per_orbit,
-        "coverage_sats": args.coverage_sats or args.sats_per_orbit,
-        "footprint_diameter_km": fp.diameter_km,
-        "footprint_area_km2": fp.area_km2,
-        "coverage_fraction": fp.coverage_fraction,
+        "coverage_sats": sats,
+        "footprint_diameter_km": diameter,
+        "footprint_area_km2": area,
+        "coverage_fraction": geometry.earth_coverage_fraction(sats, area, constants),
     }
 
 
@@ -539,6 +540,7 @@ def _cmd_constellation_stats(args) -> dict:
 
 
 def _cmd_scenario_run(args) -> dict | list[dict]:
+    constants = _constants_from_env()
     name = args.scenario
     try:
         s = scenario.fixture(name)
@@ -546,7 +548,7 @@ def _cmd_scenario_run(args) -> dict | list[dict]:
         if not (name.endswith(".json") or os.path.isfile(name)):
             raise
         s = scenario.load_scenario(Path(name))
-    report = scenario.run_scenario(s)
+    report = scenario.run_scenario(s, constants)
     if args.format == "json":
         return report.to_doc()
     if args.format == "table":

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import DomainError
 from .quantities import DEFAULT_CONSTANTS, PhysicalConstants, require, require_no_overflow
@@ -73,42 +72,12 @@ def earth_coverage_fraction(
     """Fraction of the Earth surface covered by `sats` disjoint footprints.
 
     Overlap and polar geometry are deliberately ignored; this is the flat
-    first-order estimate, capped at 1.
+    first-order estimate, capped at 1. A fraction that underflows to 0 is refused.
     """
     require("satellite count", sats, "must be >= 1")
     require("area", area_per_sat_km2, "must be > 0 km^2")
-    return min(1.0, sats * area_per_sat_km2 / constants.earth_surface_km2)
-
-
-@dataclass(frozen=True)
-class Footprint:
-    """Per-satellite footprint with the coverage fraction of a satellite group."""
-
-    diameter_km: float
-    area_km2: float
-    coverage_fraction: float
-
-    def __post_init__(self):
-        expected = footprint_area(self.diameter_km)
-        if abs(require("area", self.area_km2, "must be > 0 km^2") - expected) > 1e-9 * expected:
-            raise DomainError(f"area {self.area_km2} km^2 does not match diameter {self.diameter_km} km")
-        require("coverage fraction", self.coverage_fraction, "must lie in (0, 1]")
-
-
-def satellite_footprint(
-    sats_per_orbit: float,
-    coverage_sats: float | None = None,
-    constants: PhysicalConstants = DEFAULT_CONSTANTS,
-) -> Footprint:
-    """Footprint record for one satellite of an orbit with `sats_per_orbit`.
-
-    `coverage_sats` selects how many satellites contribute to the coverage
-    fraction (defaults to the same orbit's count).
-    """
-    d = footprint_diameter(sats_per_orbit, constants)
-    a = footprint_area(d)
-    n = sats_per_orbit if coverage_sats is None else coverage_sats
-    return Footprint(d, a, earth_coverage_fraction(n, a, constants))
+    fraction = min(1.0, sats * area_per_sat_km2 / constants.earth_surface_km2)
+    return require("coverage fraction", fraction, "must lie in (0, 1]")
 
 
 def cell_radius_from_split(parent_radius_km: float, n_beams: float) -> float:

@@ -80,19 +80,19 @@ def fspl(distance_m: float, freq_hz: float, constants: PhysicalConstants = DEFAU
     """Free-space path loss in dB: 20*log10(4*pi*d*f/c)."""
     require("distance", distance_m, "must be > 0 m")
     require("frequency", freq_hz, "must be > 0 Hz")
-    return require_no_overflow(
-        _fspl(distance_m, freq_hz, constants),
-        "distance {!r} m and frequency {!r} Hz are too large for a path loss", distance_m, freq_hz,
-    )
+    return _fspl(distance_m, freq_hz, constants)
 
 
 def _fspl(distance_m, freq_hz, constants) -> float:
     try:
-        return 20.0 * math.log10(4.0 * math.pi * distance_m * freq_hz / constants.c_m_per_s)
+        path_db = 20.0 * math.log10(4.0 * math.pi * distance_m * freq_hz / constants.c_m_per_s)
     except ValueError:  # the ratio underflows to 0
         raise DomainError(
             f"path loss 4*pi*d*f/c underflows to 0 for distance {distance_m!r} m and frequency {freq_hz!r} Hz"
         ) from None
+    return require_no_overflow(
+        path_db, "distance {!r} m and frequency {!r} Hz are too large for a path loss", distance_m, freq_hz
+    )
 
 
 def g_over_t(g_r_dbi: float, t_k: float) -> float:

@@ -23,10 +23,12 @@ from .capacity import effective_bitrate, max_spectral_efficiency
 from .geometry import cell_radius_from_split, slant_range_exact
 from .quantities import (
     ANY_ORBIT,
+    DEFAULT_CONSTANTS,
     DOWNLINK,
     GEO,
     NON_GEO,
     UPLINK,
+    PhysicalConstants,
     _show,
     band_lookup,
     check_keys,
@@ -369,10 +371,6 @@ def _grade(quantity, direction, label, names, inputs, compute, reported=None, gr
     return Finding(quantity, status, direction, label, computed, reported, delta)
 
 
-def _slant_range_km(altitude_km: float, elevation_deg: float) -> float:
-    return slant_range_exact(altitude_km, math.radians(elevation_deg))
-
-
 def _band(freq_ghz: float, chart_direction: str, chart_orbit: str) -> str:
     """The chart's band at a frequency in GHz, or "out-of-band (<band> nearest)"."""
     freq_hz = require_no_overflow(freq_ghz * 1e9, "frequency {!r} GHz is too large for a frequency in Hz", freq_ghz)
@@ -455,14 +453,19 @@ class ScenarioReport:
         raise NotFoundError(f"no finding for {quantity!r} (direction={direction}, label={label})")
 
 
-def run_scenario(s: Scenario) -> ScenarioReport:
+def run_scenario(s: Scenario, constants: PhysicalConstants = DEFAULT_CONSTANTS) -> ScenarioReport:
     """Derive everything the scenario's inputs permit and grade consistency.
 
     Missing inputs produce not-computable findings listing what was absent;
-    they never become failures or fabricated defaults.
+    they never become failures or fabricated defaults. `constants` gives the
+    Earth radius of the slant range.
     """
+
+    def slant_range_km(altitude_km: float, elevation_deg: float) -> float:
+        return slant_range_exact(altitude_km, math.radians(elevation_deg), constants)
+
     names, inputs = ("altitude_km", "elevation_deg"), (s.altitude_km, s.elevation_deg)
-    slant = _grade("slant_range_km", None, None, names, inputs, _slant_range_km)
+    slant = _grade("slant_range_km", None, None, names, inputs, slant_range_km)
     findings = [slant]
     for direction, chart_direction, freq_ghz in ((DL, DOWNLINK, s.freq_dl_ghz), (UL, UPLINK, s.freq_ul_ghz)):
         if freq_ghz is not None:  # a band finding only for a given frequency

@@ -18,7 +18,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("workload", ["link-sweep", "documents"])
+@pytest.mark.parametrize("workload", ["link-sweep", "beam-design", "documents"])
 def test_one_round_passes_the_reference_checks(workload):
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "1", "--seconds", "0"],

@@ -6,9 +6,11 @@ reach the band where a value passes every guard and a formula then
 overflows (a square above ~1.3e154, an exponential above ~709). This runs
 every numeric flag case at +-1e{k} for k = -320 ... 304 in steps of 8 (the
 formats of a case in turn), and
-every base argv under a SATLINK_CONSTANTS file that sets one constant to an
-extreme value. Each run must keep the CLI contract: an exit code of the
-contract and no exception escaping.
+every leaf's complete argv (`test_constants_readers.ARGVS`) under a
+SATLINK_CONSTANTS file that sets one constant to an extreme value. Each run
+must keep the CLI contract: an exit code of the contract and no exception
+escaping. A constants run must also reach a formula, so none ends in a usage
+error.
 """
 
 from __future__ import annotations
@@ -18,8 +20,9 @@ import json
 
 import pytest
 
-from satlink import quantities
-from test_cli_fuzz import BASES, CASES, _with, invoke
+from satlink import cli, quantities
+from test_cli_fuzz import CASES, _with, invoke
+from test_constants_readers import ARGVS
 
 MAGNITUDES = tuple(f"{sign}1e{k}" for k in range(-320, 309, 8) for sign in ("", "-"))
 CONSTANT_VALUES = (1.7976931348623157e308, 1e300, 1e154, 5e-324, 1e-300)
@@ -39,6 +42,7 @@ def test_every_base_under_an_extreme_constant(name, tmp_path):
     path = tmp_path / "constants.json"
     for value in CONSTANT_VALUES:
         path.write_text(json.dumps({name: value}))
-        for leaf, bases in BASES.items():
-            for base in bases:
-                invoke([*leaf, *base], constants=str(path))
+        for leaf, argvs in ARGVS.items():
+            for argv in argvs:
+                code, _, err = invoke([*leaf, *argv], constants=str(path))
+                assert code != cli.EXIT_USAGE, (leaf, argv, name, value, err)

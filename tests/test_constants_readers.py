@@ -1,10 +1,9 @@
-"""SATLINK_CONSTANTS is read only by the six commands that use it.
+"""SATLINK_CONSTANTS is read only by the seven commands that use it.
 
 `convert noise-temp` (unless --t-ref-k is given), `convert wavelength`,
-`geometry slant`, `geometry footprint`, `linkbudget` and
-`constellation stats` read the file. Every other command ignores it,
-`scenario run` included (a scenario runs on the default constants), so a
-file that cannot be read fails only those six.
+`geometry slant`, `geometry footprint`, `linkbudget`, `constellation stats`
+and `scenario run` read the file. Every other command ignores it, so a file
+that cannot be read fails only those seven.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from test_cli_fuzz import BASES, invoke
 
 READERS = {
     ("convert", "noise-temp"), ("convert", "wavelength"), ("geometry", "slant"), ("geometry", "footprint"),
-    ("linkbudget",), ("constellation", "stats"),
+    ("linkbudget",), ("constellation", "stats"), ("scenario", "run"),
 }
 # test_cli_fuzz's argvs, with one that succeeds for the three leaves whose base lacks a quantity
 ARGVS = {
@@ -38,7 +37,7 @@ DEVNULL_ERROR = "error: /dev/null: Expecting value (line 1, column 1)\n"
 def test_every_leaf_has_a_working_argv():
     assert set(ARGVS) == set(BASES)
     assert READERS < set(ARGVS)
-    assert len(ARGVS) - len(READERS) == 17
+    assert len(ARGVS) - len(READERS) == 16
 
 
 @pytest.mark.parametrize("leaf", sorted(ARGVS), ids="-".join)
@@ -73,13 +72,21 @@ def test_noise_temp_reads_no_file_when_given_its_reference_temperature():
     assert got[0] == cli.EXIT_OK
 
 
-def test_a_scenario_keeps_the_default_earth_radius(tmp_path):
-    """README's example: under earth_radius_km 7000, `geometry slant` moves and
-    `scenario run` does not."""
+def test_a_scenario_takes_the_earth_radius_of_the_file(tmp_path):
+    """README's example: under earth_radius_km 7000, `scenario run` and
+    `geometry slant` print the same slant range."""
     path = tmp_path / "constants.json"
     path.write_text(json.dumps({"earth_radius_km": 7000}))
     slant = ["geometry", "slant", "--altitude-km", "600", "--elevation-deg", "30", "--format=json"]
     scenario = ["scenario", "run", "thales", "--format=json"]
     assert json.loads(invoke(slant, constants=str(path))[1])["slant_range_km"] == 1083.67
-    assert json.loads(invoke(scenario, constants=str(path))[1])["slant_range_km"] == 1075.09
+    assert json.loads(invoke(scenario, constants=str(path))[1])["slant_range_km"] == 1083.67
     assert json.loads(invoke(slant)[1])["slant_range_km"] == 1075.09
+
+
+def test_footprint_and_shell_stats_refuse_a_coverage_that_underflows(tmp_path):
+    path = tmp_path / "constants.json"
+    path.write_text(json.dumps({"earth_perimeter_km": 1e-150, "earth_surface_km2": 1e300}))
+    refusal = (cli.EXIT_DOMAIN, "", "error: coverage fraction must lie in (0, 1], got 0.0\n")
+    assert invoke(["geometry", "footprint", "--sats-per-orbit", "22"], constants=str(path)) == refusal
+    assert invoke(["constellation", "stats", "S1"], constants=str(path)) == refusal

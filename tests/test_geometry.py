@@ -115,23 +115,6 @@ class TestFootprint:
     def test_diameter_times_count_is_perimeter(self, n):
         assert geo.footprint_diameter(n) * n == approx(40_075.0, rel=1e-12)
 
-    def test_record_construction(self):
-        fp = geo.satellite_footprint(22)
-        assert fp.diameter_km == approx(1821.6, abs=0.05)
-        assert fp.coverage_fraction == approx(0.112, abs=5e-4)
-
-    def test_record_rejects_mismatched_area(self):
-        with pytest.raises(DomainError):
-            geo.Footprint(diameter_km=100.0, area_km2=1.0, coverage_fraction=0.5)
-
-    @pytest.mark.parametrize("area, shown", [
-        (math.nan, "nan"), (10**400, "1" + "0" * 400), ("x", "'x'"),
-    ], ids=["nan", "int past the float range", "str"])
-    def test_record_checks_the_area_before_comparing(self, area, shown):
-        with pytest.raises(DomainError) as err:
-            geo.Footprint(2.0, area, 0.5)
-        assert str(err.value) == f"area must be > 0 km^2, got {shown}"
-
 
 class TestCellSplit:
     def test_goldens(self):

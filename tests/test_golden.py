@@ -85,7 +85,6 @@ _TEMPLATES = {
         "g.slant_range_altitude_approx({}, 0.5)", "g.slant_range_altitude_approx(500.0, {})",
         "g.footprint_diameter({})", "g.footprint_area({})",
         "g.earth_coverage_fraction({}, 100.0)", "g.earth_coverage_fraction(10.0, {})",
-        "g.Footprint(2.0, 3.141592653589793, {})", "g.satellite_footprint(22, {})",
         "g.cell_radius_from_split({}, 4)", "g.cell_radius_from_split(100.0, {})",
         "g.required_hpbw({}, 500.0)", "g.required_hpbw(10.0, {})",
     ),
@@ -330,6 +329,8 @@ _SINGLE = (
     (*_LB, *_LB_TX, "--rx-gain-dbi", "inf", "--nf-db", "1", "--bw-khz", "1"),
     (*_LB, "--eirp-dbw", "nan", "--g-over-t-dbk", "1", "--bw-khz", "1"),
     (*_LB, "--eirp-dbw", "40", "--g-over-t-dbk", "inf", "--bw-khz", "1"),
+    ("linkbudget", "--distance-km", "1e297", "--freq-ghz", "10", "--bw-mhz", "1", "--eirp-dbw", "40",
+     "--rx-gain-dbi", "0", "--nf-db", "2"),
     ("linkbudget", "--config", "missing.json"), ("linkbudget", "--config", "cfg_unknown.json"),
     ("linkbudget", "--config", "cfg_str.json"), ("linkbudget", "--config", "cfg_nan.json"),
     ("linkbudget", "--config", "cfg_array.json"), ("linkbudget", "--config", "cfg_broken.json"),
