@@ -111,6 +111,21 @@ class TestFootprint:
     def test_coverage_caps_at_one(self):
         assert geo.earth_coverage_fraction(1000, 510.1e6) == 1.0
 
+    @pytest.mark.parametrize("area, shown", [
+        (math.nan, "nan"), (10**400, "1" + "0" * 400), ("x", "'x'"),
+    ], ids=["nan", "int past the float range", "str"])
+    def test_coverage_checks_the_area_before_dividing(self, area, shown):
+        with pytest.raises(DomainError) as err:
+            geo.earth_coverage_fraction(22, area)
+        assert str(err.value) == f"area must be > 0 km^2, got {shown}"
+
+    def test_coverage_refuses_a_fraction_that_underflows(self):
+        earth = PhysicalConstants(earth_surface_km2=1e300)
+        assert geo.earth_coverage_fraction(1, 1e-7, earth) == approx(1e-307, rel=1e-12)
+        with pytest.raises(DomainError) as err:
+            geo.earth_coverage_fraction(1, 1e-30, earth)
+        assert str(err.value) == "coverage fraction must lie in (0, 1], got 0.0"
+
     @given(st.integers(min_value=1, max_value=1000))
     def test_diameter_times_count_is_perimeter(self, n):
         assert geo.footprint_diameter(n) * n == approx(40_075.0, rel=1e-12)
