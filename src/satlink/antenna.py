@@ -16,10 +16,9 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 
 from .errors import DomainError, NoSidelobeError
-from .quantities import _show, db_from_linear, require, require_count, require_no_overflow
+from .quantities import _show, db_from_linear, record, require, require_count, require_no_overflow
 
 LINEAR = "linear"
 PLANAR = "planar"
@@ -29,7 +28,7 @@ PLANAR = "planar"
 HPBW_APPROX_COEFFICIENT = 32400.0
 
 
-@dataclass(frozen=True)
+@record
 class ArraySpec:
     """A phased-array configuration: topology, element count and spacing
     (in wavelengths)."""
@@ -337,7 +336,7 @@ def select_array(
 
 
 # A star import without `__all__` would also bind the names this module
-# imports (`math`, `dataclass`, `require`, ...).
+# imports (`math`, `record`, `require`, ...).
 __all__ = [
     "LINEAR", "PLANAR", "HPBW_APPROX_COEFFICIENT", "ArraySpec", "array_factor_magnitude",
     "normalized_array_factor", "psi_from_incidence", "directivity", "gain_from_directivity",

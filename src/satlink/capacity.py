@@ -6,11 +6,12 @@ from __future__ import annotations
 import math
 import warnings
 from bisect import bisect_right
-from dataclasses import dataclass
 from operator import attrgetter
 
 from .errors import DomainError, NoFeasibleModcodError, ParseError, ValidationError
-from .quantities import dump_csv, linear_from_db, read_document, require, require_count, require_no_overflow
+from .quantities import (
+    dump_csv, linear_from_db, read_document, record, require, require_count, require_no_overflow,
+)
 
 _LN2 = math.log(2.0)
 
@@ -44,7 +45,7 @@ def effective_bitrate(se_bps_hz: float, bw_hz: float) -> float:
     )
 
 
-@dataclass(frozen=True)
+@record
 class ModCod:
     """One modulation-and-coding scheme: spectral efficiency plus the SNR it
     needs for quasi-error-free operation (2 residual errors per 10^4 bits)."""

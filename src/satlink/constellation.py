@@ -2,14 +2,13 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
 from .errors import NotFoundError
 from .geometry import earth_coverage_fraction, footprint_area, footprint_diameter
-from .quantities import DEFAULT_CONSTANTS, PhysicalConstants, _show, require, require_count
+from .quantities import DEFAULT_CONSTANTS, PhysicalConstants, _show, record, require, require_count
 
 
-@dataclass(frozen=True)
+@record
 class Shell:
     """One constellation shell: a set of orbits sharing altitude/inclination."""
 
@@ -57,7 +56,7 @@ def get_shell(shell_id: str) -> Shell:
     raise NotFoundError(f"unknown shell {_show(shell_id)}; valid ids: {', '.join(ids)}", valid_ids=ids)
 
 
-@dataclass(frozen=True)
+@record
 class ShellStats:
     """Footprint and coverage figures for one shell.
 

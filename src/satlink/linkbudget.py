@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 
 from .errors import DomainError, ValidationError
 from .quantities import (
@@ -19,6 +18,7 @@ from .quantities import (
     linear_from_db,
     noise_figure_from_temperature,
     noise_temperature_from_nf,
+    record,
     record_doc,
     require,
     require_no_overflow,
@@ -123,7 +123,7 @@ def combine_snr_sir(snr: float, sir: float) -> float:
     return 1.0 / (1.0 / snr + 1.0 / sir)
 
 
-@dataclass(frozen=True)
+@record
 class Transmitter:
     """Transmit chain: RF power into an antenna of a given gain."""
 
@@ -150,7 +150,7 @@ class Transmitter:
         )
 
 
-@dataclass(frozen=True)
+@record
 class Receiver:
     """Receive chain: antenna gain plus exactly one of noise figure or
     noise temperature (the other is derived against t_ref_k)."""
@@ -190,7 +190,7 @@ class Receiver:
         return g_over_t(self.gain_dbi, self.noise_temperature_k)
 
 
-@dataclass(frozen=True)
+@record
 class LinkBudgetResult:
     """Itemized dB ledger of a link budget and the resulting SNR.
 
@@ -259,16 +259,9 @@ def _ledger(
 ) -> LinkBudgetResult:
     k_db = constants.boltzmann_dbw_per_k_hz
     snr = eirp_dbw + g_over_t_dbk - fspl_db - atm_loss_db - ad_loss_db - margin_db - bw_dbhz - k_db
-    # The result is filled in one step instead of by the generated frozen
-    # __init__ (one object.__setattr__ per field). That skips no check only
-    # because LinkBudgetResult has no __post_init__.
-    result = object.__new__(LinkBudgetResult)
-    vars(result).update(
-        eirp_dbw=eirp_dbw, g_over_t_dbk=g_over_t_dbk, fspl_db=fspl_db, atm_loss_db=atm_loss_db,
-        ad_loss_db=ad_loss_db, margin_db=margin_db, bw_dbhz=bw_dbhz, boltzmann_dbw_per_k_hz=k_db, snr_db=snr,
-        received_power_w=rx_w, noise_power_w=n_w,
+    return LinkBudgetResult(
+        eirp_dbw, g_over_t_dbk, fspl_db, atm_loss_db, ad_loss_db, margin_db, bw_dbhz, k_db, snr, rx_w, n_w
     )
-    return result
 
 
 def link_budget(

@@ -13,7 +13,7 @@ import re
 import sys
 from _json import encode_basestring_ascii as _json_str  # json's C escaper, without the json package
 from collections.abc import Mapping
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from functools import cache, cached_property
 from pathlib import Path
 
@@ -157,7 +157,32 @@ def require_number(key: str, value, kind: str) -> float:
     return float(require(key, value, _KINDS[kind], key))
 
 
-@dataclass(frozen=True)
+def record(cls):
+    """Declare `cls` a frozen dataclass, the one way satlink declares a record.
+
+    The dataclass's own __init__ stores each field with one
+    object.__setattr__ call; this one, of the same signature, fills the
+    instance dict in one update, in field order, and then calls
+    __post_init__ if the class has one. Everything else (eq, hash, repr,
+    fields, replace, FrozenInstanceError) is the dataclass's.
+    """
+    cls = dataclass(frozen=True)(cls)
+    fs = fields(cls)
+    defaults = {f"_{f.name}": f.default for f in fs if f.default is not MISSING}
+    params = ", ".join(f.name if f.default is MISSING else f"{f.name}=_{f.name}" for f in fs)
+    body = f"self.__dict__.update({', '.join(f'{f.name}={f.name}' for f in fs)})"
+    if hasattr(cls, "__post_init__"):
+        body += "; self.__post_init__()"
+    exec(f"def __init__(self, {params}):\n    {body}", defaults)  # the defaults are evaluated in this namespace
+    init, generated = defaults["__init__"], cls.__init__
+    init.__annotations__, init.__qualname__, init.__module__ = (
+        generated.__annotations__, generated.__qualname__, generated.__module__
+    )
+    cls.__init__ = init
+    return cls
+
+
+@record
 class PhysicalConstants:
     """Physical and Earth constants used throughout the toolkit.
 
@@ -376,7 +401,7 @@ _DIRECTIONS = (DOWNLINK, UPLINK)
 _ORBITS = (GEO, NON_GEO, ANY_ORBIT)
 
 
-@dataclass(frozen=True)
+@record
 class BandAllocation:
     """One band/direction row of the ITU satellite allocation chart.
 

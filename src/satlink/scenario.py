@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 
 from .errors import NotFoundError, OutOfBandError, ParseError, ValidationError
 from .capacity import effective_bitrate, max_spectral_efficiency
@@ -36,6 +35,7 @@ from .quantities import (
     linear_from_db,
     parse_json,
     read_document,
+    record,
     record_doc,
     require,
     require_count,
@@ -57,7 +57,7 @@ BITRATE_TOLERANCE = 0.05
 SE_BOUND_SLACK = 1e-9
 
 
-@dataclass(frozen=True)
+@record
 class TerminalProfile:
     """A ground terminal class: antenna gain, noise (figure or temperature,
     exactly one) and transmit EIRP."""
@@ -124,7 +124,7 @@ def terminal_profile(spec) -> TerminalProfile:
     raise ValidationError("terminal", f"terminal must be a preset name or mapping, got {type(spec).__name__}")
 
 
-@dataclass(frozen=True)
+@record
 class LinkCase:
     """One reported operating point of a link direction."""
 
@@ -143,7 +143,7 @@ class LinkCase:
         return record_doc(self)
 
 
-@dataclass(frozen=True)
+@record
 class Scenario:
     """One NTN project, mirroring its source document field by field.
 
@@ -175,7 +175,7 @@ class Scenario:
         return self.bw_dl_mhz if case.direction == DL else self.bw_ul_mhz
 
 
-@dataclass(frozen=True)
+@record
 class Finding:
     """Verdict for one derivable quantity of a scenario."""
 
@@ -407,7 +407,7 @@ def _relative_error(bitrate: float, reported: float) -> tuple[str, float]:
     return (CONSISTENT if rel <= BITRATE_TOLERANCE else INCONSISTENT), rel
 
 
-@dataclass(frozen=True)
+@record
 class ScenarioReport:
     """Echo of a scenario plus every derived quantity and its verdict."""
 
