@@ -91,7 +91,9 @@ def _fspl(distance_m, freq_hz, constants) -> float:
             f"path loss 4*pi*d*f/c underflows to 0 for distance {distance_m!r} m and frequency {freq_hz!r} Hz"
         ) from None
     return require_no_overflow(
-        path_db, "distance {!r} m and frequency {!r} Hz are too large for a path loss", distance_m, freq_hz
+        path_db,
+        "distance {!r} m times frequency {!r} Hz over speed of light {!r} m/s is too large for a path loss",
+        distance_m, freq_hz, constants.c_m_per_s,
     )
 
 
@@ -297,10 +299,9 @@ def link_budget(
     require("margin_db", margin_db, "must be >= 0 dB")
     extra_loss = linear_from_db(atm_loss_db + ad_loss_db + margin_db)
     g_t, g_r = transmitter.gain_linear, receiver.gain_linear
-    # an extreme gain underflows to 0, extreme constants push the wavelength to 0
+    # an extreme gain underflows to 0
     require("g_t", g_t, "must be finite and > 0")
     require("g_r", g_r, "must be finite and > 0")
-    require("wavelength_m", lam, "must be finite and > 0")
     gt_dbk = _g_over_t(receiver.gain_dbi, t_sys)
     rx_w = _friis(transmitter.power_w, g_t, g_r, lam, distance_m) / extra_loss
     n_w = _noise_power(t_sys, bandwidth_hz, constants)

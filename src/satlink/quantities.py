@@ -383,10 +383,13 @@ def noise_figure_from_temperature(t_k: float, t_ref_k: float = DEFAULT_CONSTANTS
 def wavelength(freq_hz: float, constants: PhysicalConstants = DEFAULT_CONSTANTS) -> float:
     """Free-space wavelength in meters for a carrier frequency in Hz."""
     c = constants.c_m_per_s
-    return require_no_overflow(
+    lam = require_no_overflow(
         c / require("frequency", freq_hz, "must be finite and > 0 Hz"),
         "speed of light {!r} m/s over frequency {!r} Hz is too large for a wavelength", c, freq_hz,
     )
+    if lam == 0.0:  # the quotient underflows
+        raise DomainError(f"speed of light {c!r} m/s over frequency {freq_hz!r} Hz is too small for a wavelength")
+    return lam
 
 
 # --- ITU band allocations -------------------------------------------------

@@ -90,3 +90,10 @@ def test_footprint_and_shell_stats_refuse_a_coverage_that_underflows(tmp_path):
     refusal = (cli.EXIT_DOMAIN, "", "error: coverage fraction must lie in (0, 1], got 0.0\n")
     assert invoke(["geometry", "footprint", "--sats-per-orbit", "22"], constants=str(path)) == refusal
     assert invoke(["constellation", "stats", "S1"], constants=str(path)) == refusal
+
+
+def test_wavelength_refuses_a_speed_of_light_that_underflows_it(tmp_path):
+    path = tmp_path / "constants.json"
+    path.write_text(json.dumps({"c_m_per_s": 5e-324}))
+    refusal = "error: speed of light 5e-324 m/s over frequency 2000000000.0 Hz is too small for a wavelength\n"
+    assert invoke(["convert", "wavelength", "--freq-ghz", "2"], constants=str(path)) == (cli.EXIT_DOMAIN, "", refusal)

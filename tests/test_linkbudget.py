@@ -90,6 +90,11 @@ class TestFspl:
         with pytest.raises(DomainError, match="underflows to 0 for distance 1000000.0 m and frequency 5e-324 Hz"):
             lb.fspl(1e6, 5e-324)
 
+    def test_overflow_names_the_speed_of_light(self):
+        # 1,000 km and 2 GHz are ordinary: the tiny speed of light overflows 4*pi*d*f/c
+        with pytest.raises(DomainError, match=r"over speed of light 1e-300 m/s is too large for a path loss"):
+            lb.fspl(1e6, 2e9, PhysicalConstants(c_m_per_s=1e-300))
+
 
 class TestGOverT:
     def test_goldens(self):

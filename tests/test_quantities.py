@@ -128,6 +128,12 @@ class TestWavelength:
         with pytest.raises(DomainError):
             q.wavelength(bad)
 
+    def test_rejects_a_wavelength_that_underflows(self):
+        c = q.PhysicalConstants(c_m_per_s=5e-324)
+        message = "speed of light 5e-324 m/s over frequency 2000000000.0 Hz is too small for a wavelength"
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            q.wavelength(2e9, c)
+
 
 class TestBandLookup:
     @pytest.mark.parametrize(
