@@ -65,10 +65,6 @@ def plain_dataclass(cls):
     return dataclasses.dataclass(frozen=True)(type(cls.__name__, (), namespace))
 
 
-def test_every_record_has_a_sample():
-    assert set(SAMPLES) == set(RECORDS)
-
-
 @pytest.mark.parametrize("cls", RECORDS, ids=by_name)
 def test_the_constructor_has_the_dataclass_signature(cls):
     assert inspect.signature(cls) == inspect.signature(plain_dataclass(cls))
