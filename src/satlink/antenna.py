@@ -314,19 +314,15 @@ ARRAY_CATALOG: tuple[ArraySpec, ...] = (
 _EDGE_DROP_DB = 10.0 * math.log10(2.0)  # half power at the cell border
 
 
-def select_array(
-    required_hpbw_deg: float, catalog=ARRAY_CATALOG
-) -> tuple[ArraySpec, float, float]:
-    """Choose the catalog array whose approximate HPBW is nearest the target.
+def select_array(required_hpbw_deg: float) -> tuple[ArraySpec, float, float]:
+    """Choose the ARRAY_CATALOG array whose approximate HPBW is nearest the target.
 
     Returns (spec, peak gain dBi, edge gain dBi); the edge of the illuminated
     cell sits at the half-power contour, 3 dB below the peak. Isotropic
     radiators (single elements) have no beam and are skipped.
     """
     require("required beamwidth", required_hpbw_deg, "must be > 0 degrees")
-    candidates = [s for s in catalog if not (s.topology == LINEAR and s.elements == 1)]
-    if not candidates:
-        raise DomainError("array catalog has no directive entries")
+    candidates = [s for s in ARRAY_CATALOG if not (s.topology == LINEAR and s.elements == 1)]
     best = min(
         candidates,
         key=lambda s: abs(hpbw_from_directivity(directivity(s)) - required_hpbw_deg),

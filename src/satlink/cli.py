@@ -10,23 +10,30 @@ preamble lines of `convert band` and `scenario run` tables): a record
 (dict), rows (list of dicts) or finished text (str). `main` passes it to
 `_emit`, which renders the chosen format and writes it to `--out` or
 stdout. A reader that closes stdout early ends the run quietly with exit 0.
+An input the parser cannot require (a `linkbudget` quantity that a
+--config document may supply, or `antenna select`'s --altitude-km beside
+--cell-radius-km) is checked by the handler, which refuses its absence
+through `args.parser`, its leaf's parser, like any other usage error.
 
 One table, `_COMMANDS`, lists every group and leaf with its help, and each
 leaf's handler and flag rows; `_add_commands` builds the parser from it.
 A flag row is (key, type, argparse options), and a tuple of keys is one
 quantity offered in several units (`--freq-ghz`, `--freq-mhz`, ...), taken
-as one mutually exclusive group. The `linkbudget` row's keys are also the
-keys of its `--config` document. A row may carry the library's rule for its
-quantity restated in the flag's unit: `main` checks each such value as typed,
-and again once scaled to the library's unit, before the handler runs, so a
-refusal names the flag and its unit (`--freq-ghz must be > 0 GHz, got -5.0`);
-a --config value is checked by the same rule, named by its key.
+as one mutually exclusive group, which "required" makes required. The
+`linkbudget` row's keys are also the keys of its `--config` document. A
+row may carry the library's rule for its quantity restated in the flag's
+unit: `main` checks each such value as typed, and again once scaled to the
+library's unit, before the handler runs, so a refusal names the flag and its
+unit (`--freq-ghz must be > 0 GHz, got -5.0`); a --config value is checked
+by the same rule, named by its key.
 A group run without a subcommand prints its own help.
 
 `run` is the process entry point (`python -m satlink.cli` and the
 `satlink` console script): it calls `main`, flushes the output and ends
 the process without the interpreter's teardown. `main` returns the exit
-code and never exits, for callers in the same process.
+code, for callers in the same process, with one exception: every usage
+error, and --help, raises SystemExit from the parser, after its usage line
+(code 2, or 0 for --help).
 
 Importing this module sets OPENBLAS_NUM_THREADS to 1 unless the caller set
 it: the OpenBLAS copies bundled with numpy and scipy would each start a pool
@@ -63,24 +70,13 @@ import numpy  # noqa: F401  # for the benchmark's import probe only
 import scipy.optimize  # noqa: F401  # for the benchmark's import probe only
 
 from . import antenna, capacity, constellation, geometry, linkbudget, quantities, scenario
-from .errors import (
-    DomainError,
-    NoFeasibleModcodError,
-    NotFoundError,
-    ParseError,
-    SatlinkError,
-    ValidationError,
-)
+from .errors import DomainError, NoFeasibleModcodError, NotFoundError, ParseError, ValidationError
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
 EXIT_USAGE = 2
 EXIT_INFEASIBLE = 3
 EXIT_IO = 4
-
-
-class _UsageError(SatlinkError):
-    """Missing or contradictory command input (exit code 2)."""
 
 
 # --- value formatting -------------------------------------------------------
@@ -221,9 +217,6 @@ def _cmd_convert_linear(args) -> dict:
 
 
 def _cmd_convert_power(args) -> dict:
-    given = [v for v in (args.watts, args.dbw, args.dbm) if v is not None]
-    if len(given) != 1:
-        raise _UsageError("exactly one of --watts, --dbw, --dbm")
     if args.watts is not None:
         watts = quantities.require("power", args.watts, "must be finite and > 0 W")
     elif args.dbw is not None:
@@ -243,15 +236,11 @@ def _cmd_convert_noise_temp(args) -> dict:
 def _cmd_convert_wavelength(args) -> dict:
     constants = _constants_from_env()
     f = _si(vars(args), *_FREQ)
-    if f is None:
-        raise _UsageError("freq_ghz (or --freq-mhz / --freq-hz)")
     return {"freq_hz": f, "wavelength_m": quantities.wavelength(f, constants)}
 
 
 def _cmd_convert_band(args) -> list[dict]:
     f = _si(vars(args), *_FREQ)
-    if f is None:
-        raise _UsageError("freq_mhz (or --freq-ghz / --freq-hz)")
     band = quantities.band_lookup(f, args.direction, args.orbit)
     rows = [
         {
@@ -357,15 +346,15 @@ def _cmd_linkbudget(args) -> dict:
     elif "altitude_km" in cfg and "elevation_deg" in cfg:
         distance_m = 1e3 * geometry.slant_range_exact(cfg["altitude_km"], math.radians(cfg["elevation_deg"]), constants)
     else:
-        raise _UsageError("distance_km (or altitude_km + elevation_deg)")
+        args.parser.error("missing parameter: distance_km (or altitude_km + elevation_deg)")
 
     freq_hz = _si(cfg, *_BUDGET_FREQ)
     if freq_hz is None:
-        raise _UsageError("freq_ghz")
+        args.parser.error("missing parameter: freq_ghz")
 
     bw_hz = _si(cfg, *_BW)
     if bw_hz is None:
-        raise _UsageError("bw_khz (or --bw-hz / --bw-mhz / --bw-ghz)")
+        args.parser.error("missing parameter: bw_khz (or --bw-hz / --bw-mhz / --bw-ghz)")
 
     atm = cfg.get("atm_loss_db", 0.0)
     ad = cfg.get("ad_loss_db", 0.0)
@@ -376,7 +365,7 @@ def _cmd_linkbudget(args) -> dict:
     elif "power_w" in cfg and "gain_dbi" in cfg:
         tx = linkbudget.Transmitter(power_w=cfg["power_w"], gain_dbi=cfg["gain_dbi"])
     else:
-        raise _UsageError("eirp_dbw (or power_w + gain_dbi)")
+        args.parser.error("missing parameter: eirp_dbw (or power_w + gain_dbi)")
 
     if "g_over_t_dbk" in cfg:
         fspl_db = linkbudget.fspl(distance_m, freq_hz, constants)
@@ -389,7 +378,7 @@ def _cmd_linkbudget(args) -> dict:
     elif "rx_gain_dbi" in cfg and ("nf_db" in cfg or "noise_temp_k" in cfg):
         gain_dbi, nf_db, noise_temp_k = cfg["rx_gain_dbi"], cfg.get("nf_db"), cfg.get("noise_temp_k")
     else:
-        raise _UsageError("g_over_t_dbk, terminal, or rx_gain_dbi + nf_db/noise_temp_k")
+        args.parser.error("missing parameter: g_over_t_dbk, terminal, or rx_gain_dbi + nf_db/noise_temp_k")
     rx = linkbudget.Receiver(gain_dbi=gain_dbi, nf_db=nf_db, noise_temp_k=noise_temp_k, t_ref_k=constants.t_ref_k)
     return linkbudget.link_budget(tx, rx, distance_m, freq_hz, bw_hz, atm, ad, margin, constants).to_dict()
 
@@ -399,10 +388,6 @@ def _cmd_linkbudget(args) -> dict:
 
 def _cmd_capacity(args) -> dict:
     bw = _si(vars(args), *_BW)
-    if bw is None:
-        raise _UsageError("bw_khz (or --bw-hz / --bw-mhz / --bw-ghz)")
-    if (args.snr_db is None) == (args.snr_linear is None):
-        raise _UsageError("exactly one of --snr-db, --snr-linear")
     if args.snr_db is not None:  # printed as typed: its linear value may underflow to 0
         snr_db, snr = args.snr_db, quantities.linear_from_db(args.snr_db)
     else:
@@ -476,7 +461,7 @@ def _cmd_antenna_select(args) -> dict:
         required = math.degrees(geometry.required_hpbw(args.cell_radius_km, args.altitude_km))
         extra = {"cell_radius_km": args.cell_radius_km, "altitude_km": args.altitude_km}
     else:
-        raise _UsageError("hpbw_deg (or cell_radius_km + altitude_km)")
+        args.parser.error("missing parameter: hpbw_deg (or cell_radius_km + altitude_km)")
     spec, peak_dbi, edge_dbi = antenna.select_array(required)
     return {
         **extra,
@@ -617,21 +602,22 @@ _OUTPUT = (
 
 # Every subcommand: {name: (help, {name: ...})} for a group, {name: (help, handler, flags)}
 # for a leaf. A flag row is (key, type, argparse options); a tuple of keys is one
-# quantity's unit flags, one mutually exclusive group; "positional" makes the key an
-# argument, not a --flag. A "rule" is the library's rule for the quantity, restated in the
-# flag's unit ({}): main checks the value as typed against it before the handler runs.
+# quantity's unit flags, one mutually exclusive group ("required" requires one of them);
+# "positional" makes the key an argument, not a --flag. A "rule" is the library's rule for
+# the quantity, restated in the flag's unit ({}): main checks the value as typed against it
+# before the handler runs.
 _COMMANDS = {
     "convert": ("unit conversions and the band chart", {
         "db": ("linear ratio to dB", _cmd_convert_db, (("linear", float, _REQUIRED), *_OUTPUT)),
         "linear": ("dB to linear ratio", _cmd_convert_linear, (("db", float, _REQUIRED), *_OUTPUT)),
         "power": ("watts / dBW / dBm views", _cmd_convert_power,
-                  (("watts", float), ("dbw", float), ("dbm", float), *_OUTPUT)),
+                  ((("watts", "dbw", "dbm"), float, _REQUIRED), *_OUTPUT)),
         "noise-temp": ("noise figure to noise temperature", _cmd_convert_noise_temp,
                        (("nf_db", float, _REQUIRED), ("t_ref_k", float), *_OUTPUT)),
         "wavelength": ("carrier frequency to wavelength", _cmd_convert_wavelength,
-                       ((_FREQ, float, _POSITIVE), *_OUTPUT)),
+                       ((_FREQ, float, _REQUIRED | _POSITIVE), *_OUTPUT)),
         "band": ("resolve a frequency to its ITU band", _cmd_convert_band, (
-            (("freq_mhz", "freq_ghz", "freq_hz"), float, _POSITIVE),
+            (("freq_mhz", "freq_ghz", "freq_hz"), float, _REQUIRED | _POSITIVE),
             ("direction", None, {"choices": (quantities.DOWNLINK, quantities.UPLINK), "required": True}),
             ("orbit", None, {"choices": (quantities.GEO, quantities.NON_GEO, quantities.ANY_ORBIT),
                              "default": quantities.ANY_ORBIT}),
@@ -662,7 +648,7 @@ _COMMANDS = {
         *_OUTPUT,
     )),
     "capacity": ("Shannon capacity and spectral efficiency", _cmd_capacity,
-                 (("snr_db", float), ("snr_linear", float), (_BW, float, _POSITIVE), *_OUTPUT)),
+                 ((("snr_db", "snr_linear"), float, _REQUIRED), (_BW, float, _REQUIRED | _POSITIVE), *_OUTPUT)),
     "modcod": ("highest-rate scheme the SNR supports", _cmd_modcod, (
         ("snr_db", float, _REQUIRED), ("catalog", None, {"help": "CSV catalog (name, se_bps_hz, snr_qef_db)"}),
         (_BW, float, {"rule": "must be >= 0 {}"}), *_OUTPUT,
@@ -701,7 +687,7 @@ _COMMANDS = {
 
 def _add_commands(parser: argparse.ArgumentParser, commands: dict, dest: str) -> None:
     """Add the groups and leaves of `commands`, a level of _COMMANDS, under `parser`."""
-    parser.set_defaults(group=parser)  # a group run without a subcommand prints its own help
+    parser.set_defaults(parser=parser)  # a group run without a subcommand prints its own help
     sub = parser.add_subparsers(dest=dest)
     for name, (help_text, *entry) in commands.items():
         p = sub.add_parser(name, help=help_text)
@@ -713,12 +699,13 @@ def _add_commands(parser: argparse.ArgumentParser, commands: dict, dest: str) ->
         for key, kind, *options in flags:
             options = dict(*options, **({"type": kind} if kind else {}))
             positional, rule = options.pop("positional", False), options.pop("rule", None)
-            target = p.add_mutually_exclusive_group() if isinstance(key, tuple) else p
+            target = p if isinstance(key, str) else p.add_mutually_exclusive_group(
+                required=options.pop("required", False))
             for k in (key,) if isinstance(key, str) else key:
                 target.add_argument(k if positional else _flag(k), **options)
                 if rule:
                     rules.append((k, rule.format(_UNIT[k][0])))
-        p.set_defaults(func=handler, rules=tuple(rules))
+        p.set_defaults(func=handler, rules=tuple(rules), parser=p)
 
 
 def _keys(flags) -> tuple:
@@ -742,7 +729,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     if not hasattr(args, "func"):
-        args.group.print_help(file=sys.stderr)
+        args.parser.print_help(file=sys.stderr)
         return EXIT_USAGE
     try:
         _check_flags(vars(args), args.rules, _flag)
@@ -752,9 +739,6 @@ def main(argv=None) -> int:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
-    except _UsageError as exc:
-        print(f"error: missing parameter: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except NoFeasibleModcodError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE

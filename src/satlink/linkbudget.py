@@ -84,12 +84,17 @@ def fspl(distance_m: float, freq_hz: float, constants: PhysicalConstants = DEFAU
 
 
 def _fspl(distance_m, freq_hz, constants) -> float:
-    try:
-        path_db = 20.0 * math.log10(4.0 * math.pi * distance_m * freq_hz / constants.c_m_per_s)
-    except ValueError:  # the ratio underflows to 0
+    ratio = 4.0 * math.pi * distance_m * freq_hz / constants.c_m_per_s
+    if ratio == 0.0:
         raise DomainError(
             f"path loss 4*pi*d*f/c underflows to 0 for distance {distance_m!r} m and frequency {freq_hz!r} Hz"
-        ) from None
+        )
+    if ratio < 1.0:  # a negative loss: the distance is under a wavelength over 4*pi
+        raise DomainError(
+            f"path loss 4*pi*d*f/c is below 1 for distance {distance_m!r} m, frequency {freq_hz!r} Hz "
+            f"and speed of light {constants.c_m_per_s!r} m/s"
+        )
+    path_db = 20.0 * math.log10(ratio)
     return require_no_overflow(
         path_db,
         "distance {!r} m times frequency {!r} Hz over speed of light {!r} m/s is too large for a path loss",
@@ -293,7 +298,6 @@ def link_budget(
     eirp_dbw = transmitter.eirp_dbw
     t_sys = require("system noise temperature", receiver.noise_temperature_k, "must be > 0 K")
     bw_dbhz = 10.0 * math.log10(bandwidth_hz)  # bandwidth_hz is checked above
-    require("fspl_db", path_db, "must be >= 0 dB")
     require("atm_loss_db", atm_loss_db, "must be >= 0 dB")
     require("ad_loss_db", ad_loss_db, "must be >= 0 dB")
     require("margin_db", margin_db, "must be >= 0 dB")

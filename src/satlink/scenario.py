@@ -249,6 +249,8 @@ _CASE_NUMBERS: dict[str, tuple[str, float, str]] = {
 }
 
 _CASE_KEYS = {"direction", "label", *_CASE_NUMBERS}
+# each scaled case key -> (its unit, its field's unit)
+_CASE_UNITS = {"bitrate_bps": ("b/s", "Mb/s"), "bw_hz": ("Hz", "MHz")}
 
 
 def _parse_case(doc: dict, index: int) -> LinkCase:
@@ -263,7 +265,12 @@ def _parse_case(doc: dict, index: int) -> LinkCase:
     kwargs: dict = {"direction": doc["direction"], "label": label}
     for key, (target, scale, kind) in _CASE_NUMBERS.items():
         if key in doc:
-            kwargs[target] = require_number(f"cases[{index}].{key}", doc[key], kind) * scale
+            field = f"cases[{index}].{key}"
+            value = require_number(field, doc[key], kind)
+            kwargs[target] = value * scale
+            if kwargs[target] == 0 != value:  # a positive figure too small for its field's unit
+                unit, field_unit = _CASE_UNITS[key]
+                raise ValidationError(field, f"{field} must fit a float in {field_unit}, got {value!r} {unit}")
     return LinkCase(**kwargs)
 
 
@@ -403,7 +410,10 @@ def _bitrate_bps(se_bps_hz: float, bw_mhz: float) -> float:
 
 
 def _relative_error(bitrate: float, reported: float) -> tuple[str, float]:
-    rel = abs(bitrate - reported) / reported
+    rel = require_no_overflow(
+        abs(bitrate - reported) / reported,
+        "bitrate {!r} b/s against reported bitrate {!r} b/s is too large for a relative error", bitrate, reported,
+    )
     return (CONSISTENT if rel <= BITRATE_TOLERANCE else INCONSISTENT), rel
 
 

@@ -273,10 +273,6 @@ class TestSelectArray:
         spec, _, _ = ant.select_array(1000.0)
         assert spec.elements > 1
 
-    def test_catalog_must_have_directive_entries(self):
-        with pytest.raises(DomainError):
-            ant.select_array(10.0, catalog=[ant.ArraySpec.linear(1)])
-
 
 class TestArraySpec:
     def test_labels(self):

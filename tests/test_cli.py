@@ -22,7 +22,10 @@ def _default_constants(monkeypatch):
 
 
 def run(capsys, *argv):
-    code = cli.main(list(argv))
+    try:
+        code = cli.main(list(argv))
+    except SystemExit as exc:  # the parser: every usage error
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -633,7 +636,7 @@ class TestFlagsBeatConfig:
     def test_a_lone_half_of_a_form_does_not_fall_back_to_the_config(self, capsys, cfg):
         code, out, err = run(capsys, "linkbudget", "--config", cfg, "--power-w", "10")
         assert (code, out) == (2, "")
-        assert err == "error: missing parameter: eirp_dbw (or power_w + gain_dbi)\n"
+        assert err.splitlines()[-1] == "satlink linkbudget: error: missing parameter: eirp_dbw (or power_w + gain_dbi)"
 
 
 class TestClosedStdout:

@@ -26,10 +26,14 @@ def _leaves(parser: argparse.ArgumentParser, prefix: tuple = ()):
 
 
 def _required(parser: argparse.ArgumentParser, skip: argparse.Action) -> list[str]:
-    """Values for the parser's other required arguments, enough to parse."""
+    """Values for the parser's other required arguments and for one flag of each
+    other required group, enough to parse."""
+    actions = [action for action in parser._actions if action.required or not action.option_strings]
+    actions += [group._group_actions[0] for group in parser._mutually_exclusive_groups
+                if group.required and skip not in group._group_actions]
     argv = []
-    for action in parser._actions:
-        if action is skip or not (action.required or not action.option_strings):
+    for action in actions:
+        if action is skip:
             continue
         value = str(action.choices[0]) if action.choices else "1"
         argv += [action.option_strings[0], value] if action.option_strings else [value]
@@ -57,6 +61,55 @@ def test_float_flags_take_negative_exponent_forms(leaf, action):
     for value in NEGATIVE:
         for argv in ([*leaf, *rest, flag, value], [*leaf, *rest, f"{flag}={value}"]):
             assert getattr(parser.parse_args(argv), action.dest) == float(value), argv
+
+
+def _required_rows(commands: dict = cli._COMMANDS, prefix: tuple = ()):
+    """(argv prefix, required rows) for every leaf of `commands`, a level of
+    cli._COMMANDS: each row, one flag or a group of flags, that must be given."""
+    for name, (_, *entry) in commands.items():
+        if len(entry) == 1:
+            yield from _required_rows(entry[0], (*prefix, name))
+        else:
+            rows = [(key, dict(*options)) for key, _, *options in entry[1]]
+            yield (*prefix, name), [(key, o) for key, o in rows if o.get("required") or o.get("positional")]
+
+
+def _names(key, options: dict) -> list[str]:
+    """How argparse names a row's arguments: its flags, or a positional's key."""
+    keys = (key,) if isinstance(key, str) else key
+    return list(keys) if options.get("positional") else [cli._flag(k) for k in keys]
+
+
+def _given(key, options: dict) -> list[str]:
+    """argv that gives a row: its first flag with a value the parser takes."""
+    value = str(options["choices"][0]) if "choices" in options else "1"
+    return [value] if options.get("positional") else [_names(key, options)[0], value]
+
+
+REQUIRED_ROWS = [
+    pytest.param(leaf, rows, i, id=" ".join([*leaf, "without", *_names(*rows[i])]))
+    for leaf, rows in _required_rows()
+    for i in range(len(rows))
+]
+
+
+def test_every_required_row_is_walked():
+    ids = {param.id for param in REQUIRED_ROWS}
+    assert len(REQUIRED_ROWS) >= 20
+    assert {"convert power without --watts --dbw --dbm", "capacity without --snr-db --snr-linear",
+            "capacity without --bw-hz --bw-khz --bw-mhz --bw-ghz", "constellation stats without shell"} <= ids
+
+
+@pytest.mark.parametrize("leaf, rows, omitted", REQUIRED_ROWS)
+def test_a_missing_required_row_is_a_usage_error(leaf, rows, omitted):
+    argv = [*leaf, *(arg for i, row in enumerate(rows) if i != omitted for arg in _given(*row))]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err), pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert (exc.value.code, out.getvalue()) == (cli.EXIT_USAGE, "")
+    assert err.getvalue().startswith(f"usage: satlink {' '.join(leaf)} ")
+    last = err.getvalue().splitlines()[-1]
+    assert all(name in last for name in _names(*rows[omitted])), last
 
 
 def run(argv: list[str]) -> tuple[int, str, str]:

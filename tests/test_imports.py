@@ -181,7 +181,7 @@ def test_the_antenna_layer_without_its_pattern_loads_neither_numpy_nor_scipy():
         "import sys\n"
         "from satlink import antenna as a\n"
         "spec = a.ArraySpec.linear(8)\n"
-        "a.select_array(5.0, a.ARRAY_CATALOG)\n"
+        "a.select_array(5.0)\n"
         "a.hpbw_from_directivity(a.directivity(a.ArraySpec.planar(4, 4)))\n"
         "a.hpbw_numeric(spec)\n"
         "a.normalized_array_factor(8, 0.3)\n"

@@ -161,6 +161,16 @@ class TestLoadScenario:
     def test_a_count_at_the_float_range_still_loads(self, key):
         assert getattr(sc.load_scenario({"name": "x", "orbit": "LEO", key: 10**308}), key) == 10**308
 
+    @pytest.mark.parametrize("key, message", [
+        ("bitrate_bps", "cases[0].bitrate_bps must fit a float in Mb/s, got 5e-324 b/s"),
+        ("bw_hz", "cases[0].bw_hz must fit a float in MHz, got 5e-324 Hz"),
+    ])
+    def test_a_case_figure_that_scales_to_0_is_refused_at_load(self, key, message):
+        case = {"direction": "dl", "se_bps_hz": 1, key: 5e-324}
+        with pytest.raises(ValidationError) as err:
+            sc.load_scenario({"name": "x", "orbit": "LEO", "bw_dl_mhz": 10, "cases": [case]})
+        assert (err.value.field, str(err.value)) == (f"cases[0].{key}", message)
+
     def test_from_file(self, tmp_path):
         path = tmp_path / "s.json"
         path.write_text(json.dumps({"name": "filed", "orbit": "GEO", "altitude_km": 35786.0}))
@@ -349,6 +359,15 @@ class TestRunScenario:
         with pytest.raises(DomainError) as exc:
             sc.run_scenario(s)
         assert str(exc.value) == message
+
+    def test_a_relative_error_past_float_max_is_refused(self):
+        s = sc.load_scenario({"name": "x", "orbit": "LEO", "bw_dl_mhz": 10, "se_dl_bps_hz": 1,
+                              "bitrate_dl_mbps": 5e-324})
+        with pytest.raises(DomainError) as exc:
+            sc.run_scenario(s)
+        assert str(exc.value) == (
+            "bitrate 10000000.0 b/s against reported bitrate 4.940656e-318 b/s is too large for a relative error"
+        )
 
     def test_the_shannon_bound_is_checked_before_the_reported_bitrate(self):
         s = sc.load_scenario({"name": "x", "orbit": "LEO", "cases": [
