@@ -12,8 +12,9 @@ preamble lines of `convert band` and `scenario run` tables): a record
 stdout. A reader that closes stdout early ends the run quietly with exit 0.
 An input the parser cannot require (a `linkbudget` quantity that a
 --config document may supply, or `antenna select`'s --altitude-km beside
---cell-radius-km) is checked by the handler, which refuses its absence
-through `args.parser`, its leaf's parser, like any other usage error.
+--cell-radius-km) is checked by the handler, which refuses its absence, or
+flags of two of its forms, through `args.parser`, its leaf's parser, like
+any other usage error.
 
 One table, `_COMMANDS`, lists every group and leaf with its help, and each
 leaf's handler and flag rows; `_add_commands` builds the parser from it.
@@ -309,8 +310,9 @@ def _cmd_geometry_cell(args) -> dict:
 # --- linkbudget -------------------------------------------------------------------
 
 
-# The forms each linkbudget quantity can take. A flag that sets a key of one
-# form drops the --config keys of the quantity's other forms.
+# The forms each linkbudget quantity can take. Flags of two forms of one quantity
+# are refused; a flag that sets a key of one form drops the --config keys of the
+# quantity's other forms.
 _BUDGET_FORMS = (
     ({"distance_km"}, {"altitude_km", "elevation_deg"}),
     tuple({key} for key in _BUDGET_FREQ),
@@ -336,9 +338,12 @@ def _cmd_linkbudget(args) -> dict:
     _check_flags(cfg, args.rules, str)  # as read: a value a flag overrides is still refused
     flags = {key: v for key in _BUDGET_KEYS if (v := getattr(args, key)) is not None}
     for forms in _BUDGET_FORMS:
-        unflagged = [form for form in forms if not form & flags.keys()]
-        if len(unflagged) < len(forms):
-            cfg = {k: v for k, v in cfg.items() if not any(k in form for form in unflagged)}
+        given = [form for form in forms if form & flags.keys()]
+        if len(given) > 1:
+            a, b = (next(k for k in flags if k in form) for form in given[:2])
+            args.parser.error(f"argument {_flag(b)}: not allowed with argument {_flag(a)}")
+        if given:
+            cfg = {k: v for k, v in cfg.items() if k in given[0] or not any(k in form for form in forms)}
     cfg.update(flags)
 
     if "distance_km" in cfg:
@@ -371,7 +376,7 @@ def _cmd_linkbudget(args) -> dict:
         fspl_db = linkbudget.fspl(distance_m, freq_hz, constants)
         bw_dbhz = quantities.db_from_linear(bw_hz)
         result = linkbudget.snr_db(tx.eirp_dbw, cfg["g_over_t_dbk"], fspl_db, atm, ad, margin, bw_dbhz, constants)
-        return result.to_dict()
+        return quantities.record_doc(result)
     if "terminal" in cfg:
         profile = scenario.terminal_profile(cfg["terminal"])
         gain_dbi, nf_db, noise_temp_k = profile.gain_dbi, profile.nf_db, profile.noise_temp_k
@@ -380,7 +385,7 @@ def _cmd_linkbudget(args) -> dict:
     else:
         args.parser.error("missing parameter: g_over_t_dbk, terminal, or rx_gain_dbi + nf_db/noise_temp_k")
     rx = linkbudget.Receiver(gain_dbi=gain_dbi, nf_db=nf_db, noise_temp_k=noise_temp_k, t_ref_k=constants.t_ref_k)
-    return linkbudget.link_budget(tx, rx, distance_m, freq_hz, bw_hz, atm, ad, margin, constants).to_dict()
+    return quantities.record_doc(linkbudget.link_budget(tx, rx, distance_m, freq_hz, bw_hz, atm, ad, margin, constants))
 
 
 # --- capacity family ---------------------------------------------------------------
@@ -455,6 +460,9 @@ def _cmd_antenna_pattern(args) -> str:
 
 def _cmd_antenna_select(args) -> dict:
     if args.hpbw_deg is not None:
+        for key in ("cell_radius_km", "altitude_km"):
+            if getattr(args, key) is not None:
+                args.parser.error(f"argument {_flag(key)}: not allowed with argument --hpbw-deg")
         required = args.hpbw_deg
         extra = {}
     elif args.cell_radius_km is not None and args.altitude_km is not None:
@@ -641,7 +649,7 @@ _COMMANDS = {
         ("distance_km", float, _POSITIVE), ("altitude_km", float, _POSITIVE), ("elevation_deg", float, _ELEVATION),
         (_BUDGET_FREQ, float, _POSITIVE),
         ("eirp_dbw", float), ("power_w", float), ("gain_dbi", float),
-        ("terminal", None, {"help": "receiver terminal preset (class3-ue, vsat, iot)"}),
+        ("terminal", None, {"help": f"receiver terminal preset ({', '.join(scenario.TERMINALS)})"}),
         ("rx_gain_dbi", float), ("nf_db", float), ("noise_temp_k", float), ("g_over_t_dbk", float),
         (_BW, float, _POSITIVE),
         ("atm_loss_db", float), ("ad_loss_db", float), ("margin_db", float),

@@ -19,7 +19,6 @@ from .quantities import (
     noise_figure_from_temperature,
     noise_temperature_from_nf,
     record,
-    record_doc,
     require,
     require_no_overflow,
     wavelength,
@@ -230,9 +229,6 @@ class LinkBudgetResult:
             ("bw_dbhz", -self.bw_dbhz),
             ("boltzmann_dbw_per_k_hz", -self.boltzmann_dbw_per_k_hz),
         ]
-
-    def to_dict(self) -> dict:
-        return record_doc(self)
 
 
 def snr_db(

@@ -14,7 +14,7 @@ import sys
 from _json import encode_basestring_ascii as _json_str  # json's C escaper, without the json package
 from collections.abc import Mapping
 from dataclasses import MISSING, dataclass, fields
-from functools import cache, cached_property
+from functools import cached_property
 from pathlib import Path
 
 from .errors import DomainError, NotFoundError, OutOfBandError, ParseError, ValidationError
@@ -164,7 +164,8 @@ def record(cls):
     object.__setattr__ call; this one, of the same signature, fills the
     instance dict in one update, in field order, and then calls
     __post_init__ if the class has one. Everything else (eq, hash, repr,
-    fields, replace, FrozenInstanceError) is the dataclass's.
+    fields, replace, FrozenInstanceError) is the dataclass's. The class is
+    registered in _RECORDS, for record_doc.
     """
     cls = dataclass(frozen=True)(cls)
     fs = fields(cls)
@@ -179,7 +180,13 @@ def record(cls):
         generated.__annotations__, generated.__qualname__, generated.__module__
     )
     cls.__init__ = init
+    _RECORDS[cls] = tuple((f.name, f.default if f.default in (None, ()) else MISSING) for f in fs)
     return cls
+
+
+# Every class `record` declares -> (name, default) of each field, in order, where a
+# default other than None or () reads MISSING, which no field holds.
+_RECORDS: dict[type, tuple[tuple[str, object], ...]] = {}
 
 
 @record
@@ -315,19 +322,25 @@ def _dump_indented(obj, newline: str) -> str:
 
 
 def record_doc(record) -> dict:
-    """A dataclass record as a document: its fields in declaration order, less
-    each field whose default is None while its value is None. They are read
-    from the instance dict, which __init__ fills in that order."""
+    """A record as a document: its fields in declaration order, read from the
+    instance dict, which __init__ fills in that order. A field whose default
+    is None or () is left out while it holds that default (CPython has one
+    empty tuple). A record in a field is written as its document, and a
+    tuple as a list, its records as documents and its tuples as lists."""
     doc = vars(record).copy()
-    for name in _none_defaults(type(record)):
-        if doc[name] is None:
+    for name, default in _RECORDS[type(record)]:
+        value = doc[name]
+        if value is default:
             del doc[name]
+        elif type(value) in _RECORDS:
+            doc[name] = record_doc(value)
+        elif type(value) is tuple:
+            doc[name] = _doc_list(value)
     return doc
 
 
-@cache
-def _none_defaults(cls) -> tuple[str, ...]:
-    return tuple(f.name for f in fields(cls) if f.default is None)
+def _doc_list(values: tuple) -> list:
+    return [record_doc(v) if type(v) in _RECORDS else _doc_list(v) if type(v) is tuple else v for v in values]
 
 
 def dump_csv(rows) -> str:

@@ -79,9 +79,6 @@ class TerminalProfile:
         if self.noise_temp_k is not None:
             require("terminal noise temperature", self.noise_temp_k, "must be > 0 K", "noise_temp_k")
 
-    def to_doc(self) -> dict:
-        return record_doc(self)
-
 
 # Reference terminal classes. The handset class defaults to the lower of its
 # two quoted noise figures; fixtures override it where a project states 9 dB.
@@ -108,7 +105,7 @@ def terminal_profile(spec) -> TerminalProfile:
         if not isinstance(name, str) or not name:
             raise ValidationError("terminal.name", "terminal mapping needs a name")
         base = TERMINALS.get(name)
-        merged = base.to_doc() if base is not None else {}
+        merged = record_doc(base) if base is not None else {}
         merged.pop("name", None)
         # an override of one noise representation displaces the other
         if "nf_db" in doc:
@@ -139,9 +136,6 @@ class LinkCase:
         if self.direction not in (DL, UL):
             raise ValidationError("direction", f"case direction must be '{DL}' or '{UL}', got {_show(self.direction)}")
 
-    def to_doc(self) -> dict:
-        return record_doc(self)
-
 
 @record
 class Scenario:
@@ -161,11 +155,11 @@ class Scenario:
     freq_ul_ghz: float | None = None
     bw_dl_mhz: float | None = None
     bw_ul_mhz: float | None = None
-    terminal: TerminalProfile | None = None
     reuse: int | None = None
     margin_db: float | None = None
     beams: int | None = None
     footprint_radius_km: float | None = None
+    terminal: TerminalProfile | None = None
     cases: tuple[LinkCase, ...] = ()
     annotations: tuple[str, ...] = ()
 
@@ -188,13 +182,7 @@ class Finding:
     delta: float | None = None
     missing: tuple[str, ...] = ()
 
-    def to_doc(self) -> dict:
-        """The record's fields, with `missing` as a list, left out when empty."""
-        doc = record_doc(self)
-        del doc["missing"]
-        if self.missing:
-            doc["missing"] = list(self.missing)
-        return doc
+    to_doc = record_doc
 
     @classmethod
     def from_doc(cls, doc: dict) -> "Finding":
@@ -343,19 +331,8 @@ def load_scenario(source) -> Scenario:
 
 
 def scenario_to_doc(s: Scenario) -> dict:
-    """Canonical document form; load_scenario(scenario_to_doc(s)) == s.
-
-    The record's fields, with the terminal, cases and annotations moved to
-    the end, each written only when set."""
-    doc = record_doc(s)
-    terminal, cases, annotations = doc.pop("terminal", None), doc.pop("cases"), doc.pop("annotations")
-    if terminal is not None:
-        doc["terminal"] = terminal.to_doc()
-    if cases:
-        doc["cases"] = [c.to_doc() for c in cases]
-    if annotations:
-        doc["annotations"] = list(annotations)
-    return doc
+    """Canonical document form; load_scenario(scenario_to_doc(s)) == s."""
+    return record_doc(s)
 
 
 # --- the consistency pipeline ----------------------------------------------
@@ -422,15 +399,10 @@ class ScenarioReport:
     """Echo of a scenario plus every derived quantity and its verdict."""
 
     scenario: Scenario
-    slant_range_km: float | None
-    findings: tuple[Finding, ...]
+    slant_range_km: float | None = None
+    findings: tuple[Finding, ...] = ()
 
-    def to_doc(self) -> dict:
-        doc = {"scenario": scenario_to_doc(self.scenario)}
-        if self.slant_range_km is not None:
-            doc["slant_range_km"] = self.slant_range_km
-        doc["findings"] = [f.to_doc() for f in self.findings]
-        return doc
+    to_doc = record_doc
 
     def to_json(self) -> str:
         return dump_json(self.to_doc())

@@ -3,7 +3,9 @@
 Each subcommand that takes a frequency or a bandwidth offers it in several
 units (`--freq-ghz`, `--freq-mhz`, `--freq-hz`; `--bw-hz` … `--bw-ghz`).
 The same value in any unit gives the same run, byte for byte; two flags for
-one quantity are a usage error (exit 2), whichever pair; and a `--config`
+one quantity are a usage error (exit 2), whichever pair, as are flags of two
+forms of one quantity (`linkbudget --distance-km` beside `--altitude-km`,
+`antenna select --hpbw-deg` beside `--cell-radius-km`); and a `--config`
 document holding two keys of one quantity reads the first of them in the
 order freq_ghz, freq_mhz and bw_hz, bw_khz, bw_mhz, bw_ghz.
 """
@@ -15,6 +17,7 @@ import json
 
 import pytest
 
+from satlink import cli
 from test_cli_fuzz import FORMATS, invoke
 
 # The same 12 GHz and 2 GHz in each unit, every product exact in binary floating point.
@@ -66,6 +69,32 @@ def test_two_flags_for_one_quantity_are_a_usage_error(leaf, base, quantities, qu
         code, out, err = invoke(argv)
         assert (code, out) == (2, ""), argv
         assert f"argument {second}: not allowed with argument {first}" in err, (argv, err)
+
+
+# A value each linkbudget and antenna select flag accepts
+FLAG_VALUES = {
+    "distance_km": "1000", "altitude_km": "600", "elevation_deg": "30", "freq_ghz": "2", "freq_mhz": "2000",
+    "bw_hz": "1000", "bw_khz": "1", "bw_mhz": "1", "bw_ghz": "1", "eirp_dbw": "40", "power_w": "3", "gain_dbi": "2",
+    "g_over_t_dbk": "1", "terminal": "vsat", "rx_gain_dbi": "0", "nf_db": "7", "noise_temp_k": "100",
+    "hpbw_deg": "10", "cell_radius_km": "50",
+}
+FORM_PAIRS = [
+    *((("linkbudget",), a, b) for forms in cli._BUDGET_FORMS for i, form in enumerate(forms)
+      for later in forms[i + 1:] for a in sorted(form) for b in sorted(later)),
+    (("antenna", "select"), "hpbw_deg", "cell_radius_km"),
+    (("antenna", "select"), "hpbw_deg", "altitude_km"),
+]
+
+
+def test_flags_of_two_forms_of_one_quantity_are_a_usage_error(capsys):
+    assert len(FORM_PAIRS) == 21
+    for leaf, a, b in FORM_PAIRS:
+        first, second = cli._flag(a), cli._flag(b)
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*leaf, first, FLAG_VALUES[a], second, FLAG_VALUES[b]])
+        out, err = capsys.readouterr()
+        assert (exc.value.code, out) == (2, ""), (leaf, a, b)
+        assert f"argument {second}: not allowed with argument {first}" in err, (leaf, a, b, err)
 
 
 def test_multibeam_takes_its_bandwidth_in_ghz_only():

@@ -2,8 +2,10 @@
 
 `capacity.select_modcod` bisects a ladder built once per catalog; here it is
 compared with a brute-force scan of the catalog (the selection rule written
-out directly). `linkbudget._ledger` fills its record in one step; here it is
-compared with the record the public `LinkBudgetResult(...)` constructor builds.
+out directly). `linkbudget._ledger` sums the dB ledger into an SNR; here its
+record is compared, in every dataclass behaviour and as a document, with the
+one the public `LinkBudgetResult(...)` constructor builds from that sum
+written out.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from hypothesis import strategies as st
 from satlink import capacity as cap
 from satlink import linkbudget as lb
 from satlink.errors import DomainError, NoFeasibleModcodError
-from satlink.quantities import DEFAULT_CONSTANTS, PhysicalConstants, linear_from_db
+from satlink.quantities import DEFAULT_CONSTANTS, PhysicalConstants, linear_from_db, record_doc
 
 # --- MODCOD selection ----------------------------------------------------------------
 
@@ -177,7 +179,7 @@ def test_ledger_builds_the_public_record(eirp, gt, fspl, atm, ad, margin, bw, co
     assert vars(got) == vars(want) and list(vars(got)) == list(vars(want))
     assert dataclasses.asdict(got) == dataclasses.asdict(want)
     assert dataclasses.replace(got, snr_db=1.0) == dataclasses.replace(want, snr_db=1.0)
-    assert got.to_dict() == want.to_dict()
+    assert record_doc(got) == record_doc(want)
     with pytest.raises(dataclasses.FrozenInstanceError):
         got.snr_db = 0.0
     with pytest.raises(dataclasses.FrozenInstanceError):

@@ -14,6 +14,7 @@ from satlink.quantities import (
     PhysicalConstants,
     db_from_linear,
     linear_from_db,
+    record_doc,
     wavelength,
 )
 
@@ -156,9 +157,9 @@ class TestSnrLedger:
         with pytest.raises(DomainError):
             lb.snr_db(10.0, -20.0, 150.0, -0.1, 0.0, 0.0, 30.0)
 
-    def test_to_dict_contract(self):
+    def test_record_doc_contract(self):
         result = lb.snr_db(27.4, -30.0, 184.9, 9.6, 0.0, 0.0, 30.0)
-        assert list(result.to_dict()) == [
+        assert list(record_doc(result)) == [
             "eirp_dbw",
             "g_over_t_dbk",
             "fspl_db",
@@ -273,7 +274,7 @@ class TestEndToEndBudget:
     def test_budget_keys_include_watts(self):
         tx = lb.Transmitter(power_w=2.0, gain_dbi=12.0)
         rx = lb.Receiver(gain_dbi=12.0, nf_db=5.0)
-        doc = lb.link_budget(tx, rx, 5.5e5, 11.7e9, 1e6).to_dict()
+        doc = record_doc(lb.link_budget(tx, rx, 5.5e5, 11.7e9, 1e6))
         assert "received_power_w" in doc and "noise_power_w" in doc
 
 
@@ -349,5 +350,5 @@ def test_link_budget_is_bit_identical_to_public_helpers():
             tx.power_w, tx.gain_linear, rx.gain_linear, wavelength(f, k), d
         ) / linear_from_db(atm + ad + margin)
         n_w = lb.noise_power(rx.noise_temperature_k, bw, k)
-        expected = {**ledger.to_dict(), "received_power_w": rx_w, "noise_power_w": n_w}
-        assert lb.link_budget(tx, rx, d, f, bw, atm, ad, margin, k).to_dict() == expected
+        expected = {**record_doc(ledger), "received_power_w": rx_w, "noise_power_w": n_w}
+        assert record_doc(lb.link_budget(tx, rx, d, f, bw, atm, ad, margin, k)) == expected

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from satlink import linkbudget as lb
 from satlink import scenario as sc
+from satlink.quantities import record_doc
 
 
 def items(doc: dict) -> list:
@@ -17,14 +18,16 @@ def items(doc: dict) -> list:
 
 
 def test_link_case_docs():
-    assert items(sc.LinkCase("dl", label=None).to_doc()) == [("direction", "dl"), ("label", None)]
-    assert items(sc.LinkCase("ul").to_doc()) == [("direction", "ul"), ("label", "nominal")]
+    assert items(record_doc(sc.LinkCase("dl", label=None))) == [("direction", "dl"), ("label", None)]
+    assert items(record_doc(sc.LinkCase("ul"))) == [("direction", "ul"), ("label", "nominal")]
     case = sc.LinkCase("ul", "edge", sinr_db=0.0, se_bps_hz=1.5, bitrate_mbps=2.0, bw_mhz=5.0)
-    assert items(case.to_doc()) == [
+    assert items(record_doc(case)) == [
         ("direction", "ul"), ("label", "edge"), ("sinr_db", 0.0), ("se_bps_hz", 1.5), ("bitrate_mbps", 2.0),
         ("bw_mhz", 5.0),
     ]
-    assert items(sc.LinkCase("dl", "x", bw_mhz=3.0).to_doc()) == [("direction", "dl"), ("label", "x"), ("bw_mhz", 3.0)]
+    assert items(record_doc(sc.LinkCase("dl", "x", bw_mhz=3.0))) == [
+        ("direction", "dl"), ("label", "x"), ("bw_mhz", 3.0),
+    ]
 
 
 def test_finding_docs():
@@ -48,13 +51,13 @@ def test_finding_docs():
 
 def test_terminal_profile_docs():
     by_figure = sc.TerminalProfile("t", 1.0, nf_db=0.0)
-    assert items(by_figure.to_doc()) == [("name", "t"), ("gain_dbi", 1.0), ("nf_db", 0.0)]
+    assert items(record_doc(by_figure)) == [("name", "t"), ("gain_dbi", 1.0), ("nf_db", 0.0)]
     by_temperature = sc.TerminalProfile("u", -2.0, noise_temp_k=300.0, eirp_dbm=0.0)
-    assert items(by_temperature.to_doc()) == [
+    assert items(record_doc(by_temperature)) == [
         ("name", "u"), ("gain_dbi", -2.0), ("noise_temp_k", 300.0), ("eirp_dbm", 0.0),
     ]
-    assert items(sc.TERMINALS["vsat"].to_doc()) == [("name", "vsat"), ("gain_dbi", 12.0), ("nf_db", 5.0),
-                                                   ("eirp_dbm", 45.0)]
+    assert items(record_doc(sc.TERMINALS["vsat"])) == [("name", "vsat"), ("gain_dbi", 12.0), ("nf_db", 5.0),
+                                                    ("eirp_dbm", 45.0)]
 
 
 LEDGER_KEYS = [
@@ -65,17 +68,17 @@ LEDGER_KEYS = [
 
 def test_link_budget_result_docs():
     values = [float(i) for i in range(9)]
-    assert items(lb.LinkBudgetResult(*values).to_dict()) == list(zip(LEDGER_KEYS, values))
-    watts = lb.LinkBudgetResult(*values, received_power_w=1e-12, noise_power_w=0.0).to_dict()
+    assert items(record_doc(lb.LinkBudgetResult(*values))) == list(zip(LEDGER_KEYS, values))
+    watts = record_doc(lb.LinkBudgetResult(*values, received_power_w=1e-12, noise_power_w=0.0))
     assert items(watts) == [*zip(LEDGER_KEYS, values), ("received_power_w", 1e-12), ("noise_power_w", 0.0)]
     # only the watts field that is set is written
-    half = lb.LinkBudgetResult(*values, noise_power_w=2e-14).to_dict()
+    half = record_doc(lb.LinkBudgetResult(*values, noise_power_w=2e-14))
     assert items(half) == [*zip(LEDGER_KEYS, values), ("noise_power_w", 2e-14)]
 
-    ledger = lb.snr_db(27.4, -30.0, 184.9, 9.6, 0.0, 0.0, 30.0).to_dict()
+    ledger = record_doc(lb.snr_db(27.4, -30.0, 184.9, 9.6, 0.0, 0.0, 30.0))
     assert list(ledger) == LEDGER_KEYS
     tx, rx = lb.Transmitter(power_w=2.0, gain_dbi=12.0), lb.Receiver(gain_dbi=0.0, nf_db=7.0)
-    full = lb.link_budget(tx, rx, 5.5e5, 11.7e9, 1e6).to_dict()
+    full = record_doc(lb.link_budget(tx, rx, 5.5e5, 11.7e9, 1e6))
     assert list(full) == [*LEDGER_KEYS, "received_power_w", "noise_power_w"]
     assert all(type(v) is float for v in full.values())
 
@@ -102,7 +105,7 @@ def test_scenario_docs():
         ("annotations", ["a", "b"]),
     ]
     assert [type(doc[key]) for key in ("terminal", "cases", "annotations")] == [dict, list, list]
-    assert items(doc["terminal"]) == items(terminal.to_doc())
+    assert items(doc["terminal"]) == items(record_doc(terminal))
     assert sc.load_scenario(doc) == full
     report = sc.run_scenario(full).to_doc()
     assert list(report) == ["scenario", "slant_range_km", "findings"]

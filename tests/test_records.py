@@ -4,7 +4,8 @@ Its __init__ fills the instance dict in one update instead of the
 dataclass's one object.__setattr__ per field. Everything else a frozen
 dataclass gives holds as before: the constructor's signature, `vars()` in
 field order (which `record_doc` reads), frozen fields, equality and hash,
-and a `replace` that runs `__post_init__` again.
+and a `replace` that runs `__post_init__` again. `record_doc` writes each
+record as plain values: no record and no tuple is left in its document.
 """
 
 from __future__ import annotations
@@ -100,6 +101,21 @@ def test_replace_runs_the_checks_again(cls):
     if refused is not None:
         with pytest.raises(SatlinkError):
             dataclasses.replace(sample, **refused)
+
+
+def _tree(value):
+    """`value` and every value inside it, through dicts and lists."""
+    yield value
+    for child in value.values() if isinstance(value, dict) else value if isinstance(value, list) else ():
+        yield from _tree(child)
+
+
+def test_record_doc_writes_plain_values_only():
+    for sample, _ in SAMPLES.values():
+        doc = quantities.record_doc(sample)
+        assert not [v for v in _tree(doc) if dataclasses.is_dataclass(v) or isinstance(v, tuple)], type(sample)
+    s = SAMPLES[scenario.Scenario][0]
+    assert scenario.load_scenario(scenario.scenario_to_doc(s)) == s
 
 
 def _dataclass_names(tree: ast.AST):
