@@ -13,7 +13,6 @@ import re
 import sys
 from _json import encode_basestring_ascii as _json_str  # json's C escaper, without the json package
 from collections.abc import Mapping
-from dataclasses import MISSING, dataclass, fields
 from functools import cached_property
 from pathlib import Path
 
@@ -158,35 +157,131 @@ def require_number(key: str, value, kind: str) -> float:
 
 
 def record(cls):
-    """Declare `cls` a frozen dataclass, the one way satlink declares a record.
+    """Declare `cls` a record, the one way satlink declares one: a frozen
+    class of the fields its annotations name, in order, each default being
+    the value the class body gives it.
 
-    The dataclass's own __init__ stores each field with one
-    object.__setattr__ call; this one, of the same signature, fills the
-    instance dict in one update, in field order, and then calls
-    __post_init__ if the class has one. Everything else (eq, hash, repr,
-    fields, replace, FrozenInstanceError) is the dataclass's. The class is
-    registered in _RECORDS, for record_doc.
+    One generated source, compiled with one exec, gives the class what
+    dataclass(frozen=True) would: __init__ fills the instance dict in one
+    update, in field order, and then calls __post_init__ if the class has
+    one; __repr__, __eq__ and __hash__ read the field tuple as Python
+    3.11's dataclass does; assigning or deleting a field raises
+    dataclasses.FrozenInstanceError; __match_args__ holds the field names.
+    The same source writes the class's document for record_doc.
+
+    `dataclasses` is not imported for this. The dataclass view
+    (__dataclass_fields__ and __dataclass_params__, which
+    dataclasses.fields, replace, asdict and is_dataclass read) is built at
+    its first read, by applying dataclass(frozen=True) to a class of the
+    same annotations and defaults. So `dataclasses` loads only when a caller
+    uses that view or assigns a frozen field.
     """
-    cls = dataclass(frozen=True)(cls)
-    fs = fields(cls)
-    defaults = {f"_{f.name}": f.default for f in fs if f.default is not MISSING}
-    params = ", ".join(f.name if f.default is MISSING else f"{f.name}=_{f.name}" for f in fs)
-    body = f"self.__dict__.update({', '.join(f'{f.name}={f.name}' for f in fs)})"
-    if hasattr(cls, "__post_init__"):
-        body += "; self.__post_init__()"
-    exec(f"def __init__(self, {params}):\n    {body}", defaults)  # the defaults are evaluated in this namespace
-    init, generated = defaults["__init__"], cls.__init__
-    init.__annotations__, init.__qualname__, init.__module__ = (
-        generated.__annotations__, generated.__qualname__, generated.__module__
-    )
-    cls.__init__ = init
-    _RECORDS[cls] = tuple((f.name, f.default if f.default in (None, ()) else MISSING) for f in fs)
+    annotations = cls.__annotations__
+    names = tuple(annotations)
+    defaults = {name: vars(cls)[name] for name in names if name in vars(cls)}
+    # a function exec makes takes its __module__ from the namespace's __name__
+    namespace = {"__name__": cls.__module__, "nested": _doc_value, **{f"_{n}": v for n, v in defaults.items()}}
+    exec(_record_source(cls, names, defaults), namespace)  # the defaults are evaluated in this namespace
+    for method in ("__init__", "__repr__", "__eq__", "__hash__", "__setattr__", "__delattr__"):
+        namespace[method].__qualname__ = f"{cls.__qualname__}.{method}"
+        setattr(cls, method, namespace[method])
+    cls.__init__.__annotations__ = {**annotations, "return": None}
+    cls.__match_args__ = names
+
+    def dataclass_view():
+        from dataclasses import dataclass  # loaded at the view's first read, not by `import satlink`
+
+        shadow = dataclass(frozen=True)(type(cls.__name__, (), {
+            **defaults, "__annotations__": annotations, "__module__": cls.__module__, "__qualname__": cls.__qualname__,
+        }))
+        cls.__dataclass_fields__, cls.__dataclass_params__ = shadow.__dataclass_fields__, shadow.__dataclass_params__
+
+    cls.__dataclass_fields__ = _OnFirstRead("__dataclass_fields__", dataclass_view)
+    cls.__dataclass_params__ = _OnFirstRead("__dataclass_params__", dataclass_view)
+    _RECORDS[cls] = namespace["_doc"]
     return cls
 
 
-# Every class `record` declares -> (name, default) of each field, in order, where a
-# default other than None or () reads MISSING, which no field holds.
-_RECORDS: dict[type, tuple[tuple[str, object], ...]] = {}
+# A field annotated with only these names holds a plain value, which its document copies.
+_PLAIN = {"float", "int", "str", "bool", "None"}
+
+
+def _record_source(cls, names: tuple, defaults: dict) -> str:
+    """The source of a record's methods and of its document writer `_doc`, in
+    which a field whose default is None or () is left out while it holds that
+    default (CPython has one empty tuple), a field annotated with plain types
+    only is copied, and any other field takes the nested path."""
+    own, other = (", ".join(f"{who}.{name}" for name in names) + "," for who in ("self", "other"))
+    params = ", ".join(f"{name}=_{name}" if name in defaults else name for name in names)
+    init = f"self.__dict__.update({', '.join(f'{name}={name}' for name in names)})"
+    if hasattr(cls, "__post_init__"):
+        init += "; self.__post_init__()"
+    shown = ", ".join(f"{name}={{self.{name}!r}}" for name in names)
+    doc = ""
+    for name in names:
+        annotation = cls.__annotations__[name]
+        plain = isinstance(annotation, str) and {part.strip() for part in annotation.split("|")} <= _PLAIN
+        value = "v" if plain else "nested(v)"
+        if name in defaults and defaults[name] in (None, ()):
+            doc += f"\n    if (v := self.{name}) is not _{name}: doc[{name!r}] = {value}"
+        else:
+            doc += f"\n    v = self.{name}; doc[{name!r}] = {value}"
+    return f"""\
+def __init__(self, {params}):
+    {init}
+def __repr__(self):
+    return f"{{self.__class__.__qualname__}}({shown})"
+def __eq__(self, other):
+    if other.__class__ is self.__class__:
+        return ({own}) == ({other})
+    return NotImplemented
+def __hash__(self):
+    return hash(({own}))
+def __setattr__(self, name, value):
+    from dataclasses import FrozenInstanceError
+    raise FrozenInstanceError(f"cannot assign to field {{name!r}}")
+def __delattr__(self, name):
+    from dataclasses import FrozenInstanceError
+    raise FrozenInstanceError(f"cannot delete field {{name!r}}")
+def _doc(self):
+    doc = {{}}{doc}
+    return doc
+"""
+
+
+class _OnFirstRead:
+    """A class attribute that `build()` replaces, with its value, on its first read."""
+
+    __slots__ = ("name", "build")
+
+    def __init__(self, name: str, build):
+        self.name, self.build = name, build
+
+    def __get__(self, instance, owner):
+        self.build()
+        return getattr(owner, self.name)
+
+
+# Every class `record` declares -> its generated document writer.
+_RECORDS: dict = {}
+
+
+def record_doc(record) -> dict:
+    """A record as a document, written by the writer `record` generated for
+    its class: its fields in declaration order, each read by name. A field
+    whose default is None or () is left out while it holds that default. A
+    record in a field is written as its document, and a tuple as a list,
+    its records as documents and its tuples as lists."""
+    return _RECORDS[type(record)](record)
+
+
+def _doc_value(value):
+    """A field value as a document value: a record as its document, a tuple as
+    a list of document values, and anything else as it is."""
+    if type(value) is tuple:
+        return [_doc_value(v) if type(v) is tuple or type(v) in _RECORDS else v for v in value]
+    writer = _RECORDS.get(type(value))
+    return value if writer is None else writer(value)
 
 
 @record
@@ -206,8 +301,8 @@ class PhysicalConstants:
     t_ref_k: float = 290.0
 
     def __post_init__(self):
-        for f in fields(self):
-            require(f"constant {f.name}", getattr(self, f.name), "must be finite and > 0", f.name)
+        for name in self.__match_args__:
+            require(f"constant {name}", getattr(self, name), "must be finite and > 0", name)
 
     @cached_property  # in the instance __dict__, not a field: eq, hash and repr ignore it
     def boltzmann_dbw_per_k_hz(self) -> float:
@@ -217,7 +312,7 @@ class PhysicalConstants:
     def from_mapping(cls, overrides) -> "PhysicalConstants":
         if not isinstance(overrides, Mapping):
             raise ParseError(f"constant overrides must be a mapping, got {type(overrides).__name__}")
-        check_keys(overrides, {f.name for f in fields(cls)}, "constant")
+        check_keys(overrides, set(cls.__match_args__), "constant")
         return cls(**{k: require_number(k, v, "finite") for k, v in overrides.items()})
 
     @classmethod
@@ -319,28 +414,6 @@ def _dump_indented(obj, newline: str) -> str:
     if isinstance(obj, float):
         return _NONFINITE_JSON.get(text := float.__repr__(obj), text)
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
-
-
-def record_doc(record) -> dict:
-    """A record as a document: its fields in declaration order, read from the
-    instance dict, which __init__ fills in that order. A field whose default
-    is None or () is left out while it holds that default (CPython has one
-    empty tuple). A record in a field is written as its document, and a
-    tuple as a list, its records as documents and its tuples as lists."""
-    doc = vars(record).copy()
-    for name, default in _RECORDS[type(record)]:
-        value = doc[name]
-        if value is default:
-            del doc[name]
-        elif type(value) in _RECORDS:
-            doc[name] = record_doc(value)
-        elif type(value) is tuple:
-            doc[name] = _doc_list(value)
-    return doc
-
-
-def _doc_list(values: tuple) -> list:
-    return [record_doc(v) if type(v) in _RECORDS else _doc_list(v) if type(v) is tuple else v for v in values]
 
 
 def dump_csv(rows) -> str:

@@ -169,6 +169,21 @@ class Scenario:
         return self.bw_dl_mhz if case.direction == DL else self.bw_ul_mhz
 
 
+_NUMBER_OR_NULL = frozenset({int, float, type(None)})  # a bool is no number
+# each key of a finding document, in field order -> what its value must be, and the types that hold it
+_FINDING_VALUES = {
+    "quantity": ("a string", frozenset({str})),
+    "status": ("a string", frozenset({str})),
+    "direction": ("a string or null", frozenset({str, type(None)})),
+    "label": ("a string or null", frozenset({str, type(None)})),
+    "computed": ("a number, a string or null", _NUMBER_OR_NULL | {str}),
+    "reported": ("a number, a string or null", _NUMBER_OR_NULL | {str}),
+    "delta": ("a number or null", _NUMBER_OR_NULL),
+    "missing": ("a list of strings", frozenset({list})),
+}
+_FINDING_TYPES = [types for _, types in _FINDING_VALUES.values()]
+
+
 @record
 class Finding:
     """Verdict for one derivable quantity of a scenario."""
@@ -186,16 +201,18 @@ class Finding:
 
     @classmethod
     def from_doc(cls, doc: dict) -> "Finding":
-        return cls(
-            quantity=doc["quantity"],
-            status=doc["status"],
-            direction=doc.get("direction"),
-            label=doc.get("label"),
-            computed=doc.get("computed"),
-            reported=doc.get("reported"),
-            delta=doc.get("delta"),
-            missing=tuple(doc.get("missing", ())),
-        )
+        """The finding a `to_doc` mapping describes. A value of another type than
+        the one its field holds raises ParseError "report document: finding
+        <quantity>: <key> must be …", so every finding read is hashable;
+        unknown keys are ignored."""
+        values = [doc["quantity"], doc["status"], *map(doc.get, ("direction", "label", "computed", "reported", "delta"))]
+        values.append(doc.get("missing", []))
+        if not all(map(frozenset.__contains__, _FINDING_TYPES, map(type, values))) or {*map(type, values[-1])} - {str}:
+            for (key, (what, types)), value in zip(_FINDING_VALUES.items(), values):
+                if type(value) not in types or key == "missing":  # the first key whose value is wrong
+                    raise ParseError(f"report document: finding {_show(values[0])}: {key} must be {what}, got {_show(value)}")
+        values[-1] = tuple(values[-1])
+        return cls(*values)
 
 
 # --- document loading ------------------------------------------------------
@@ -412,15 +429,16 @@ class ScenarioReport:
         """The report a `to_doc` mapping describes; another shape raises ParseError
         "report document: …", and a "scenario" that is not a mapping raises ParseError."""
         try:
-            return cls(
-                scenario=_scenario_from_doc(doc["scenario"]),
-                slant_range_km=doc.get("slant_range_km"),
-                findings=tuple(Finding.from_doc(f) for f in doc.get("findings", [])),
-            )
+            scenario = _scenario_from_doc(doc["scenario"])
+            slant_range_km = doc.get("slant_range_km")
+            findings = tuple(Finding.from_doc(f) for f in doc.get("findings", []))
         except KeyError as exc:
             raise ParseError(f"report document: missing key {exc.args[0]!r}") from None
         except TypeError as exc:  # a list or scalar where a mapping belongs
             raise ParseError(f"report document: wrong shape ({exc})") from None
+        if type(slant_range_km) not in _NUMBER_OR_NULL:
+            raise ParseError(f"report document: slant_range_km must be a number or null, got {_show(slant_range_km)}")
+        return cls(scenario, slant_range_km, findings)
 
     @classmethod
     def from_json(cls, text: str) -> "ScenarioReport":

@@ -18,7 +18,7 @@ import random
 import pytest
 
 from satlink import capacity, quantities, scenario
-from satlink.errors import SatlinkError
+from satlink.errors import ParseError, SatlinkError
 
 SEED = 26
 MUTANTS = 1500  # per kind and chunk: about 1.5 s for the whole file
@@ -134,3 +134,48 @@ def test_mutated_constant_overrides_end_in_satlink_errors(chunk):
         if _only_satlink_errors(quantities.PhysicalConstants.from_mapping, source) is not None:
             built += 1
     assert built > MUTANTS // 20, built
+
+
+# A report document's finding or slant range of the wrong type -> the ParseError it raises.
+REPORT_FAULTS = [
+    ("missing", "ab", r"finding 'band': missing must be a list of strings, got 'ab'"),
+    ("missing", ["a", 1], r"finding 'band': missing must be a list of strings, got \['a', 1\]"),
+    ("missing", {"a": 1}, r"finding 'band': missing must be a list of strings, got \{'a': 1\}"),
+    ("computed", [1], r"finding 'band': computed must be a number, a string or null, got \[1\]"),
+    ("computed", {}, r"finding 'band': computed must be a number, a string or null, got \{\}"),
+    ("reported", True, r"finding 'band': reported must be a number, a string or null, got True"),
+    ("delta", "0.5", r"finding 'band': delta must be a number or null, got '0.5'"),
+    ("delta", [0.5], r"finding 'band': delta must be a number or null, got \[0.5\]"),
+    ("quantity", ["band"], r"finding \['band'\]: quantity must be a string, got \['band'\]"),
+    ("status", None, r"finding 'band': status must be a string, got None"),
+    ("direction", 1, r"finding 'band': direction must be a string or null, got 1"),
+    ("label", [], r"finding 'band': label must be a string or null, got \[\]"),
+    ("slant_range_km", [1.0], r"slant_range_km must be a number or null, got \[1.0\]"),
+    ("slant_range_km", "600", r"slant_range_km must be a number or null, got '600'"),
+]
+
+
+@pytest.mark.parametrize(("key", "value", "message"), REPORT_FAULTS, ids=lambda v: str(v)[:20])
+def test_a_mistyped_report_value_is_refused_by_name(key, value, message):
+    doc = scenario.run_scenario(scenario.fixture("thales")).to_doc()
+    band = next(f for f in doc["findings"] if f["quantity"] == "band")
+    (doc if key == "slant_range_km" else band)[key] = value
+    with pytest.raises(ParseError, match="^report document: " + message + "$"):
+        scenario.ScenarioReport.from_doc(doc)
+
+
+@pytest.mark.parametrize("chunk", range(2))
+def test_every_report_document_read_is_a_hashable_report(chunk):
+    """A mutated report document is refused with a SatlinkError, or its report
+    hashes and survives a second round trip."""
+    rng = random.Random(f"{SEED}:report:{chunk}")
+    docs = [scenario.run_scenario(s).to_doc() for s in scenario.builtin_fixtures()]
+    read = 0
+    for _ in range(MUTANTS):
+        report = _only_satlink_errors(scenario.ScenarioReport.from_doc, _mutate(rng, rng.choice(docs)))
+        if report is None:
+            continue
+        read += 1
+        hash(report)
+        assert scenario.ScenarioReport.from_doc(report.to_doc()) == report
+    assert read > MUTANTS // 20, read

@@ -338,3 +338,22 @@ def test_the_library_loads_json_and_csv_only_for_a_document():
         "print(sorted(m for m in ('json', 'csv') if m in sys.modules))\n"
     )
     assert out == "[]"
+
+
+def test_the_library_loads_neither_dataclasses_nor_inspect():
+    """`quantities.record` writes each record class itself. The dataclass view
+    of a record loads `dataclasses` at its first read."""
+    modules = sorted(m.name for m in pkgutil.iter_modules(satlink.__path__) if m.name != "cli")
+    out = python(
+        "import sys\n"
+        "import satlink\n"
+        f"for name in {modules!r}:\n"
+        "    __import__('satlink.' + name)\n"
+        "satlink.PhysicalConstants()\n"
+        "print(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules))\n"
+        "import dataclasses\n"
+        "print(' '.join(f.name for f in dataclasses.fields(satlink.PhysicalConstants)))\n"
+    )
+    assert out.splitlines() == [
+        "[]", "c_m_per_s boltzmann_j_per_k earth_radius_km earth_perimeter_km earth_surface_km2 t_ref_k",
+    ]

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import ast
 import dataclasses
+import functools
 import importlib
 import inspect
 import math
@@ -146,3 +147,20 @@ def test_only_quantities_record_applies_dataclass():
             if any(isinstance(d, ast.Name) and d.id == "record" for d in node.decorator_list)
         ]
     assert sorted(declared) == [cls.__qualname__ for cls in RECORDS]
+
+
+def test_record_doc_writes_exactly_the_set_fields():
+    """A field is written unless it holds its default of None or (); a
+    cached_property, which stores its value in the instance dict, is not."""
+    read = 0
+    for cls, (sample, _) in SAMPLES.items():
+        fields = dataclasses.fields(cls)
+        instance = cls(**{f.name: getattr(sample, f.name) for f in fields})
+        written = [f.name for f in fields if not (f.default in (None, ()) and getattr(instance, f.name) is f.default)]
+        assert list(quantities.record_doc(instance)) == written, cls
+        for name, attribute in vars(cls).items():
+            if isinstance(attribute, functools.cached_property):
+                getattr(instance, name)
+                read += 1
+                assert list(quantities.record_doc(instance)) == written, (cls, name)
+    assert read >= 1
