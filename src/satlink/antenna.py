@@ -121,7 +121,7 @@ def psi_from_incidence(spacing_wavelengths: float, theta_rad: float) -> float:
     require("spacing", spacing_wavelengths, "must be > 0 wavelengths")
     require("theta", theta_rad, "must be finite")
     psi = 2.0 * math.pi * spacing_wavelengths * math.cos(theta_rad)
-    return require_no_overflow(psi, "spacing {!r} wavelengths is too large for a phase psi", spacing_wavelengths)
+    return require_no_overflow(psi, "spacing {} wavelengths is too large for a phase psi", spacing_wavelengths)
 
 
 def directivity(spec: ArraySpec) -> float:
@@ -129,7 +129,7 @@ def directivity(spec: ArraySpec) -> float:
     if spec.topology == LINEAR:
         return float(spec.elements)
     return require_no_overflow(
-        spec.elements * math.pi, "element count {!r} is too large for a planar directivity", spec.elements
+        spec.elements * math.pi, "element count {} is too large for a planar directivity", spec.elements
     )
 
 
@@ -147,9 +147,9 @@ def effective_aperture(wavelength_m: float, gain_linear: float) -> float:
     try:
         area = wavelength_m**2 * gain_linear / (4.0 * math.pi)
     except OverflowError:  # above about 1.3e154 m
-        raise DomainError(f"wavelength {wavelength_m!r} m is too large for an effective aperture") from None
+        return require_no_overflow(math.inf, "wavelength {} m is too large for an effective aperture", wavelength_m)
     return require_no_overflow(
-        area, "wavelength {!r} m and gain {!r} are too large for an effective aperture", wavelength_m, gain_linear
+        area, "wavelength {} m and gain {} are too large for an effective aperture", wavelength_m, gain_linear
     )
 
 
@@ -157,7 +157,7 @@ def hpbw_from_directivity(directivity_linear: float) -> float:
     """Half-power beamwidth in degrees under the symmetric-beam approximation
     D = 32400 / hpbw^2, i.e. hpbw = sqrt(32400 / D)."""
     hpbw = math.sqrt(HPBW_APPROX_COEFFICIENT / require("directivity", directivity_linear, "must be > 0"))
-    return require_no_overflow(hpbw, "directivity {!r} is too small for a beamwidth", directivity_linear)
+    return require_no_overflow(hpbw, "directivity {} is too small for a beamwidth", directivity_linear)
 
 
 _HPBW_TOL_RAD = 1e-9  # bisection stops when the bracket on theta is this narrow
@@ -271,11 +271,11 @@ def _pattern_cut(spec: ArraySpec, resolution_deg: float):
     steps = int(round(180.0 / require("resolution", resolution_deg, _RESOLUTION)))
     spacing = spec.spacing_wavelengths
     two_pi_sp = require_no_overflow(
-        2.0 * math.pi * spacing, "spacing {!r} wavelengths is too large for a pattern cut", spacing
+        2.0 * math.pi * spacing, "spacing {} wavelengths is too large for a pattern cut", spacing
     )
     require_no_overflow(  # N*psi at endfire
         spec.elements * two_pi_sp,
-        "element count {!r} and spacing {!r} wavelengths are too large for a pattern cut", spec.elements, spacing,
+        "element count {} and spacing {} wavelengths are too large for a pattern cut", spec.elements, spacing,
     )
     thetas = np.linspace(0.0, math.pi, steps + 1)
     psis = two_pi_sp * np.cos(thetas)

@@ -18,7 +18,8 @@ _LN2 = math.log(2.0)
 
 def shannon_capacity(bw_hz: float, snr_linear: float) -> float:
     """Maximum achievable bitrate in bps: B * log2(1 + snr)."""
-    return require("bandwidth", bw_hz, "must be > 0 Hz") * max_spectral_efficiency(snr_linear)
+    bps = require("bandwidth", bw_hz, "must be > 0 Hz") * max_spectral_efficiency(snr_linear)
+    return require_no_overflow(bps, "bandwidth {} Hz at SNR {} is too large for a Shannon capacity", bw_hz, snr_linear)
 
 
 def max_spectral_efficiency(snr_linear: float) -> float:
@@ -34,14 +35,14 @@ def required_snr(se_bps_hz: float) -> float:
     try:
         return math.expm1(require("spectral efficiency", se_bps_hz, "must be >= 0") * _LN2)
     except OverflowError:  # above about 1024 bps/Hz
-        raise DomainError(f"spectral efficiency {se_bps_hz!r} bps/Hz is too large for a required SNR") from None
+        return require_no_overflow(math.inf, "spectral efficiency {} bps/Hz is too large for a required SNR", se_bps_hz)
 
 
 def effective_bitrate(se_bps_hz: float, bw_hz: float) -> float:
     """Delivered bitrate in bps for a spectral efficiency over a bandwidth."""
     return require_no_overflow(
         require("se_bps_hz", se_bps_hz, "must be >= 0") * require("bw_hz", bw_hz, "must be >= 0"),
-        "spectral efficiency {!r} bps/Hz and bandwidth {!r} Hz are too large for a bitrate", se_bps_hz, bw_hz,
+        "spectral efficiency {} bps/Hz and bandwidth {} Hz are too large for a bitrate", se_bps_hz, bw_hz,
     )
 
 
@@ -205,7 +206,7 @@ def multibeam_capacity(
         share = math.inf
     return require_no_overflow(
         se_bps_hz * bandwidth_hz * share * (1.0 - guard_fraction),
-        "spectral efficiency {!r} bps/Hz, bandwidth {!r} Hz and {!r} beams are too large for a multi-beam capacity",
+        "spectral efficiency {} bps/Hz, bandwidth {} Hz and {} beams are too large for a multi-beam capacity",
         se_bps_hz, bandwidth_hz, beams,
     )
 
@@ -232,5 +233,5 @@ def tcp_throughput_bound(mss_bytes: float, rtt_s: float, loss_probability: float
         warnings.warn(f"C={c_constant:g} is outside the typical 1-1.5 range", stacklevel=2)
     return require_no_overflow(
         (mss_bytes * 8.0 / rtt_s) * c_constant / math.sqrt(loss_probability),
-        "MSS {!r} bytes over RTT {!r} s is too large for a TCP throughput bound", mss_bytes, rtt_s,
+        "MSS {} bytes over RTT {} s is too large for a TCP throughput bound", mss_bytes, rtt_s,
     )

@@ -553,17 +553,9 @@ def _cmd_scenario_run(args) -> dict | list[dict]:
         for note in s.annotations:
             print(f"note      {note}".translate(_VISIBLE))
         print()
+    columns = ("quantity", "direction", "label", "status", "computed", "reported", "delta")
     return [
-        {
-            "quantity": f.quantity,
-            "direction": f.direction,
-            "label": f.label,
-            "status": f.status,
-            "computed": f.computed,
-            "reported": f.reported,
-            "delta": f.delta,
-            "missing": ";".join(f.missing) if f.missing else None,
-        }
+        {**{key: getattr(f, key) for key in columns}, "missing": ";".join(f.missing) if f.missing else None}
         for f in report.findings
     ]
 

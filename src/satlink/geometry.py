@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 
-from .errors import DomainError
 from .quantities import DEFAULT_CONSTANTS, PhysicalConstants, require, require_no_overflow
 
 
@@ -28,7 +27,7 @@ def slant_range_exact(
     q = altitude_km * (altitude_km + 2.0 * re)
     denominator = require_no_overflow(
         math.sqrt(re * re * s * s + q) + re * s,
-        "altitude {!r} km and Earth radius {!r} km are too large for a slant range", altitude_km, re,
+        "altitude {} km and Earth radius {} km are too large for a slant range", altitude_km, re,
     )
     return q / denominator if q else 0.0  # q underflows to 0 only when h and Re both do
 
@@ -46,7 +45,7 @@ def slant_range_altitude_approx(altitude_km: float, elevation_rad: float) -> flo
     t = math.tan(elevation_rad)
     return require_no_overflow(
         altitude_km * math.sqrt(1.0 + t * t),
-        "altitude {!r} km at elevation {!r} rad is too large for a slant range", altitude_km, elevation_rad,
+        "altitude {} km at elevation {} rad is too large for a slant range", altitude_km, elevation_rad,
     )
 
 
@@ -61,9 +60,10 @@ def footprint_area(diameter_km: float) -> float:
     """Disk area (km^2) of a footprint diameter."""
     require("diameter", diameter_km, "must be > 0 km")
     try:
-        return math.pi * (diameter_km / 2.0) ** 2
+        square = (diameter_km / 2.0) ** 2
     except OverflowError:  # above about 2.7e154 km
-        raise DomainError(f"diameter {diameter_km!r} km is too large for a footprint area") from None
+        square = math.inf
+    return require_no_overflow(math.pi * square, "diameter {} km is too large for a footprint area", diameter_km)
 
 
 def earth_coverage_fraction(

@@ -57,7 +57,7 @@ def _friis(p_t_w, g_t, g_r, wavelength_m, distance_m) -> float:
             "for the Friis equation"
         ) from None
     return require_no_overflow(
-        p_r, "received power of {!r} W through gains {!r} and {!r} is too large for the Friis equation", p_t_w, g_t, g_r
+        p_r, "received power of {} W through gains {} and {} is too large for the Friis equation", p_t_w, g_t, g_r
     )
 
 
@@ -71,7 +71,7 @@ def noise_power(t_k: float, bw_hz: float, constants: PhysicalConstants = DEFAULT
 def _noise_power(t_k, bw_hz, constants) -> float:
     return require_no_overflow(
         constants.boltzmann_j_per_k * t_k * bw_hz,
-        "noise temperature {!r} K and bandwidth {!r} Hz are too large for a noise power", t_k, bw_hz,
+        "noise temperature {} K and bandwidth {} Hz are too large for a noise power", t_k, bw_hz,
     )
 
 
@@ -96,7 +96,7 @@ def _fspl(distance_m, freq_hz, constants) -> float:
     path_db = 20.0 * math.log10(ratio)
     return require_no_overflow(
         path_db,
-        "distance {!r} m times frequency {!r} Hz over speed of light {!r} m/s is too large for a path loss",
+        "distance {} m times frequency {} Hz over speed of light {} m/s is too large for a path loss",
         distance_m, freq_hz, constants.c_m_per_s,
     )
 
@@ -152,7 +152,7 @@ class Transmitter:
     def eirp_w(self) -> float:
         return require_no_overflow(
             self.power_w * self.gain_linear,
-            "transmit power {!r} W and gain {!r} dBi are too large for an EIRP in watts", self.power_w, self.gain_dbi,
+            "transmit power {} W and gain {} dBi are too large for an EIRP in watts", self.power_w, self.gain_dbi,
         )
 
 
@@ -261,7 +261,11 @@ def _ledger(
     eirp_dbw, g_over_t_dbk, fspl_db, atm_loss_db, ad_loss_db, margin_db, bw_dbhz, constants, rx_w=None, n_w=None
 ) -> LinkBudgetResult:
     k_db = constants.boltzmann_dbw_per_k_hz
-    snr = eirp_dbw + g_over_t_dbk - fspl_db - atm_loss_db - ad_loss_db - margin_db - bw_dbhz - k_db
+    snr = require_no_overflow(
+        eirp_dbw + g_over_t_dbk - fspl_db - atm_loss_db - ad_loss_db - margin_db - bw_dbhz - k_db,
+        "EIRP {} dBW, G/T {} dB/K, losses {}, {}, {} and {} dB and bandwidth {} dBHz are too large for an SNR ledger",
+        eirp_dbw, g_over_t_dbk, fspl_db, atm_loss_db, ad_loss_db, margin_db, bw_dbhz,
+    )
     return LinkBudgetResult(
         eirp_dbw, g_over_t_dbk, fspl_db, atm_loss_db, ad_loss_db, margin_db, bw_dbhz, k_db, snr, rx_w, n_w
     )

@@ -64,11 +64,13 @@ def require_count(name: str, value, rule: str = "must be an integer >= 1", field
 def require_no_overflow(value: float, template: str, *args) -> float:
     """Return `value`, a result computed from finite inputs, if it is finite.
     Otherwise an intermediate passed float max: raise DomainError reading
-    `template.format(*args)`, a message built only then, in which a `{!r}`
-    field renders its argument through `_show`."""
+    `template.format(*args)`, a message built only then, in which each `{}`
+    field is its argument rendered by `_show`. The one place satlink raises
+    a "... is too large for ..." refusal; an `except OverflowError` handler
+    passes math.inf here."""
     if math.isfinite(value):
         return value
-    raise DomainError(template.format(*map(_Shown, args)))
+    raise DomainError(template.format(*map(_show, args))) from None  # an OverflowError being handled is no cause
 
 
 def _show(value) -> str:
@@ -84,21 +86,6 @@ def _show(value) -> str:
         digits = int(math.log10(n)) + 1
         digits += (n >= 10**digits) - (n < 10 ** (digits - 1))  # log10 may round across a power of ten
         return f"{'a negative' if value < 0 else 'an'} integer of {digits} digits"
-
-
-class _Shown:
-    """A message argument: `{!r}` renders it through `_show`, `{}` as str.format would."""
-
-    __slots__ = ("value",)
-
-    def __init__(self, value):
-        self.value = value
-
-    def __repr__(self) -> str:
-        return _show(self.value)
-
-    def __format__(self, spec: str) -> str:
-        return format(self.value, spec)
 
 
 def _bounds(rule) -> tuple[float, float]:
@@ -136,7 +123,7 @@ def linear_from_db(x: float) -> float:
     try:
         return 10.0 ** (x / 10.0)
     except OverflowError:  # above about 3083 dB
-        raise DomainError(f"dB value {x!r} is too large for a linear ratio") from None
+        return require_no_overflow(math.inf, "dB value {} is too large for a linear ratio", x)
 
 
 # the range kinds of document values; a value beyond +-float max is not finite
@@ -451,9 +438,13 @@ def noise_temperature_from_nf(nf_db: float, t_ref_k: float = DEFAULT_CONSTANTS.t
     require("noise figure", nf_db, "must be >= 0 dB")
     require("reference temperature", t_ref_k, "must be > 0 K")
     try:
-        return t_ref_k * math.expm1(nf_db / 10.0 * _LN10)
+        factor = math.expm1(nf_db / 10.0 * _LN10)
     except OverflowError:  # above about 3083 dB
-        raise DomainError(f"noise figure {nf_db!r} dB is too large for a noise temperature") from None
+        return require_no_overflow(math.inf, "noise figure {} dB is too large for a noise temperature", nf_db)
+    return require_no_overflow(
+        t_ref_k * factor,
+        "noise figure {} dB over reference {} K is too large for a noise temperature", nf_db, t_ref_k,
+    )
 
 
 def noise_figure_from_temperature(t_k: float, t_ref_k: float = DEFAULT_CONSTANTS.t_ref_k) -> float:
@@ -462,7 +453,7 @@ def noise_figure_from_temperature(t_k: float, t_ref_k: float = DEFAULT_CONSTANTS
     require("reference temperature", t_ref_k, "must be > 0 K")
     return require_no_overflow(
         10.0 * math.log1p(t_k / t_ref_k) / _LN10,
-        "noise temperature {!r} K over reference {!r} K is too large for a noise figure", t_k, t_ref_k,
+        "noise temperature {} K over reference {} K is too large for a noise figure", t_k, t_ref_k,
     )
 
 
@@ -471,7 +462,7 @@ def wavelength(freq_hz: float, constants: PhysicalConstants = DEFAULT_CONSTANTS)
     c = constants.c_m_per_s
     lam = require_no_overflow(
         c / require("frequency", freq_hz, "must be finite and > 0 Hz"),
-        "speed of light {!r} m/s over frequency {!r} Hz is too large for a wavelength", c, freq_hz,
+        "speed of light {} m/s over frequency {} Hz is too large for a wavelength", c, freq_hz,
     )
     if lam == 0.0:  # the quotient underflows
         raise DomainError(f"speed of light {c!r} m/s over frequency {freq_hz!r} Hz is too small for a wavelength")

@@ -117,7 +117,7 @@ def terminal_profile(spec) -> TerminalProfile:
         if "gain_dbi" not in merged:
             raise ValidationError("terminal.gain_dbi", "terminal mapping needs gain_dbi")
         values = {k: require_number(f"terminal.{k}", v, "finite") for k, v in merged.items()}
-        return TerminalProfile(name, **values)
+        return _at("terminal.", TerminalProfile, name, **values)
     raise ValidationError("terminal", f"terminal must be a preset name or mapping, got {type(spec).__name__}")
 
 
@@ -181,7 +181,6 @@ _FINDING_VALUES = {
     "delta": ("a number or null", _NUMBER_OR_NULL),
     "missing": ("a list of strings", frozenset({list})),
 }
-_FINDING_TYPES = [types for _, types in _FINDING_VALUES.values()]
 
 
 @record
@@ -201,16 +200,20 @@ class Finding:
 
     @classmethod
     def from_doc(cls, doc: dict) -> "Finding":
-        """The finding a `to_doc` mapping describes. A value of another type than
-        the one its field holds raises ParseError "report document: finding
-        <quantity>: <key> must be …", so every finding read is hashable;
-        unknown keys are ignored."""
-        values = [doc["quantity"], doc["status"], *map(doc.get, ("direction", "label", "computed", "reported", "delta"))]
-        values.append(doc.get("missing", []))
-        if not all(map(frozenset.__contains__, _FINDING_TYPES, map(type, values))) or {*map(type, values[-1])} - {str}:
-            for (key, (what, types)), value in zip(_FINDING_VALUES.items(), values):
-                if type(value) not in types or key == "missing":  # the first key whose value is wrong
-                    raise ParseError(f"report document: finding {_show(values[0])}: {key} must be {what}, got {_show(value)}")
+        """The finding a `to_doc` mapping describes, unknown keys ignored. Another
+        shape, a missing "quantity" or "status", or a value of another type than
+        its field holds raises ParseError, so every finding read is hashable."""
+        if not isinstance(doc, dict):
+            raise ParseError(f"report document: wrong shape (a finding must be a mapping, got {type(doc).__name__})")
+        values = []
+        for key, (what, types) in _FINDING_VALUES.items():
+            value = doc.get(key, [] if key == "missing" else None)
+            if type(value) not in types or key == "missing" and {*map(type, value)} - {str}:
+                if key not in doc:
+                    raise ParseError(f"report document: missing key {key!r}")
+                name = _show(doc["quantity"])
+                raise ParseError(f"report document: finding {name}: {key} must be {what}, got {_show(value)}")
+            values.append(value)
         values[-1] = tuple(values[-1])
         return cls(*values)
 
@@ -276,7 +279,16 @@ def _parse_case(doc: dict, index: int) -> LinkCase:
             if kwargs[target] == 0 != value:  # a positive figure too small for its field's unit
                 unit, field_unit = _CASE_UNITS[key]
                 raise ValidationError(field, f"{field} must fit a float in {field_unit}, got {value!r} {unit}")
-    return LinkCase(**kwargs)
+    return _at(f"cases[{index}].", LinkCase, **kwargs)
+
+
+def _at(place: str, cls, *args, **kwargs):
+    """`cls(*args, **kwargs)`, a record of a document; a ValidationError it raises
+    names its field at `place` in the document ("terminal.nf_db")."""
+    try:
+        return cls(*args, **kwargs)
+    except ValidationError as exc:
+        raise ValidationError(place + exc.field, str(exc)) from None
 
 
 def _scenario_from_doc(doc: dict) -> Scenario:
@@ -374,7 +386,7 @@ def _grade(quantity, direction, label, names, inputs, compute, reported=None, gr
 
 def _band(freq_ghz: float, chart_direction: str, chart_orbit: str) -> str:
     """The chart's band at a frequency in GHz, or "out-of-band (<band> nearest)"."""
-    freq_hz = require_no_overflow(freq_ghz * 1e9, "frequency {!r} GHz is too large for a frequency in Hz", freq_ghz)
+    freq_hz = require_no_overflow(freq_ghz * 1e9, "frequency {} GHz is too large for a frequency in Hz", freq_ghz)
     try:
         return band_lookup(freq_hz, chart_direction, chart_orbit)
     except OutOfBandError as exc:
@@ -399,14 +411,14 @@ def _se_excess(bound: float, se_bps_hz: float) -> tuple[str, float]:
 
 
 def _bitrate_bps(se_bps_hz: float, bw_mhz: float) -> float:
-    bw_hz = require_no_overflow(bw_mhz * 1e6, "bandwidth {!r} MHz is too large for a bandwidth in Hz", bw_mhz)
+    bw_hz = require_no_overflow(bw_mhz * 1e6, "bandwidth {} MHz is too large for a bandwidth in Hz", bw_mhz)
     return effective_bitrate(se_bps_hz, bw_hz)
 
 
 def _relative_error(bitrate: float, reported: float) -> tuple[str, float]:
     rel = require_no_overflow(
         abs(bitrate - reported) / reported,
-        "bitrate {!r} b/s against reported bitrate {!r} b/s is too large for a relative error", bitrate, reported,
+        "bitrate {} b/s against reported bitrate {} b/s is too large for a relative error", bitrate, reported,
     )
     return (CONSISTENT if rel <= BITRATE_TOLERANCE else INCONSISTENT), rel
 
@@ -427,15 +439,15 @@ class ScenarioReport:
     @classmethod
     def from_doc(cls, doc: dict) -> "ScenarioReport":
         """The report a `to_doc` mapping describes; another shape raises ParseError
-        "report document: …", and a "scenario" that is not a mapping raises ParseError."""
-        try:
-            scenario = _scenario_from_doc(doc["scenario"])
-            slant_range_km = doc.get("slant_range_km")
-            findings = tuple(Finding.from_doc(f) for f in doc.get("findings", []))
-        except KeyError as exc:
-            raise ParseError(f"report document: missing key {exc.args[0]!r}") from None
-        except TypeError as exc:  # a list or scalar where a mapping belongs
-            raise ParseError(f"report document: wrong shape ({exc})") from None
+        "report document: …", and its scenario is refused as load_scenario refuses it."""
+        if not isinstance(doc, dict):
+            raise ParseError(f"report document: wrong shape (a report must be a mapping, got {type(doc).__name__})")
+        if "scenario" not in doc:
+            raise ParseError("report document: missing key 'scenario'")
+        scenario, findings = _scenario_from_doc(doc["scenario"]), doc.get("findings", [])
+        if not isinstance(findings, list):
+            raise ParseError(f"report document: wrong shape (findings must be a list, got {type(findings).__name__})")
+        findings, slant_range_km = tuple(map(Finding.from_doc, findings)), doc.get("slant_range_km")
         if type(slant_range_km) not in _NUMBER_OR_NULL:
             raise ParseError(f"report document: slant_range_km must be a number or null, got {_show(slant_range_km)}")
         return cls(scenario, slant_range_km, findings)
@@ -482,7 +494,7 @@ def run_scenario(s: Scenario, constants: PhysicalConstants = DEFAULT_CONSTANTS) 
         names, inputs = ("se_bps_hz", "bw_mhz"), (se, s.bw_mhz_for(case))
         if reported is not None:
             reported = require_no_overflow(
-                reported * 1e6, "reported bitrate {!r} Mb/s is too large for a bitrate in b/s", reported
+                reported * 1e6, "reported bitrate {} Mb/s is too large for a bitrate in b/s", reported
             )
         findings.append(_grade("bitrate_bps", d, l, names, inputs, _bitrate_bps, reported, _relative_error))
 

@@ -87,7 +87,7 @@ def nonfinite(argv: list[str]) -> list[tuple]:
 
 def _argv(leaf, base, settings, formats) -> list[str]:
     for flag, value in settings:
-        base = _with(base, flag, value)
+        base = _with(leaf, base, flag, value)
     return [*leaf, *base, *(["--format=json"] if "json" in formats else [])]
 
 
@@ -164,3 +164,18 @@ HUGE_COUNT = "1" + "0" * 400  # an int past the float range
 def test_a_count_past_the_float_range_is_a_domain_error(argv, message):
     code, _, err = invoke(argv)
     assert code == 1 and message in err
+
+
+# Products past float max that the power-of-ten grids above step over
+@pytest.mark.parametrize("argv, constants, message", [
+    (["capacity", "--snr-db=3000", "--bw-ghz=1e299", "--format=json"], None,
+     "bandwidth 1e+308 Hz at SNR 1e+300 is too large for a Shannon capacity"),
+    (["convert", "noise-temp", "--nf-db=10", "--t-ref-k=1e308"], None,
+     "noise figure 10.0 dB over reference 1e+308 K is too large for a noise temperature"),
+    (["geometry", "footprint", "--sats-per-orbit=1"], {"earth_perimeter_km": 1.55e154},
+     "diameter 1.55e+154 km is too large for a footprint area"),
+], ids=["shannon-capacity", "noise-temperature", "footprint-area"])
+def test_a_product_past_float_max_is_refused(argv, constants, message, tmp_path):
+    path = tmp_path / "constants.json"
+    path.write_text(json.dumps(constants or {}))
+    assert invoke(argv, constants=str(path) if constants else None) == (1, "", f"error: {message}\n")

@@ -102,12 +102,47 @@ BASES = {
 }
 
 
-def _with(base: tuple, flag: str, value: str) -> list[str]:
-    """`base` with `flag` set to `value` (as `--flag=value`, so "-inf" is not read as an option)."""
-    argv = list(base)
-    if flag in argv:
-        del argv[argv.index(flag) : argv.index(flag) + 2]
-    return [*argv, f"{flag}={value}"]
+def _quantities(leaf: tuple):
+    """Each quantity the subcommand takes in several forms, as a tuple of its
+    forms, each a set of flags: the unit flags of a tuple row of
+    cli._COMMANDS, the forms of cli._BUDGET_FORMS, and antenna select's
+    beamwidth or cell."""
+    node = cli._COMMANDS
+    for name in leaf:
+        _, *entry = node[name]
+        node = entry[0]
+    for key, *_ in entry[1]:
+        if not isinstance(key, str):
+            yield tuple({cli._flag(k)} for k in key)
+    if leaf == ("linkbudget",):
+        yield from (tuple({cli._flag(k) for k in form} for form in forms) for forms in cli._BUDGET_FORMS)
+    if leaf == ("antenna", "select"):
+        yield {"--hpbw-deg"}, {"--cell-radius-km", "--altitude-km"}
+
+
+def _items(argv) -> list[tuple]:
+    """The (flag, value) items of an argv, `--f v` and `--f=v` alike; a positional is (it, None)."""
+    items, tokens = [], iter(argv)
+    for token in tokens:
+        name, eq, value = token.partition("=")
+        items.append((name, value if eq else next(tokens)) if token.startswith("--") else (token, None))
+    return items
+
+
+def _with(leaf: tuple, base, flag: str, value: str) -> list[str]:
+    """`base` with its quantity of `flag` set only by `flag`, to `value` (as
+    `--flag=value`, so "-inf" is not read as an option). Every other flag of
+    that quantity, in its unit or another form, is dropped, and a flag that
+    completes the form of `flag` (--elevation-deg beside --altitude-km) is
+    added, with the value a base of the subcommand gives it."""
+    forms = [form for quantity in _quantities(leaf) if any(flag in f for f in quantity) for form in quantity]
+    own = set().union(*(form for form in forms if flag in form))
+    other = set().union(*(form for form in forms if flag not in form))
+    partners = own - other - {flag}
+    items = [(f, v) for f, v in _items(base) if f in partners or f not in own | other]
+    given = dict(item for argv in BASES[leaf] for item in reversed(_items(argv)))
+    items += [(f, given[f]) for f in sorted(partners - {f for f, _ in items}) if f in given]
+    return [*(token for f, v in items for token in ((f,) if v is None else (f, v))), f"{flag}={value}"]
 
 
 # (subcommand, base, flag, formats) for every numeric flag of every subcommand
@@ -124,12 +159,25 @@ def test_every_subcommand_has_a_base_argv():
     assert len(CASES) > 50
 
 
+# An in-range value of a flag no base sets, where 1 is not one
+IN_RANGE = {"--freq-mhz": "2000", "--freq-ghz": "2", "--freq-hz": "2e9"}  # convert band's uplink S band
+
+
+@pytest.mark.parametrize("leaf, base, flag, formats", CASES, ids=[" ".join([*c[0], c[2]]) for c in CASES])
+def test_every_case_reaches_its_handler(leaf, base, flag, formats):
+    """At an in-range value (the base's own where it sets the flag) each case
+    runs, so a hostile value of it meets the handler, not a usage error."""
+    value = dict(_items(base)).get(flag) or IN_RANGE.get(flag, "1")
+    code, _, err = invoke([*leaf, *_with(leaf, base, flag, value)])
+    assert code == cli.EXIT_OK, err
+
+
 @settings(max_examples=200)
 @given(case=st.sampled_from(CASES), value=st.sampled_from(HOSTILE), data=st.data())
 def test_hostile_flag_values(case, value, data):
     leaf, base, flag, formats = case
     fmt = data.draw(st.sampled_from(formats))
-    invoke([*leaf, *_with(base, flag, value), *([f"--format={fmt}"] if fmt else [])])
+    invoke([*leaf, *_with(leaf, base, flag, value), *([f"--format={fmt}"] if fmt else [])])
 
 
 # --- random documents ------------------------------------------------------------

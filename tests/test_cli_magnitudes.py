@@ -34,7 +34,7 @@ def test_every_flag_at_every_magnitude(leaf):
     for _, base, flag, formats in (case for case in CASES if case[0] == leaf):
         for i, value in enumerate(MAGNITUDES):
             fmt = formats[i % len(formats)]  # each format in turn
-            invoke([*leaf, *_with(base, flag, value), *([f"--format={fmt}"] if fmt else [])])
+            invoke([*leaf, *_with(leaf, base, flag, value), *([f"--format={fmt}"] if fmt else [])])
 
 
 @pytest.mark.parametrize("name", CONSTANT_NAMES)

@@ -15,7 +15,7 @@ import re
 
 import pytest
 
-from test_cli_fuzz import CASES, HOSTILE, invoke
+from test_cli_fuzz import CASES, HOSTILE, _with, invoke
 from test_cli_help import GOLDEN as HELP_GOLDEN
 
 UNITS = {"ghz": "GHz", "mhz": "MHz", "khz": "kHz", "hz": "Hz", "km": "km", "deg": "degrees", "ms": "ms"}
@@ -33,10 +33,7 @@ SCALED = [
 
 def _argv(leaf, base, flag, value) -> list[str]:
     """`leaf base` with the flag's quantity set only by `flag`, to `value`."""
-    quantity = CHECKED.match(flag)[1]
-    pairs = zip(base[::2], base[1::2])  # every base of a checked leaf is flag-value pairs
-    return [*leaf, *(token for pair in pairs if not pair[0].startswith(f"--{quantity}-") for token in pair),
-            f"{flag}={value}"]
+    return [*leaf, *_with(leaf, base, flag, value)]
 
 
 def test_every_checked_flag_is_swept():

@@ -20,7 +20,7 @@ def test_every_flag_value_in_both_forms(leaf):
     for _, base, flag, formats in (case for case in CASES if case[0] == leaf):
         for value in VALUES:
             for fmt in formats:
-                argv = _with(base, flag, value)  # ends in f"{flag}={value}"
+                argv = _with(leaf, base, flag, value)  # ends in f"{flag}={value}"
                 tail = [f"--format={fmt}"] if fmt else []
                 joined = invoke([*leaf, *argv, *tail])
                 separate = invoke([*leaf, *argv[:-1], flag, value, *tail])

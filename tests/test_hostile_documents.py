@@ -18,7 +18,7 @@ import random
 import pytest
 
 from satlink import capacity, quantities, scenario
-from satlink.errors import ParseError, SatlinkError
+from satlink.errors import NotFoundError, ParseError, SatlinkError
 
 SEED = 26
 MUTANTS = 1500  # per kind and chunk: about 1.5 s for the whole file
@@ -179,3 +179,22 @@ def test_every_report_document_read_is_a_hashable_report(chunk):
         hash(report)
         assert scenario.ScenarioReport.from_doc(report.to_doc()) == report
     assert read > MUTANTS // 20, read
+
+
+@pytest.mark.parametrize(("doc", "message"), [
+    ({}, r"missing key 'quantity'"),
+    ({"quantity": "band"}, r"missing key 'status'"),
+    ([], r"wrong shape \(a finding must be a mapping, got list\)"),
+    ("band", r"wrong shape \(a finding must be a mapping, got str\)"),
+    (None, r"wrong shape \(a finding must be a mapping, got NoneType\)"),
+], ids=["empty", "no-status", "list", "str", "null"])
+def test_a_finding_document_of_another_shape_is_refused_by_the_finding(doc, message):
+    with pytest.raises(ParseError, match="^report document: " + message + "$"):
+        scenario.Finding.from_doc(doc)
+
+
+def test_a_report_scenario_is_refused_as_the_loader_refuses_it():
+    """An unknown terminal preset is a NotFoundError, not a "missing key" ParseError."""
+    doc = {"scenario": {"name": "x", "orbit": "LEO", "terminal": "nope"}}
+    with pytest.raises(NotFoundError, match="^unknown terminal 'nope'"):
+        scenario.ScenarioReport.from_doc(doc)

@@ -458,8 +458,9 @@ class TestRequireNoOverflow:
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
     def test_a_non_finite_result_raises_the_formatted_message(self, value):
         with pytest.raises(DomainError) as err:
-            q.require_no_overflow(value, "power {!r} W and gain {!r} are too large for {}", 1e300, 1e10, "a test")
-        assert str(err.value) == "power 1e+300 W and gain 10000000000.0 are too large for a test"
+            q.require_no_overflow(value, "power {} W, gain {} and {} beams are too large", 1e300, 1e10, 10**5000)
+        # each field is rendered by _show: a repr, or the digit count of an int too long for one
+        assert str(err.value) == "power 1e+300 W, gain 10000000000.0 and an integer of 5001 digits beams are too large"
 
     def test_the_message_is_built_only_on_failure(self):
         assert q.require_no_overflow(1.0, "{} {}") == 1.0  # formatting it would raise IndexError

@@ -145,6 +145,17 @@ class TestLoadScenario:
             sc.load_scenario({"name": "x", "orbit": "LEO", **fields})
         assert type(err.value) is ValidationError and str(err.value) == message and err.value.field == field
 
+    @pytest.mark.parametrize("fields, field", [
+        ({"cases": [{"direction": "dl"}, {"direction": "up"}]}, "cases[1].direction"),
+        ({"terminal": {"name": "t", "gain_dbi": 0, "nf_db": -1}}, "terminal.nf_db"),
+        ({"terminal": {"name": "iot", "noise_temp_k": 0}}, "terminal.noise_temp_k"),
+        ({"terminal": {"name": "t", "gain_dbi": 0}}, "terminal.nf_db/noise_temp_k"),
+    ], ids=["case-direction", "terminal-nf", "terminal-temperature", "terminal-noise"])
+    def test_a_record_refusal_names_its_place_in_the_document(self, fields, field):
+        with pytest.raises(ValidationError) as err:
+            sc.load_scenario({"name": "x", "orbit": "LEO", **fields})
+        assert err.value.field == field
+
     def test_reuse_must_be_integer(self):
         with pytest.raises(ValidationError):
             sc.load_scenario({"name": "x", "orbit": "LEO", "reuse": 2.5})
