@@ -174,6 +174,8 @@ def load_modcod_catalog(source) -> tuple[ModCod, ...]:
     entries = []
     for row in reader:
         try:
+            if None in row:  # csv files the cells past the header under None
+                raise ValueError(row[None])
             entries.append(ModCod(row["name"], float(row["se_bps_hz"]), float(row["snr_qef_db"])))
         except (TypeError, ValueError) as exc:
             if isinstance(exc, DomainError):

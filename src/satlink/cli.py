@@ -13,12 +13,12 @@ stdout. A reader that closes stdout early ends the run quietly with exit 0.
 An input the parser cannot require (a `linkbudget` quantity that a
 --config document may supply, or `antenna select`'s --altitude-km beside
 --cell-radius-km) is checked by the handler, which refuses its absence, or
-flags of two of its forms, through `args.parser`, its leaf's parser, like
-any other usage error.
+flags of two of its forms (`_given`), through `args.parser`, its leaf's
+parser, like any other usage error.
 
 One table, `_COMMANDS`, lists every group and leaf with its help, and each
-leaf's handler and flag rows; `_add_commands` builds the parser from it.
-A flag row is (key, type, argparse options), and a tuple of keys is one
+leaf's handler, flag rows and forms; `_add_commands` builds the parser from
+it. A flag row is (key, type, argparse options), and a tuple of keys is one
 quantity offered in several units (`--freq-ghz`, `--freq-mhz`, ...), taken
 as one mutually exclusive group, which "required" makes required. The
 `linkbudget` row's keys are also the keys of its `--config` document. A
@@ -199,6 +199,20 @@ def _check_flags(values: dict, rules, name) -> None:
                 raise DomainError(f"{name(key)} must fit a float in {library_unit}, got {value!r} {unit}")
 
 
+def _given(args, keys, cfg: dict) -> dict:
+    """The set flags of `keys` over `cfg`, a --config document of those keys. Flags of two forms of
+    one quantity (`args.forms`) are a usage error; a flag of one form drops `cfg`'s other forms' keys."""
+    flags = {key: v for key in keys if (v := getattr(args, key)) is not None}
+    for forms in args.forms:
+        given = [form for form in forms if not flags.keys().isdisjoint(form)]
+        if len(given) > 1:
+            a, b = (next(k for k in flags if k in form) for form in given[:2])
+            args.parser.error(f"argument {_flag(b)}: not allowed with argument {_flag(a)}")
+        if given:
+            cfg = {k: v for k, v in cfg.items() if k in given[0] or not any(k in form for form in forms)}
+    return {**cfg, **flags}
+
+
 def _constants_from_env() -> quantities.PhysicalConstants:
     path = os.environ.get("SATLINK_CONSTANTS")
     if not path:
@@ -310,24 +324,13 @@ def _cmd_geometry_cell(args) -> dict:
 # --- linkbudget -------------------------------------------------------------------
 
 
-# The forms each linkbudget quantity can take. Flags of two forms of one quantity
-# are refused; a flag that sets a key of one form drops the --config keys of the
-# quantity's other forms.
-_BUDGET_FORMS = (
-    ({"distance_km"}, {"altitude_km", "elevation_deg"}),
-    tuple({key} for key in _BUDGET_FREQ),
-    tuple({key} for key in _BW),
-    ({"eirp_dbw"}, {"power_w", "gain_dbi"}),
-    ({"g_over_t_dbk"}, {"terminal"}, {"rx_gain_dbi", "nf_db", "noise_temp_k"}),
-    ({"nf_db"}, {"noise_temp_k"}),
-)
-
-
 def _load_budget_config(path: str) -> dict:
     doc = quantities.read_object(path, "link budget config")
     quantities.check_keys(doc, set(_BUDGET_KEYS), "config")
     for key, value in doc.items():
-        if key != "terminal":
+        if key == "terminal":
+            scenario.terminal_profile(value)  # refused as read, like a number a flag displaces
+        else:
             doc[key] = quantities.require_number(key, value, "finite")
     return doc
 
@@ -336,15 +339,7 @@ def _cmd_linkbudget(args) -> dict:
     constants = _constants_from_env()
     cfg = _load_budget_config(args.config) if args.config else {}
     _check_flags(cfg, args.rules, str)  # as read: a value a flag overrides is still refused
-    flags = {key: v for key in _BUDGET_KEYS if (v := getattr(args, key)) is not None}
-    for forms in _BUDGET_FORMS:
-        given = [form for form in forms if form & flags.keys()]
-        if len(given) > 1:
-            a, b = (next(k for k in flags if k in form) for form in given[:2])
-            args.parser.error(f"argument {_flag(b)}: not allowed with argument {_flag(a)}")
-        if given:
-            cfg = {k: v for k, v in cfg.items() if k in given[0] or not any(k in form for form in forms)}
-    cfg.update(flags)
+    cfg = _given(args, _BUDGET_KEYS, cfg)
 
     if "distance_km" in cfg:
         distance_m = _si(cfg, "distance_km")
@@ -459,15 +454,11 @@ def _cmd_antenna_pattern(args) -> str:
 
 
 def _cmd_antenna_select(args) -> dict:
-    if args.hpbw_deg is not None:
-        for key in ("cell_radius_km", "altitude_km"):
-            if getattr(args, key) is not None:
-                args.parser.error(f"argument {_flag(key)}: not allowed with argument --hpbw-deg")
-        required = args.hpbw_deg
-        extra = {}
-    elif args.cell_radius_km is not None and args.altitude_km is not None:
-        required = math.degrees(geometry.required_hpbw(args.cell_radius_km, args.altitude_km))
-        extra = {"cell_radius_km": args.cell_radius_km, "altitude_km": args.altitude_km}
+    given = _given(args, ("hpbw_deg", "cell_radius_km", "altitude_km"), {})
+    if "hpbw_deg" in given:
+        required, extra = given["hpbw_deg"], {}
+    elif len(given) == 2:  # --cell-radius-km and --altitude-km
+        required, extra = math.degrees(geometry.required_hpbw(given["cell_radius_km"], given["altitude_km"])), given
     else:
         args.parser.error("missing parameter: hpbw_deg (or cell_radius_km + altitude_km)")
     spec, peak_dbi, edge_dbi = antenna.select_array(required)
@@ -600,12 +591,13 @@ _OUTPUT = (
     ("precise", None, {"action": "store_true", "help": "full 6-significant-digit tables"}),
 )
 
-# Every subcommand: {name: (help, {name: ...})} for a group, {name: (help, handler, flags)}
+# Every subcommand: {name: (help, {name: ...})} for a group, {name: (help, handler, flags[, forms])}
 # for a leaf. A flag row is (key, type, argparse options); a tuple of keys is one
 # quantity's unit flags, one mutually exclusive group ("required" requires one of them);
 # "positional" makes the key an argument, not a --flag. A "rule" is the library's rule for
 # the quantity, restated in the flag's unit ({}): main checks the value as typed against it
-# before the handler runs.
+# before the handler runs. `forms`: each quantity the leaf takes as one of several sets of keys
+# (--distance-km, or --altitude-km + --elevation-deg); a tuple row adds one, a key per form.
 _COMMANDS = {
     "convert": ("unit conversions and the band chart", {
         "db": ("linear ratio to dB", _cmd_convert_db, (("linear", float, _REQUIRED), *_OUTPUT)),
@@ -646,6 +638,11 @@ _COMMANDS = {
         (_BW, float, _POSITIVE),
         ("atm_loss_db", float), ("ad_loss_db", float), ("margin_db", float),
         *_OUTPUT,
+    ), (
+        (("distance_km",), ("altitude_km", "elevation_deg")),
+        (("eirp_dbw",), ("power_w", "gain_dbi")),
+        (("g_over_t_dbk",), ("terminal",), ("rx_gain_dbi", "nf_db", "noise_temp_k")),
+        (("nf_db",), ("noise_temp_k",)),
     )),
     "capacity": ("Shannon capacity and spectral efficiency", _cmd_capacity,
                  ((("snr_db", "snr_linear"), float, _REQUIRED), (_BW, float, _REQUIRED | _POSITIVE), *_OUTPUT)),
@@ -669,7 +666,8 @@ _COMMANDS = {
             ("resolution_deg", float, {"default": 0.1}), ("out", None),
         )),
         "select": ("pick the catalog array nearest a target beamwidth", _cmd_antenna_select,
-                   (("hpbw_deg", float), ("cell_radius_km", float), ("altitude_km", float, _POSITIVE), *_OUTPUT)),
+                   (("hpbw_deg", float), ("cell_radius_km", float), ("altitude_km", float, _POSITIVE), *_OUTPUT),
+                   ((("hpbw_deg",), ("cell_radius_km", "altitude_km")),)),
         "table": ("reference array catalog", _cmd_antenna_table, _OUTPUT),
     }),
     "constellation": ("LEO shell catalog and footprints", {
@@ -694,18 +692,20 @@ def _add_commands(parser: argparse.ArgumentParser, commands: dict, dest: str) ->
         if len(entry) == 1:
             _add_commands(p, entry[0], "subcommand")
             continue
-        handler, flags = entry
-        rules = []
+        handler, flags, *declared = entry
+        rules, forms = [], [*(declared[0] if declared else ())]
         for key, kind, *options in flags:
             options = dict(*options, **({"type": kind} if kind else {}))
             positional, rule = options.pop("positional", False), options.pop("rule", None)
             target = p if isinstance(key, str) else p.add_mutually_exclusive_group(
                 required=options.pop("required", False))
+            if not isinstance(key, str):
+                forms.append(tuple((k,) for k in key))
             for k in (key,) if isinstance(key, str) else key:
                 target.add_argument(k if positional else _flag(k), **options)
                 if rule:
                     rules.append((k, rule.format(_UNIT[k][0])))
-        p.set_defaults(func=handler, rules=tuple(rules), parser=p)
+        p.set_defaults(func=handler, rules=tuple(rules), forms=tuple(forms), parser=p)
 
 
 def _keys(flags) -> tuple:

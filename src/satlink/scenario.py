@@ -113,7 +113,7 @@ def terminal_profile(spec) -> TerminalProfile:
         if "noise_temp_k" in doc:
             merged.pop("nf_db", None)
         merged.update(doc)
-        check_keys(merged, {"gain_dbi", "nf_db", "noise_temp_k", "eirp_dbm"}, "terminal", "terminal.")
+        check_keys(merged, {*TerminalProfile.__match_args__[1:]}, "terminal", "terminal.")
         if "gain_dbi" not in merged:
             raise ValidationError("terminal.gain_dbi", "terminal mapping needs gain_dbi")
         values = {k: require_number(f"terminal.{k}", v, "finite") for k, v in merged.items()}
@@ -200,11 +200,12 @@ class Finding:
 
     @classmethod
     def from_doc(cls, doc: dict) -> "Finding":
-        """The finding a `to_doc` mapping describes, unknown keys ignored. Another
-        shape, a missing "quantity" or "status", or a value of another type than
-        its field holds raises ParseError, so every finding read is hashable."""
+        """The finding a `to_doc` mapping describes. Another shape, an unknown key,
+        a missing "quantity" or "status", or a value of another type than its
+        field holds raises ParseError, so every finding read is hashable."""
         if not isinstance(doc, dict):
             raise ParseError(f"report document: wrong shape (a finding must be a mapping, got {type(doc).__name__})")
+        _check_report_keys(doc, _FINDING_VALUES.keys(), "finding")
         values = []
         for key, (what, types) in _FINDING_VALUES.items():
             value = doc.get(key, [] if key == "missing" else None)
@@ -218,6 +219,14 @@ class Finding:
         return cls(*values)
 
 
+def _check_report_keys(doc: dict, allowed, what: str) -> None:
+    """check_keys for a report document, whose unknown keys are a ParseError "report document: …"."""
+    try:
+        check_keys(doc, allowed, what)
+    except ValidationError as exc:
+        raise ParseError(f"report document: {exc}") from None
+
+
 # --- document loading ------------------------------------------------------
 
 _SCALAR_FIELDS: dict[str, str] = {  # key -> the kind of number it holds
@@ -227,23 +236,11 @@ _SCALAR_FIELDS: dict[str, str] = {  # key -> the kind of number it holds
     "freq_ul_ghz": "positive",
     "bw_dl_mhz": "positive",
     "bw_ul_mhz": "positive",
-    "sinr_dl_db": "finite",
-    "sinr_ul_db": "finite",
-    "se_dl_bps_hz": "positive",
-    "se_ul_bps_hz": "positive",
-    "bitrate_dl_mbps": "positive",
-    "bitrate_ul_mbps": "positive",
     "margin_db": "nonnegative",
     "footprint_radius_km": "positive",
 }
 
 _COUNT_FIELDS = ("reuse", "beams")
-
-_TOP_LEVEL_KEYS = (
-    {"name", "orbit", "description", "band", "terminal", "annotations", "cases"}
-    | set(_SCALAR_FIELDS)
-    | set(_COUNT_FIELDS)
-)
 
 # case key -> (LinkCase field, scale to the field's unit, kind); a later key
 # of the same field wins
@@ -259,6 +256,12 @@ _CASE_NUMBERS: dict[str, tuple[str, float, str]] = {
 _CASE_KEYS = {"direction", "label", *_CASE_NUMBERS}
 # each scaled case key -> (its unit, its field's unit)
 _CASE_UNITS = {"bitrate_bps": ("b/s", "Mb/s"), "bw_hz": ("Hz", "MHz")}
+# each top-level figure ("sinr_dl_db") -> (its direction, its field in that direction's nominal case)
+_DIRECTION_FIGURES = {
+    f"_{d}_".join(field.split("_", 1)): (d, field)
+    for d in (DL, UL) for field in ("sinr_db", "se_bps_hz", "bitrate_mbps")
+}
+_TOP_LEVEL_KEYS = {*Scenario.__match_args__, *_DIRECTION_FIGURES}
 
 
 def _parse_case(doc: dict, index: int) -> LinkCase:
@@ -325,14 +328,8 @@ def _scenario_from_doc(doc: dict) -> Scenario:
 
     cases: list[LinkCase] = []
     for direction in (DL, UL):
-        point = {}
-        for short, key in (
-            ("sinr_db", f"sinr_{direction}_db"),
-            ("se_bps_hz", f"se_{direction}_bps_hz"),
-            ("bitrate_mbps", f"bitrate_{direction}_mbps"),
-        ):
-            if key in values:
-                point[short] = values.pop(key)
+        point = {field: require_number(key, doc[key], _CASE_NUMBERS[field][2])
+                 for key, (d, field) in _DIRECTION_FIGURES.items() if d == direction and key in doc}
         if point:
             cases.append(LinkCase(direction=direction, **point))
     raw_cases = doc.get("cases", [])
@@ -438,10 +435,11 @@ class ScenarioReport:
 
     @classmethod
     def from_doc(cls, doc: dict) -> "ScenarioReport":
-        """The report a `to_doc` mapping describes; another shape raises ParseError
-        "report document: …", and its scenario is refused as load_scenario refuses it."""
+        """The report a `to_doc` mapping describes; another shape or an unknown key raises
+        ParseError "report document: …", and its scenario is refused as load_scenario refuses it."""
         if not isinstance(doc, dict):
             raise ParseError(f"report document: wrong shape (a report must be a mapping, got {type(doc).__name__})")
+        _check_report_keys(doc, {*cls.__match_args__}, "report")
         if "scenario" not in doc:
             raise ParseError("report document: missing key 'scenario'")
         scenario, findings = _scenario_from_doc(doc["scenario"]), doc.get("findings", [])

@@ -104,20 +104,9 @@ BASES = {
 
 def _quantities(leaf: tuple):
     """Each quantity the subcommand takes in several forms, as a tuple of its
-    forms, each a set of flags: the unit flags of a tuple row of
-    cli._COMMANDS, the forms of cli._BUDGET_FORMS, and antenna select's
-    beamwidth or cell."""
-    node = cli._COMMANDS
-    for name in leaf:
-        _, *entry = node[name]
-        node = entry[0]
-    for key, *_ in entry[1]:
-        if not isinstance(key, str):
-            yield tuple({cli._flag(k)} for k in key)
-    if leaf == ("linkbudget",):
-        yield from (tuple({cli._flag(k) for k in form} for form in forms) for forms in cli._BUDGET_FORMS)
-    if leaf == ("antenna", "select"):
-        yield {"--hpbw-deg"}, {"--cell-radius-km", "--altitude-km"}
+    forms, each a set of flags: the forms its parser holds from cli._COMMANDS."""
+    for forms in LEAVES[leaf].get_default("forms"):
+        yield tuple({cli._flag(k) for k in form} for form in forms)
 
 
 def _items(argv) -> list[tuple]:

@@ -112,6 +112,25 @@ def test_a_missing_required_row_is_a_usage_error(leaf, rows, omitted):
     assert all(name in last for name in _names(*rows[omitted])), last
 
 
+def test_every_form_names_flags_of_its_leaf_and_the_forms_of_a_quantity_are_disjoint():
+    """A form with a mistyped key would never be given, so flags of two forms
+    would pass unrefused; a key in two forms of one quantity would refuse itself."""
+    several = []
+    for leaf, parser in _leaves(cli._build_parser()):
+        flags = {action.dest for action in parser._actions if action.option_strings}
+        for quantity in parser.get_default("forms"):
+            keys = [key for form in quantity for key in form]
+            assert len(quantity) > 1 and all(quantity) and set(keys) <= flags, (leaf, quantity)
+            assert len(keys) == len(set(keys)), (leaf, quantity)
+            several += [(leaf, form) for form in quantity if len(form) > 1]
+    assert several == [
+        (("linkbudget",), ("altitude_km", "elevation_deg")),
+        (("linkbudget",), ("power_w", "gain_dbi")),
+        (("linkbudget",), ("rx_gain_dbi", "nf_db", "noise_temp_k")),
+        (("antenna", "select"), ("cell_radius_km", "altitude_km")),
+    ]
+
+
 def run(argv: list[str]) -> tuple[int, str, str]:
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):

@@ -103,6 +103,20 @@ def test_a_config_value_is_refused_in_its_unit(change, flags, message, tmp_path)
     assert invoke(["linkbudget", "--config", str(path), *flags]) == (1, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("terminal, flags, code, message", [
+    ("nope", [], 2, "unknown terminal 'nope'; presets: class3-ue, iot, vsat"),
+    (5, [], 1, "terminal must be a preset name or mapping, got int"),
+    ({"name": "vsat", "nf_db": -1}, [], 1, "terminal noise figure must be >= 0 dB, got -1.0"),
+    ("nope", ["--terminal", "vsat"], 2, "unknown terminal 'nope'; presets: class3-ue, iot, vsat"),
+])
+def test_a_config_terminal_is_refused_beside_another_receiver_form(terminal, flags, code, message, tmp_path):
+    """The config's g_over_t_dbk (or a --terminal flag) displaces its terminal,
+    which is still refused: the document itself is invalid."""
+    path = tmp_path / "budget.json"
+    path.write_text(json.dumps({**_CONFIG, "terminal": terminal}))
+    assert invoke(["linkbudget", "--config", str(path), *flags]) == (code, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("argv", [
     ["convert", "wavelength", "--freq-hz=1e308"],  # no scaling: the library takes it as typed
     ["convert", "wavelength", "--freq-ghz=1.7976931348623157e299"],  # the largest GHz value below float max Hz

@@ -18,7 +18,7 @@ import json
 import pytest
 
 from satlink import cli
-from test_cli_fuzz import FORMATS, invoke
+from test_cli_fuzz import FORMATS, LEAVES, invoke
 
 # The same 12 GHz and 2 GHz in each unit, every product exact in binary floating point.
 FREQ = {"--freq-ghz": "12", "--freq-mhz": "12000", "--freq-hz": "1.2e10"}
@@ -78,11 +78,12 @@ FLAG_VALUES = {
     "g_over_t_dbk": "1", "terminal": "vsat", "rx_gain_dbi": "0", "nf_db": "7", "noise_temp_k": "100",
     "hpbw_deg": "10", "cell_radius_km": "50",
 }
+# (leaf, a, b) for each flag a and b of two forms of one quantity, on each leaf that takes a
+# quantity as a form of several flags, whose handler checks its forms
 FORM_PAIRS = [
-    *((("linkbudget",), a, b) for forms in cli._BUDGET_FORMS for i, form in enumerate(forms)
-      for later in forms[i + 1:] for a in sorted(form) for b in sorted(later)),
-    (("antenna", "select"), "hpbw_deg", "cell_radius_km"),
-    (("antenna", "select"), "hpbw_deg", "altitude_km"),
+    (leaf, a, b) for leaf, parser in LEAVES.items() for forms in parser.get_default("forms")
+    if any(len(form) > 1 for quantity in parser.get_default("forms") for form in quantity)
+    for i, form in enumerate(forms) for later in forms[i + 1:] for a in form for b in later
 ]
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import json
 import random
 
 import pytest
@@ -162,6 +163,20 @@ def test_a_mistyped_report_value_is_refused_by_name(key, value, message):
     (doc if key == "slant_range_km" else band)[key] = value
     with pytest.raises(ParseError, match="^report document: " + message + "$"):
         scenario.ScenarioReport.from_doc(doc)
+
+
+@pytest.mark.parametrize("where", ["report", "finding"])
+def test_an_unknown_report_key_is_refused_by_name(where):
+    """A report and each of its findings refuse a key of no field, as every other document does."""
+    doc = scenario.run_scenario(scenario.fixture("thales")).to_doc()
+    band = next(f for f in doc["findings"] if f["quantity"] == "band")
+    (doc if where == "report" else band).update(zeta=1, extra=None)
+    message = rf"^report document: unknown {where} keys: \['extra', 'zeta'\]$"
+    with pytest.raises(ParseError, match=message):
+        scenario.ScenarioReport.from_json(json.dumps(doc))
+    if where == "finding":
+        with pytest.raises(ParseError, match=message):
+            scenario.Finding.from_doc(band)
 
 
 @pytest.mark.parametrize("chunk", range(2))

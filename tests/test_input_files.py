@@ -80,10 +80,17 @@ _SHAPES = [
     (capacity.load_modcod_catalog, "name,se_bps_hz,snr_qef_db\nx,abc,1\n",
      "bad MODCOD row: {'name': 'x', 'se_bps_hz': 'abc', 'snr_qef_db': '1'} (line 2)",
      "bad MODCOD row: {'name': 'x', 'se_bps_hz': 'abc', 'snr_qef_db': '1'}"),
+    (capacity.load_modcod_catalog, "name,se_bps_hz,snr_qef_db\nx,1,5,9\n",
+     "bad MODCOD row: {'name': 'x', 'se_bps_hz': '1', 'snr_qef_db': '5', None: ['9']} (line 2)",
+     "bad MODCOD row: {'name': 'x', 'se_bps_hz': '1', 'snr_qef_db': '5', None: ['9']}"),
+    (capacity.load_modcod_catalog, "name,se_bps_hz,snr_qef_db\nx,1\n",
+     "bad MODCOD row: {'name': 'x', 'se_bps_hz': '1', 'snr_qef_db': None} (line 2)",
+     "bad MODCOD row: {'name': 'x', 'se_bps_hz': '1', 'snr_qef_db': None}"),
 ]
 
 
-@pytest.mark.parametrize("load, text, refusal, text_refusal", _SHAPES, ids=["scenario", "columns", "row"])
+@pytest.mark.parametrize("load, text, refusal, text_refusal", _SHAPES,
+                         ids=["scenario", "columns", "row", "more-cells", "fewer-cells"])
 def test_a_file_of_the_wrong_shape_is_named_in_its_refusal(load, text, refusal, text_refusal, tmp_path):
     path = tmp_path / "doc.txt"
     path.write_text(text)
