@@ -5,11 +5,12 @@ json and csv (both at 6 significant digits). Exit codes are a stable
 contract: 0 success, 1 domain error, 2 usage/missing input, 3 infeasible
 MODCOD selection, 4 file I/O failure.
 
-Each `_cmd_*` handler returns its result and prints nothing (bar the
-preamble lines of `convert band` and `scenario run` tables): a record
-(dict), rows (list of dicts) or finished text (str). `main` passes it to
-`_emit`, which renders the chosen format and writes it to `--out` or
-stdout. A reader that closes stdout early ends the run quietly with exit 0.
+Each `_cmd_*` handler returns its result and prints nothing: a record
+(dict), rows (list of dicts), rows under lines a table shows above them
+(a (lines, rows) pair) or finished text (str). `main` passes it to
+`_emit`, the one writer of stdout, which renders the chosen format and
+writes it to `--out` or stdout; `main` writes each refusal to stderr.
+A reader that closes stdout early ends the run quietly with exit 0.
 An input the parser cannot require (a `linkbudget` quantity that a
 --config document may supply, or `antenna select`'s --altitude-km beside
 --cell-radius-km) is checked by the handler, which refuses its absence, or
@@ -71,13 +72,16 @@ import numpy  # noqa: F401  # for the benchmark's import probe only
 import scipy.optimize  # noqa: F401  # for the benchmark's import probe only
 
 from . import antenna, capacity, constellation, geometry, linkbudget, quantities, scenario
-from .errors import DomainError, NoFeasibleModcodError, NotFoundError, ParseError, ValidationError
+from .errors import DomainError, NoFeasibleModcodError, NotFoundError, SatlinkError
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
 EXIT_USAGE = 2
 EXIT_INFEASIBLE = 3
 EXIT_IO = 4
+# a refusal's exit code: that of the first class here it is an instance of
+_EXIT_CODES = ((NoFeasibleModcodError, EXIT_INFEASIBLE), (NotFoundError, EXIT_USAGE), (SatlinkError, EXIT_DOMAIN),
+               (OSError, EXIT_IO))
 
 
 # --- value formatting -------------------------------------------------------
@@ -121,8 +125,14 @@ def _fmt(key: str, value, precise: bool) -> str:
     return f"{value:.6g}"
 
 
-# each C0 control character and DEL as its escape (\n, \t, \x1b, ...), so a table line stays one line
-_VISIBLE = {c: repr(chr(c))[1:-1] for c in (*range(32), 127)}
+# each C0 and C1 control character, DEL and the line and paragraph separators as its
+# escape (\n, \x1b, \x85, \u2028, ...), so a table line stays one line
+_VISIBLE = {c: repr(chr(c))[1:-1] for c in (*range(32), *range(127, 160), 0x2028, 0x2029)}
+
+
+def _utf8(text: str) -> str:
+    """`text` with each lone surrogate, which UTF-8 cannot carry, as its escape (\ud800)."""
+    return text.encode("utf-8", "backslashreplace").decode()
 
 
 def _emit(args, result) -> None:
@@ -131,8 +141,10 @@ def _emit(args, result) -> None:
     Text goes out as it is. A record (dict) or rows (list of dicts) is
     rendered as --format asks: JSON at 6 significant digits, CSV quoted as
     the csv module quotes (a record is one row), or a table, key/value for
-    a record and columns for rows, with control characters escaped.
+    a record and columns for rows, with control characters escaped. A
+    (lines, rows) pair is its rows, under its lines in a table only.
     """
+    lines, result = result if isinstance(result, tuple) else ((), result)
     if isinstance(result, str):
         text = result
     elif args.format == "json":
@@ -143,15 +155,16 @@ def _emit(args, result) -> None:
         precise = args.format == "csv" or args.precise
         cells = [[_fmt(k, row.get(k), precise) for k in keys] for row in rows]
         if args.format == "csv":
-            text = quantities.dump_csv([keys, *cells])
+            text = _utf8(quantities.dump_csv([keys, *cells]))
         else:
-            table = [keys, *([cell.translate(_VISIBLE) for cell in line] for line in cells)]
+            table = [keys, *([_utf8(cell.translate(_VISIBLE)) for cell in line] for line in cells)]
+            text = "".join(_utf8(line.translate(_VISIBLE)) + "\n" for line in lines)
             if isinstance(result, dict):
                 width = max(map(len, keys))
-                text = "".join(f"{k:<{width}}  {cell}\n" for k, cell in zip(keys, table[1]))
+                text += "".join(f"{k:<{width}}  {cell}\n" for k, cell in zip(keys, table[1]))
             else:
                 widths = [max(len(line[i]) for line in table) for i in range(len(keys))]
-                text = "".join("  ".join(f"{cell:<{w}}" for cell, w in zip(line, widths)) + "\n" for line in table)
+                text += "".join("  ".join(f"{cell:<{w}}" for cell, w in zip(line, widths)) + "\n" for line in table)
     if getattr(args, "out", None):
         Path(args.out).write_text(text)  # an OSError maps to the I/O exit code in main
     else:
@@ -254,7 +267,7 @@ def _cmd_convert_wavelength(args) -> dict:
     return {"freq_hz": f, "wavelength_m": quantities.wavelength(f, constants)}
 
 
-def _cmd_convert_band(args) -> list[dict]:
+def _cmd_convert_band(args) -> tuple[list[str], list[dict]]:
     f = _si(vars(args), *_FREQ)
     band = quantities.band_lookup(f, args.direction, args.orbit)
     rows = [
@@ -266,9 +279,7 @@ def _cmd_convert_band(args) -> list[dict]:
         }
         for a in quantities.matching_allocations(f, args.direction, args.orbit)
     ]
-    if args.format == "table":
-        print(f"band  {band}")
-    return rows
+    return [f"band  {band}"], rows
 
 
 def _cmd_convert_bands(args) -> str:
@@ -523,7 +534,7 @@ def _cmd_constellation_stats(args) -> dict:
 # --- scenario -------------------------------------------------------------------------------
 
 
-def _cmd_scenario_run(args) -> dict | list[dict]:
+def _cmd_scenario_run(args) -> dict | tuple[list[str], list[dict]]:
     constants = _constants_from_env()
     name = args.scenario
     try:
@@ -535,17 +546,11 @@ def _cmd_scenario_run(args) -> dict | list[dict]:
     report = scenario.run_scenario(s, constants)
     if args.format == "json":
         return report.to_doc()
-    if args.format == "table":
-        print(f"scenario  {s.name} ({s.orbit})".translate(_VISIBLE))
-        if s.description:
-            print(f"about     {s.description}".translate(_VISIBLE))
-        if report.slant_range_km is not None:
-            print(f"slant_range_km  {report.slant_range_km:.1f}")
-        for note in s.annotations:
-            print(f"note      {note}".translate(_VISIBLE))
-        print()
+    about = [f"about     {s.description}"] if s.description else []
+    slant = [] if report.slant_range_km is None else [f"slant_range_km  {report.slant_range_km:.1f}"]
+    notes = [f"note      {note}" for note in s.annotations]
     columns = ("quantity", "direction", "label", "status", "computed", "reported", "delta")
-    return [
+    return [f"scenario  {s.name} ({s.orbit})", *about, *slant, *notes, ""], [
         {**{key: getattr(f, key) for key in columns}, "missing": ";".join(f.missing) if f.missing else None}
         for f in report.findings
     ]
@@ -739,18 +744,9 @@ def main(argv=None) -> int:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
-    except NoFeasibleModcodError as exc:
+    except (SatlinkError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except NotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (DomainError, ParseError, ValidationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        return next(code for cls, code in _EXIT_CODES if isinstance(exc, cls))
     return EXIT_OK
 
 

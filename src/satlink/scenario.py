@@ -169,7 +169,7 @@ class Scenario:
         return self.bw_dl_mhz if case.direction == DL else self.bw_ul_mhz
 
 
-_NUMBER_OR_NULL = frozenset({int, float, type(None)})  # a bool is no number
+_NUMBER_OR_NULL = frozenset({float, type(None)})  # an int is read as a float (_read_number); a bool is no number
 # each key of a finding document, in field order -> what its value must be, and the types that hold it
 _FINDING_VALUES = {
     "quantity": ("a string", frozenset({str})),
@@ -209,6 +209,7 @@ class Finding:
         values = []
         for key, (what, types) in _FINDING_VALUES.items():
             value = doc.get(key, [] if key == "missing" else None)
+            value = _read_number(value) if float in types else value
             if type(value) not in types or key == "missing" and {*map(type, value)} - {str}:
                 if key not in doc:
                     raise ParseError(f"report document: missing key {key!r}")
@@ -217,6 +218,12 @@ class Finding:
             values.append(value)
         values[-1] = tuple(values[-1])
         return cls(*values)
+
+
+def _read_number(value):
+    """An int `value` as the float a report writes, unless it lies past the float
+    range, and so is refused as no number; any other value as it is."""
+    return float(value) if type(value) is int and abs(value) <= sys.float_info.max else value
 
 
 def _check_report_keys(doc: dict, allowed, what: str) -> None:
@@ -242,20 +249,18 @@ _SCALAR_FIELDS: dict[str, str] = {  # key -> the kind of number it holds
 
 _COUNT_FIELDS = ("reuse", "beams")
 
-# case key -> (LinkCase field, scale to the field's unit, kind); a later key
-# of the same field wins
-_CASE_NUMBERS: dict[str, tuple[str, float, str]] = {
-    "sinr_db": ("sinr_db", 1.0, "finite"),
-    "se_bps_hz": ("se_bps_hz", 1.0, "positive"),
-    "bitrate_mbps": ("bitrate_mbps", 1.0, "positive"),
-    "bw_mhz": ("bw_mhz", 1.0, "positive"),
-    "bitrate_bps": ("bitrate_mbps", 1e-6, "positive"),
-    "bw_hz": ("bw_mhz", 1e-6, "positive"),
+# case key -> (LinkCase field, scale to the field's unit, kind, the key's unit, the field's unit);
+# a later key of the same field wins
+_CASE_NUMBERS: dict[str, tuple[str, float, str, str, str]] = {
+    "sinr_db": ("sinr_db", 1.0, "finite", "dB", "dB"),
+    "se_bps_hz": ("se_bps_hz", 1.0, "positive", "bps/Hz", "bps/Hz"),
+    "bitrate_mbps": ("bitrate_mbps", 1.0, "positive", "Mb/s", "Mb/s"),
+    "bw_mhz": ("bw_mhz", 1.0, "positive", "MHz", "MHz"),
+    "bitrate_bps": ("bitrate_mbps", 1e-6, "positive", "b/s", "Mb/s"),
+    "bw_hz": ("bw_mhz", 1e-6, "positive", "Hz", "MHz"),
 }
 
 _CASE_KEYS = {"direction", "label", *_CASE_NUMBERS}
-# each scaled case key -> (its unit, its field's unit)
-_CASE_UNITS = {"bitrate_bps": ("b/s", "Mb/s"), "bw_hz": ("Hz", "MHz")}
 # each top-level figure ("sinr_dl_db") -> (its direction, its field in that direction's nominal case)
 _DIRECTION_FIGURES = {
     f"_{d}_".join(field.split("_", 1)): (d, field)
@@ -274,13 +279,12 @@ def _parse_case(doc: dict, index: int) -> LinkCase:
     if not isinstance(label, str):
         raise ValidationError(f"cases[{index}].label", "case label must be a string")
     kwargs: dict = {"direction": doc["direction"], "label": label}
-    for key, (target, scale, kind) in _CASE_NUMBERS.items():
+    for key, (target, scale, kind, unit, field_unit) in _CASE_NUMBERS.items():
         if key in doc:
             field = f"cases[{index}].{key}"
             value = require_number(field, doc[key], kind)
             kwargs[target] = value * scale
             if kwargs[target] == 0 != value:  # a positive figure too small for its field's unit
-                unit, field_unit = _CASE_UNITS[key]
                 raise ValidationError(field, f"{field} must fit a float in {field_unit}, got {value!r} {unit}")
     return _at(f"cases[{index}].", LinkCase, **kwargs)
 
@@ -302,13 +306,11 @@ def _scenario_from_doc(doc: dict) -> Scenario:
         if not isinstance(doc.get(required), str) or not doc.get(required):
             raise ValidationError(required, f"scenario needs a non-empty '{required}'")
 
-    values: dict = {"name": doc["name"], "orbit": doc["orbit"], "description": doc.get("description")}
-    if values["description"] is not None and not isinstance(values["description"], str):
-        raise ValidationError("description", "description must be a string")
-    band = doc.get("band")
-    if band is not None and not isinstance(band, str):
-        raise ValidationError("band", "band must be a string")
-    values["band"] = band
+    values: dict = {"name": doc["name"], "orbit": doc["orbit"]}
+    for key in ("description", "band"):
+        values[key] = doc.get(key)
+        if values[key] is not None and not isinstance(values[key], str):
+            raise ValidationError(key, f"{key} must be a string")
 
     for key, kind in _SCALAR_FIELDS.items():
         if key in doc:
@@ -445,7 +447,7 @@ class ScenarioReport:
         scenario, findings = _scenario_from_doc(doc["scenario"]), doc.get("findings", [])
         if not isinstance(findings, list):
             raise ParseError(f"report document: wrong shape (findings must be a list, got {type(findings).__name__})")
-        findings, slant_range_km = tuple(map(Finding.from_doc, findings)), doc.get("slant_range_km")
+        findings, slant_range_km = tuple(map(Finding.from_doc, findings)), _read_number(doc.get("slant_range_km"))
         if type(slant_range_km) not in _NUMBER_OR_NULL:
             raise ParseError(f"report document: slant_range_km must be a number or null, got {_show(slant_range_km)}")
         return cls(scenario, slant_range_km, findings)

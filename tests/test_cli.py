@@ -1,3 +1,4 @@
+import ast
 import csv
 import io
 import json
@@ -659,3 +660,22 @@ class TestClosedStdout:
         finally:
             os.close(write_end)
         assert (proc.returncode, proc.stderr) == (0, b"")
+
+
+def test_only_emit_main_and_run_write_stdout():
+    """`_emit` writes every stdout line, `main` every refusal and `run` the last flush:
+    no other code in cli.py calls print or names sys.stdout."""
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    writers = {
+        id(node) for function in tree.body
+        if isinstance(function, ast.FunctionDef) and function.name in ("_emit", "main", "run")
+        for node in ast.walk(function)
+    }
+    others = [
+        node.lineno for node in ast.walk(tree) if id(node) not in writers and (
+            isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "print"
+            or isinstance(node, ast.Attribute) and node.attr == "stdout"
+            and isinstance(node.value, ast.Name) and node.value.id == "sys"
+        )
+    ]
+    assert not others, f"cli.py writes stdout outside _emit, main and run, at lines {others}"

@@ -8,7 +8,10 @@ code comes with the same stdout and stderr that `main` gives in process.
 
 from __future__ import annotations
 
+import csv
 import importlib
+import io
+import json
 import os
 import subprocess
 import sys
@@ -17,7 +20,7 @@ from pathlib import Path
 import pytest
 
 import satlink
-from satlink import antenna, cli
+from satlink import antenna, cli, scenario
 
 SRC = Path(satlink.__file__).resolve().parents[1]
 PYPROJECT = SRC.parent / "pyproject.toml"
@@ -28,8 +31,9 @@ def _default_constants(monkeypatch):
     monkeypatch.delenv("SATLINK_CONSTANTS", raising=False)
 
 
-def satlink_process(*argv, cwd=None, constants=None) -> subprocess.CompletedProcess:
-    env = {**os.environ, "PYTHONPATH": str(SRC)}
+def satlink_process(*argv, cwd=None, constants=None, **variables) -> subprocess.CompletedProcess:
+    """`satlink *argv` as a process, with `variables` set in its environment."""
+    env = {**os.environ, "PYTHONPATH": str(SRC), **variables}
     env.pop("SATLINK_CONSTANTS", None)
     if constants:
         env["SATLINK_CONSTANTS"] = constants
@@ -102,3 +106,45 @@ def test_the_console_script_is_run():
     target = tomllib.loads(PYPROJECT.read_text(encoding="utf-8"))["project"]["scripts"]["satlink"]
     module, _, name = target.partition(":")
     assert getattr(importlib.import_module(module), name) is cli.run
+
+
+# A scenario of text that a table line or UTF-8 cannot carry as it is: C1 controls (under
+# str.splitlines, \x85 ends a line; \x9b is an 8-bit CSI), line and paragraph separators,
+# and lone surrogates, which are valid JSON.
+UNCARRIED = {
+    "name": "x\x85y",
+    "orbit": "LEO",
+    "description": "one\u2028two\u2029three",
+    "altitude_km": 550.0,
+    "elevation_deg": 45.0,
+    "annotations": ["csi \x9b31m", "lone \ud800", "escaped \udc80"],
+    "cases": [{"direction": "dl", "label": "edge \udcff", "sinr_db": 3.0, "bw_mhz": 1.0}],
+}
+
+
+@pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+@pytest.mark.parametrize("stdout", [
+    {"PYTHONIOENCODING": "utf-8:strict"},
+    {"PYTHONIOENCODING": "", "PYTHONUTF8": "1"},  # UTF-8 mode writes a surrogate escape as its raw byte
+], ids=["strict", "utf8-mode"])
+def test_text_a_table_line_or_utf8_cannot_carry_is_written_as_its_escape(fmt, stdout, tmp_path):
+    (tmp_path / "uncarried.json").write_text(json.dumps(UNCARRIED))
+    proc = satlink_process("scenario", "run", "uncarried.json", "--format", fmt, cwd=tmp_path, **stdout)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    out = proc.stdout.decode("utf-8")  # strictly: every byte written is UTF-8
+    findings = scenario.run_scenario(scenario.load_scenario(UNCARRIED)).findings
+    if fmt == "json":  # JSON escapes every character it must, and reads back the raw text
+        assert json.loads(out)["scenario"] == UNCARRIED
+        return
+    if fmt == "csv":  # the raw text, but for each lone surrogate
+        rows = list(csv.reader(io.StringIO(out, newline="")))
+        assert len(rows) == 1 + len(findings)
+        assert {row[2] for row in rows[1:]} == {"", "edge \\udcff"}
+        return
+    # scenario, about, slant range, three notes and a blank line; a header and one line per finding
+    lines = out.splitlines()
+    assert len(lines) == 7 + 1 + len(findings)
+    assert lines[:2] == ["scenario  x\\x85y (LEO)", "about     one\\u2028two\\u2029three"]
+    assert lines[3:7] == ["note      csi \\x9b31m", "note      lone \\ud800", "note      escaped \\udc80", ""]
+    assert sum("edge \\udcff" in line for line in lines[8:]) == 2
+    assert not any(0x80 <= ord(c) < 0xA0 or c in "\u2028\u2029" for c in out)

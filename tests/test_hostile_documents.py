@@ -182,7 +182,7 @@ def test_an_unknown_report_key_is_refused_by_name(where):
 @pytest.mark.parametrize("chunk", range(2))
 def test_every_report_document_read_is_a_hashable_report(chunk):
     """A mutated report document is refused with a SatlinkError, or its report
-    hashes and survives a second round trip."""
+    hashes, writes its JSON and survives a second round trip."""
     rng = random.Random(f"{SEED}:report:{chunk}")
     docs = [scenario.run_scenario(s).to_doc() for s in scenario.builtin_fixtures()]
     read = 0
@@ -192,6 +192,7 @@ def test_every_report_document_read_is_a_hashable_report(chunk):
             continue
         read += 1
         hash(report)
+        report.to_json()
         assert scenario.ScenarioReport.from_doc(report.to_doc()) == report
     assert read > MUTANTS // 20, read
 
