@@ -130,9 +130,9 @@ def _fmt(key: str, value, precise: bool) -> str:
 _VISIBLE = {c: repr(chr(c))[1:-1] for c in (*range(32), *range(127, 160), 0x2028, 0x2029)}
 
 
-def _utf8(text: str) -> str:
-    """`text` with each lone surrogate, which UTF-8 cannot carry, as its escape (\ud800)."""
-    return text.encode("utf-8", "backslashreplace").decode()
+def _carried(text: str, encoding: str) -> str:
+    """`text` with each character `encoding` cannot carry, a lone surrogate included, as its escape (\\xe9, \\ud800)."""
+    return text.encode(encoding, "backslashreplace").decode(encoding)
 
 
 def _emit(args, result) -> None:
@@ -145,6 +145,7 @@ def _emit(args, result) -> None:
     (lines, rows) pair is its rows, under its lines in a table only.
     """
     lines, result = result if isinstance(result, tuple) else ((), result)
+    encoding = sys.stdout.encoding or "utf-8"  # what CSV and a table escape for; a StringIO has none
     if isinstance(result, str):
         text = result
     elif args.format == "json":
@@ -155,10 +156,10 @@ def _emit(args, result) -> None:
         precise = args.format == "csv" or args.precise
         cells = [[_fmt(k, row.get(k), precise) for k in keys] for row in rows]
         if args.format == "csv":
-            text = _utf8(quantities.dump_csv([keys, *cells]))
+            text = _carried(quantities.dump_csv([keys, *cells]), encoding)
         else:
-            table = [keys, *([_utf8(cell.translate(_VISIBLE)) for cell in line] for line in cells)]
-            text = "".join(_utf8(line.translate(_VISIBLE)) + "\n" for line in lines)
+            table = [keys, *([_carried(cell.translate(_VISIBLE), encoding) for cell in line] for line in cells)]
+            text = "".join(_carried(line.translate(_VISIBLE), encoding) + "\n" for line in lines)
             if isinstance(result, dict):
                 width = max(map(len, keys))
                 text += "".join(f"{k:<{width}}  {cell}\n" for k, cell in zip(keys, table[1]))

@@ -9,18 +9,17 @@ from __future__ import annotations
 
 import math
 import os
-import re
 import sys
 from _json import encode_basestring_ascii as _json_str  # json's C escaper, without the json package
 from collections.abc import Mapping
 from functools import cached_property
+from operator import attrgetter
 from pathlib import Path
 
 from .errors import DomainError, NotFoundError, OutOfBandError, ParseError, ValidationError
 
 _LN10 = math.log(10.0)
 _MAX = sys.float_info.max
-_RANGE = re.compile(r"(>=?) (\S+)|in ([\[(])(\S+), (\S+?)([\])])")
 _BOUNDS: dict = {}  # rule -> (lo, hi), filled on first use
 
 
@@ -96,14 +95,14 @@ def _bounds(rule) -> tuple[float, float]:
     lo, hi = (-_MAX, _MAX) if "finite" in rule else (-math.inf, math.inf)
     if "positive" in rule:
         lo = math.ulp(0.0)
-    m = _RANGE.search(rule)
-    if m and m[1]:
-        a = _number(m[2])
-        lo, hi = (a if m[1] == ">=" else math.nextafter(a, math.inf)), _MAX
-    elif m:
-        lo = _number(m[4]) if m[3] == "[" else math.nextafter(_number(m[4]), math.inf)
-        hi = _number(m[5]) if m[6] == "]" else math.nextafter(_number(m[5]), -math.inf)
-    elif (lo, hi) == (-math.inf, math.inf):
+    words = rule.replace(";", " ").split()
+    for word, a, b in zip(words, words[1:], [*words[2:], ""]):
+        if word in (">", ">="):  # "> a" or ">= a"
+            return (_number(a) if word == ">=" else math.nextafter(_number(a), math.inf)), _MAX
+        if word == "in" and a[0] in "[(" and a[-1] == ",":  # "in [a, b)": "[" or "(" then "]" or ")"
+            lo = _number(a[1:-1]) if a[0] == "[" else math.nextafter(_number(a[1:-1]), math.inf)
+            return lo, (_number(b[:-1]) if b[-1] == "]" else math.nextafter(_number(b[:-1]), -math.inf))
+    if (lo, hi) == (-math.inf, math.inf):
         raise ValueError(f"rule {rule!r} states no range")
     return lo, hi
 
@@ -148,13 +147,13 @@ def record(cls):
     class of the fields its annotations name, in order, each default being
     the value the class body gives it.
 
-    One generated source, compiled with one exec, gives the class what
-    dataclass(frozen=True) would: __init__ fills the instance dict in one
-    update, in field order, and then calls __post_init__ if the class has
-    one; __repr__, __eq__ and __hash__ read the field tuple as Python
-    3.11's dataclass does; assigning or deleting a field raises
-    dataclasses.FrozenInstanceError; __match_args__ holds the field names.
-    The same source writes the class's document for record_doc.
+    One generated source, compiled with one exec, gives the class its
+    __init__, which fills the instance dict in one update, in field order,
+    then calls __post_init__ if the class has one, and the document writer
+    record_doc calls. __repr__, __eq__ and __hash__, which read the field
+    tuple through the class's attrgetter `_record_fields` as dataclass does,
+    and __setattr__ and __delattr__, which raise FrozenInstanceError, are
+    functions every record shares. __match_args__ holds the field names.
 
     `dataclasses` is not imported for this. The dataclass view
     (__dataclass_fields__ and __dataclass_params__, which
@@ -169,11 +168,12 @@ def record(cls):
     # a function exec makes takes its __module__ from the namespace's __name__
     namespace = {"__name__": cls.__module__, "nested": _doc_value, **{f"_{n}": v for n, v in defaults.items()}}
     exec(_record_source(cls, names, defaults), namespace)  # the defaults are evaluated in this namespace
-    for method in ("__init__", "__repr__", "__eq__", "__hash__", "__setattr__", "__delattr__"):
-        namespace[method].__qualname__ = f"{cls.__qualname__}.{method}"
-        setattr(cls, method, namespace[method])
-    cls.__init__.__annotations__ = {**annotations, "return": None}
+    cls.__init__ = init = namespace["__init__"]
+    init.__qualname__, init.__annotations__ = f"{cls.__qualname__}.__init__", {**annotations, "return": None}
+    cls.__repr__, cls.__eq__, cls.__hash__ = _record_repr, _record_eq, _record_hash
+    cls.__setattr__ = cls.__delattr__ = _record_frozen
     cls.__match_args__ = names
+    cls._record_fields = attrgetter(*names) if len(names) > 1 else lambda self: tuple(map(self.__getattribute__, names))
 
     def dataclass_view():
         from dataclasses import dataclass  # loaded at the view's first read, not by `import satlink`
@@ -189,26 +189,39 @@ def record(cls):
     return cls
 
 
-# A field annotated with only these names holds a plain value, which its document copies.
-_PLAIN = {"float", "int", "str", "bool", "None"}
+def _record_repr(self):
+    fields = zip(self.__match_args__, self.__class__._record_fields(self))
+    return f"{self.__class__.__qualname__}({', '.join(f'{name}={value!r}' for name, value in fields)})"
+
+
+def _record_eq(self, other):
+    fields = self.__class__._record_fields
+    return fields(self) == fields(other) if other.__class__ is self.__class__ else NotImplemented
+
+
+def _record_hash(self):
+    return hash(self.__class__._record_fields(self))
+
+
+def _record_frozen(self, name, *value):  # a record's __setattr__, given a value, and its __delattr__
+    from dataclasses import FrozenInstanceError
+    raise FrozenInstanceError(f"cannot {'assign to' if value else 'delete'} field {name!r}")
 
 
 def _record_source(cls, names: tuple, defaults: dict) -> str:
-    """The source of a record's methods and of its document writer `_doc`, in
+    """The source of a record's __init__ and of its document writer `_doc`, in
     which a field whose default is None or () is left out while it holds that
-    default (CPython has one empty tuple), a field annotated with plain types
-    only is copied, and any other field takes the nested path."""
-    own, other = (", ".join(f"{who}.{name}" for name in names) + "," for who in ("self", "other"))
+    default (CPython has one empty tuple), a field annotated only with float,
+    int, str, bool or None is copied, and any other takes the nested path."""
     params = ", ".join(f"{name}=_{name}" if name in defaults else name for name in names)
     init = f"self.__dict__.update({', '.join(f'{name}={name}' for name in names)})"
     if hasattr(cls, "__post_init__"):
         init += "; self.__post_init__()"
-    shown = ", ".join(f"{name}={{self.{name}!r}}" for name in names)
-    doc = ""
+    doc, plain = "", {"float", "int", "str", "bool", "None"}
     for name in names:
         annotation = cls.__annotations__[name]
-        plain = isinstance(annotation, str) and {part.strip() for part in annotation.split("|")} <= _PLAIN
-        value = "v" if plain else "nested(v)"
+        copied = isinstance(annotation, str) and {part.strip() for part in annotation.split("|")} <= plain
+        value = "v" if copied else "nested(v)"
         if name in defaults and defaults[name] in (None, ()):
             doc += f"\n    if (v := self.{name}) is not _{name}: doc[{name!r}] = {value}"
         else:
@@ -216,20 +229,6 @@ def _record_source(cls, names: tuple, defaults: dict) -> str:
     return f"""\
 def __init__(self, {params}):
     {init}
-def __repr__(self):
-    return f"{{self.__class__.__qualname__}}({shown})"
-def __eq__(self, other):
-    if other.__class__ is self.__class__:
-        return ({own}) == ({other})
-    return NotImplemented
-def __hash__(self):
-    return hash(({own}))
-def __setattr__(self, name, value):
-    from dataclasses import FrozenInstanceError
-    raise FrozenInstanceError(f"cannot assign to field {{name!r}}")
-def __delattr__(self, name):
-    from dataclasses import FrozenInstanceError
-    raise FrozenInstanceError(f"cannot delete field {{name!r}}")
 def _doc(self):
     doc = {{}}{doc}
     return doc

@@ -148,3 +148,24 @@ def test_text_a_table_line_or_utf8_cannot_carry_is_written_as_its_escape(fmt, st
     assert lines[3:7] == ["note      csi \\x9b31m", "note      lone \\ud800", "note      escaped \\udc80", ""]
     assert sum("edge \\udcff" in line for line in lines[8:]) == 2
     assert not any(0x80 <= ord(c) < 0xA0 or c in "\u2028\u2029" for c in out)
+
+
+@pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+def test_text_the_stdout_encoding_cannot_carry_is_written_as_its_escape(fmt, tmp_path, monkeypatch, capsys):
+    """Under an ASCII stdout, "café" is written as "caf\\xe9", and a table is
+    laid out as for that escaped text; JSON escapes it as "\\u00e9" itself."""
+    doc = {"name": "café", "orbit": "LEO", "altitude_km": 550.0, "elevation_deg": 45.0,
+           "cases": [{"direction": "dl", "label": "café", "sinr_db": 3.0, "bw_mhz": 1.0}]}
+    (tmp_path / "cafe.json").write_text(json.dumps(doc))
+    proc = satlink_process("scenario", "run", "cafe.json", "--format", fmt, cwd=tmp_path, PYTHONIOENCODING="ascii")
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    out = proc.stdout.decode("ascii")
+    if fmt == "json":
+        assert json.loads(out)["scenario"] == doc
+        return
+    # the same scenario, named "caf\xe9" in ASCII, as main writes it in process
+    (tmp_path / "escaped.json").write_text(json.dumps(doc).replace("\\u00e9", "\\\\xe9"))
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["scenario", "run", "escaped.json", "--format", fmt]) == cli.EXIT_OK
+    assert out == capsys.readouterr().out
+    assert out.count("caf\\xe9") == (3 if fmt == "table" else 2)

@@ -1,5 +1,8 @@
+import ast
 import json
 import math
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given
@@ -286,6 +289,43 @@ class TestBandCatalogCsv:
         assert "Ka,non-geo,downlink,17700,20200" in lines
 
 
+# The regex reader of a rule's range that `quantities._bounds` replaced: the reference its word split must match.
+_RANGE = re.compile(r"(>=?) (\S+)|in ([\[(])(\S+), (\S+?)([\])])")
+
+
+def _regex_bounds(rule) -> tuple[float, float]:
+    if not isinstance(rule, str):
+        los, his = zip(*map(_regex_bounds, rule))
+        return max(los), min(his)
+    lo, hi = (-q._MAX, q._MAX) if "finite" in rule else (-math.inf, math.inf)
+    if "positive" in rule:
+        lo = math.ulp(0.0)
+    m = _RANGE.search(rule)
+    if m and m[1]:
+        a = q._number(m[2])
+        lo, hi = (a if m[1] == ">=" else math.nextafter(a, math.inf)), q._MAX
+    elif m:
+        lo = q._number(m[4]) if m[3] == "[" else math.nextafter(q._number(m[4]), math.inf)
+        hi = q._number(m[5]) if m[6] == "]" else math.nextafter(q._number(m[5]), -math.inf)
+    elif (lo, hi) == (-math.inf, math.inf):
+        raise ValueError(f"rule {rule!r} states no range")
+    return lo, hi
+
+
+def _rule_phrases():
+    """Each rule phrase in satlink's source: every string constant that starts
+    with "must" or "needs", each range kind and antenna's resolution rule."""
+    for path in sorted(Path(q.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value.startswith(("must", "needs")):
+                yield node.value
+    yield from q._KINDS.values()
+    yield antenna._RESOLUTION
+
+
+RULES = sorted(set(_rule_phrases()), key=str)
+
+
 class TestRequire:
     """The one range check: bounds are read from the rule's phrase."""
 
@@ -325,6 +365,21 @@ class TestRequire:
     def test_a_rule_without_a_range_is_refused(self):
         with pytest.raises(ValueError, match="states no range"):
             q.require("x", 1.0, "must be nice")
+
+    @pytest.mark.parametrize("rule", RULES, ids=str)
+    def test_every_rule_of_satlink_reads_as_the_regex_reads_it(self, rule):
+        try:
+            expected = _regex_bounds(rule)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as err:
+                q._bounds(rule)
+            assert str(err.value) == str(exc)
+        else:
+            assert q._bounds(rule) == expected
+
+    def test_the_rule_scan_finds_the_rules(self):
+        assert len(RULES) >= 40
+        assert {"must be > 0 Hz", "must lie in [0, 90] degrees", "needs a finite positive ratio"} <= set(RULES)
 
 
 

@@ -1,11 +1,14 @@
 """Every satlink record is a frozen dataclass declared with `quantities.record`.
 
-Its __init__ fills the instance dict in one update instead of the
-dataclass's one object.__setattr__ per field. Everything else a frozen
-dataclass gives holds as before: the constructor's signature, `vars()` in
-field order (which `record_doc` reads), frozen fields, equality and hash,
-and a `replace` that runs `__post_init__` again. `record_doc` writes each
-record as plain values: no record and no tuple is left in its document.
+`record` generates two methods per record: an __init__ that fills the
+instance dict in one update instead of the dataclass's one
+object.__setattr__ per field, and the document writer. __repr__, __eq__,
+__hash__, __setattr__ and __delattr__ are functions every record shares.
+Everything a frozen dataclass gives holds as before: the constructor's
+signature, `vars()` in field order (which `record_doc` reads), frozen
+fields, the repr, equality and hash of the field tuple, and a `replace`
+that runs `__post_init__` again. `record_doc` writes each record as plain
+values: no record and no tuple is left in its document.
 """
 
 from __future__ import annotations
@@ -164,3 +167,43 @@ def test_record_doc_writes_exactly_the_set_fields():
                 read += 1
                 assert list(quantities.record_doc(instance)) == written, (cls, name)
     assert read >= 1
+
+
+@quantities.record
+class Single:
+    """A record of one field, whose field tuple is a 1-tuple."""
+
+    value: float
+
+
+def _with_field(record, name, value):
+    """A copy of `record` whose field `name` holds `value`, made without its
+    constructor, so no check refuses the value."""
+    copy = object.__new__(type(record))
+    vars(copy).update(vars(record))
+    vars(copy)[name] = value
+    return copy
+
+
+@pytest.mark.parametrize("cls", [*RECORDS, Single], ids=by_name)
+def test_repr_eq_and_hash_are_the_dataclass_s(cls):
+    """repr, ==, != and hash answer as those of a plain frozen dataclass of the
+    same fields, which compares and hashes the field tuple."""
+    sample = SAMPLES[cls][0] if cls is not Single else Single(1.5)
+    twin_cls = plain_dataclass(cls)
+    names = [f.name for f in dataclasses.fields(cls)]
+    twin = twin_cls(*(getattr(sample, name) for name in names))
+    unlike, twin_unlike = (_with_field(r, names[-1], object()) for r in (sample, twin))
+    nan, twin_nan = (_with_field(r, names[0], math.nan) for r in (sample, twin))
+    assert repr(sample) == repr(twin) and repr(nan) == repr(twin_nan)
+    assert hash(sample) == hash(twin) and hash(nan) == hash(twin_nan)
+    for mine, theirs in ((sample, twin), (nan, twin_nan)):  # a NaN field equals itself, as in a tuple
+        equal = mine, _with_field(mine, names[0], getattr(mine, names[0]))
+        twin_equal = theirs, _with_field(theirs, names[0], getattr(theirs, names[0]))
+        for a, b in ((equal, twin_equal), ((mine, unlike), (theirs, twin_unlike))):
+            assert (a[0] == a[1], a[0] != a[1], a[1] == a[0]) == (b[0] == b[1], b[0] != b[1], b[1] == b[0])
+    assert nan == nan and not nan != nan and sample != unlike
+    assert cls(*(getattr(sample, name) for name in names)) == sample
+    for other in (*(s for s, _ in SAMPLES.values() if type(s) is not cls), twin, tuple(vars(sample).values())):
+        assert sample.__eq__(other) is NotImplemented
+        assert sample != other and not sample == other
